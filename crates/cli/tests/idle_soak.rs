@@ -126,6 +126,11 @@ fn idle_herd_costs_no_threads_and_drains_on_sigterm() {
     let herd = herd_size();
     let workers = 2;
     let server = Server::spawn(&["--workers", "2", "--drain-timeout-ms", "30000"]);
+    // The banner is printed before the shard workers start; one answered
+    // `health` request proves the event loop (and so the pool) is up.
+    let mut active = connect(&server.addr);
+    let health = round_trip(&mut active, "{\"id\":0,\"op\":\"health\"}");
+    assert!(health.contains("\"ok\":true"), "health failed: {health}");
     let baseline = server.threads();
 
     // Park the herd: connect, say nothing, hold the socket open.
@@ -147,7 +152,6 @@ fn idle_herd_costs_no_threads_and_drains_on_sigterm() {
     );
 
     // The server still answers promptly with the herd parked.
-    let mut active = connect(&server.addr);
     let open = round_trip(
         &mut active,
         &format!("{{\"id\":1,\"op\":\"open\",\"session\":\"soak\",\"design\":\"{DESIGN}\"}}"),
@@ -177,7 +181,7 @@ fn idle_herd_costs_no_threads_and_drains_on_sigterm() {
     let summary = server.wait();
     let expected = format!("over {} connection(s)", herd + 1);
     assert!(
-        summary.contains("served 2 request(s)") && summary.contains(&expected),
+        summary.contains("served 3 request(s)") && summary.contains(&expected),
         "summary accounts for the whole herd: {summary:?}"
     );
     drop(idle);

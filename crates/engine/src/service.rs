@@ -637,18 +637,13 @@ impl Router {
                 let Some(design) = request.get("design").and_then(Json::as_str) else {
                     return fail(id, "open needs a \"design\" (graph text format)");
                 };
-                let mut graph = match ConstraintGraph::from_text(design) {
+                let graph = match ConstraintGraph::from_text(design) {
                     Ok(g) => g,
                     Err(e) => return fail(id, format!("bad design: {e}")),
                 };
                 // Cache keys are canonical forms of *polar* graphs (the
-                // space sessions live in), so polarize before probing.
-                // Session::open would do the same polarization anyway.
-                if self.cache.enabled() && !graph.is_polar() {
-                    if let Err(e) = graph.polarize() {
-                        return fail(id, format!("cannot open session: {e}"));
-                    }
-                }
+                // space sessions live in); `from_text` already polarizes.
+                debug_assert!(graph.is_polar());
                 let seed = self.cache.get(&graph);
                 let seeded = seed.is_some();
                 let session = match Session::open_with_seed(graph, seed) {
@@ -1509,15 +1504,11 @@ fn batch_entry(cache: &ScheduleCache, entry: &Json) -> Json {
     let Some(design) = entry.get("design").and_then(Json::as_str) else {
         return bad(name, "missing \"design\"".to_owned());
     };
-    let mut graph = match ConstraintGraph::from_text(design) {
+    let graph = match ConstraintGraph::from_text(design) {
         Ok(g) => g,
         Err(e) => return bad(name, format!("bad design: {e}")),
     };
-    if !graph.is_polar() {
-        if let Err(e) = graph.polarize() {
-            return bad(name, format!("bad design: {e}"));
-        }
-    }
+    debug_assert!(graph.is_polar(), "from_text polarizes");
     match schedule_cached(cache, &graph, 1) {
         Ok((omega, _)) => object([
             ("name", name),

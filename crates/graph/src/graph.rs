@@ -239,7 +239,8 @@ impl Vertex {
 /// treated as an unbounded-delay anchor (Definition 2); the sink is a
 /// zero-delay no-op. The forward subgraph `G_f = (V, E_f)` is kept acyclic
 /// by construction: every mutation that would close a forward cycle is
-/// rejected.
+/// rejected. To make that check cheap the graph also keeps a topological
+/// rank of `G_f` (see [`ConstraintGraph::forward_rank`]).
 ///
 /// See the [crate documentation](crate) for a usage example.
 #[derive(Debug, Clone)]
@@ -255,8 +256,50 @@ pub struct ConstraintGraph {
     /// [`ConstraintGraph::add_operation`] and [`ConstraintGraph::set_delay`]
     /// can change anchor-hood, and vertices are never removed.
     anchors: Vec<VertexId>,
+    /// Topological rank of every vertex in `G_f`: distinct, and strictly
+    /// increasing along every live forward edge. The source is pinned at 0
+    /// and the sink at `u32::MAX` (no forward edge enters the source or
+    /// leaves the sink); a new operation takes its own id as rank, so the
+    /// operations always share the ranks `2..n`.
+    rank: Vec<u32>,
+    scratch: RankScratch,
     source: VertexId,
     sink: VertexId,
+}
+
+/// Work buffers of the rank upkeep, kept between inserts so re-ranking
+/// does not allocate. They carry no graph state between calls: `seen` is
+/// all-false and the lists are empty, so a clone starts from fresh ones.
+#[derive(Default)]
+struct RankScratch {
+    seen: Vec<bool>,
+    stack: Vec<VertexId>,
+    /// Pearce–Kelly's `δF`: reached forward from the new edge's head.
+    forward: Vec<VertexId>,
+    /// Pearce–Kelly's `δB`: reached backward from the new edge's tail.
+    backward: Vec<VertexId>,
+    ranks: Vec<u32>,
+}
+
+impl RankScratch {
+    fn sized(n: usize) -> Self {
+        RankScratch {
+            seen: vec![false; n],
+            ..RankScratch::default()
+        }
+    }
+}
+
+impl Clone for RankScratch {
+    fn clone(&self) -> Self {
+        RankScratch::default()
+    }
+}
+
+impl fmt::Debug for RankScratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RankScratch")
+    }
 }
 
 impl Default for ConstraintGraph {
@@ -274,6 +317,8 @@ impl ConstraintGraph {
             dead: Vec::new(),
             n_dead: 0,
             anchors: vec![VertexId(0)],
+            rank: vec![0, u32::MAX],
+            scratch: RankScratch::default(),
             source: VertexId(0),
             sink: VertexId(1),
         };
@@ -332,6 +377,8 @@ impl ConstraintGraph {
             out_edges: Vec::new(),
             in_edges: Vec::new(),
         });
+        // Fresh and below the sink's: existing operations hold `2..id`.
+        self.rank.push(id.0);
         if delay.is_unbounded() {
             // Ids are assigned in increasing order, so a push keeps the
             // roster sorted.
@@ -444,34 +491,134 @@ impl ConstraintGraph {
         }
     }
 
+    /// The topological rank of `v` in `G_f`: `forward_rank(u) <
+    /// forward_rank(w)` for every forward edge `(u, w)`, so a forward path
+    /// can only climb in rank. Ranks are distinct; the source's is 0 and
+    /// the sink's `u32::MAX`. Inserting a forward edge may re-rank other
+    /// vertices; removing edges never does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` does not belong to this graph.
+    pub fn forward_rank(&self, v: VertexId) -> u32 {
+        self.rank[v.index()]
+    }
+
     /// `true` if a directed path of forward edges leads from `a` to `b`.
     ///
     /// This is the paper's predecessor relation: `a ∈ pred(b)` in `G_f`.
-    /// `a` is not considered its own predecessor.
+    /// `a` is not considered its own predecessor. Answers `false` at once
+    /// unless `a` ranks below `b`, and otherwise searches only the
+    /// vertices ranked between them.
     pub fn has_forward_path(&self, a: VertexId, b: VertexId) -> bool {
-        if a == b {
+        let (lo, hi) = (self.rank[a.index()], self.rank[b.index()]);
+        if lo >= hi {
             return false;
         }
-        let mut seen = vec![false; self.vertices.len()];
-        let mut stack = vec![a];
-        seen[a.index()] = true;
-        while let Some(u) = stack.pop() {
-            for s in self.forward_succs(u) {
-                if s == b {
+        let mut s = RankScratch::sized(self.vertices.len());
+        self.sweep(&mut s, a, true, (lo, hi), b)
+    }
+
+    /// Depth-first search of `G_f` from `start` — along forward edges when
+    /// `forward`, against them otherwise — through the vertices ranked
+    /// strictly inside `window`. Marks every vertex it enters in `s.seen`
+    /// and lists it in `s.forward` (or `s.backward`); returns `true` as
+    /// soon as an edge leads to `target`.
+    fn sweep(
+        &self,
+        s: &mut RankScratch,
+        start: VertexId,
+        forward: bool,
+        window: (u32, u32),
+        target: VertexId,
+    ) -> bool {
+        let region = if forward {
+            &mut s.forward
+        } else {
+            &mut s.backward
+        };
+        s.seen[start.index()] = true;
+        region.push(start);
+        s.stack.push(start);
+        while let Some(u) = s.stack.pop() {
+            let vertex = &self.vertices[u.index()];
+            let adjacent = if forward {
+                &vertex.out_edges
+            } else {
+                &vertex.in_edges
+            };
+            for &e in adjacent {
+                let edge = &self.edges[e.index()];
+                if edge.is_backward() {
+                    continue;
+                }
+                let w = if forward { edge.to } else { edge.from };
+                if w == target {
+                    s.stack.clear();
                     return true;
                 }
-                if !seen[s.index()] {
-                    seen[s.index()] = true;
-                    stack.push(s);
+                let r = self.rank[w.index()];
+                if window.0 < r && r < window.1 && !s.seen[w.index()] {
+                    s.seen[w.index()] = true;
+                    region.push(w);
+                    s.stack.push(w);
                 }
             }
         }
         false
     }
 
+    /// Re-ranks `G_f` to admit a new forward edge `(from, to)`, or returns
+    /// `false`, leaving the rank unchanged, when `to` already reaches
+    /// `from` (the edge would close a forward cycle).
+    ///
+    /// Pearce & Kelly's dynamic topological order: nothing moves unless
+    /// `from` outranks `to`. Then only the affected region moves — `δF`,
+    /// the vertices `to` reaches ranked below `from`, and `δB`, the
+    /// vertices reaching `from` ranked above `to`. The region's own ranks
+    /// are dealt back out, `δB` first, each side keeping its relative
+    /// order. The cost is bounded by the edges incident to the region, not
+    /// by the graph.
+    fn rank_forward_edge(&mut self, from: VertexId, to: VertexId) -> bool {
+        let (lo, hi) = (self.rank[to.index()], self.rank[from.index()]);
+        if hi < lo {
+            return true;
+        }
+        let mut s = std::mem::take(&mut self.scratch);
+        s.seen.resize(self.vertices.len(), false);
+        let cycle = self.sweep(&mut s, to, true, (lo, hi), from);
+        if !cycle {
+            // Disjoint from δF: a vertex in both would put `from` within
+            // the forward search's reach.
+            let reached = self.sweep(&mut s, from, false, (lo, hi), to);
+            debug_assert!(!reached, "δB reached the head of an acyclic insert");
+            let rank = &mut self.rank;
+            s.forward.sort_unstable_by_key(|v| rank[v.index()]);
+            s.backward.sort_unstable_by_key(|v| rank[v.index()]);
+            s.ranks
+                .extend(s.backward.iter().chain(&s.forward).map(|v| rank[v.index()]));
+            s.ranks.sort_unstable();
+            for (v, &r) in s.backward.iter().chain(&s.forward).zip(&s.ranks) {
+                rank[v.index()] = r;
+            }
+        }
+        for v in s.forward.drain(..).chain(s.backward.drain(..)) {
+            s.seen[v.index()] = false;
+        }
+        s.ranks.clear();
+        self.scratch = s;
+        !cycle
+    }
+
     /// Rebuilds the edge storage (and adjacency) from the given edges.
     /// Used by the transitive-reduction pass; edge ids are reassigned.
+    ///
+    /// `edges` must be a subset of the live edges: removing forward edges
+    /// keeps the rank valid, so it is not touched.
     pub(crate) fn replace_edges(&mut self, edges: Vec<Edge>) {
+        debug_assert!(edges
+            .iter()
+            .all(|e| e.is_backward() || self.rank[e.from.index()] < self.rank[e.to.index()]));
         self.edges.clear();
         self.dead.clear();
         self.n_dead = 0;
@@ -502,7 +649,8 @@ impl ConstraintGraph {
     ///
     /// The removal is a tombstone: every other edge keeps its [`EdgeId`]
     /// and the relative iteration order of surviving edges is unchanged,
-    /// so analyses that replay edits stay deterministic.
+    /// so analyses that replay edits stay deterministic. The forward rank
+    /// stays valid as it is: dropping an edge only removes constraints.
     ///
     /// # Errors
     ///
@@ -608,7 +756,7 @@ impl ConstraintGraph {
         if to == self.source || from == self.sink {
             return Err(GraphError::Polarity { from, to });
         }
-        if self.has_forward_path(to, from) {
+        if !self.rank_forward_edge(from, to) {
             return Err(GraphError::ForwardCycle { from, to });
         }
         let weight = match self.vertices[from.index()].delay {
@@ -650,7 +798,7 @@ impl ConstraintGraph {
         if to == self.source || from == self.sink {
             return Err(GraphError::Polarity { from, to });
         }
-        if self.has_forward_path(to, from) {
+        if !self.rank_forward_edge(from, to) {
             return Err(GraphError::ContradictsDependencies { from, to, min });
         }
         // A minimum constraint sourced at an anchor is completion-relative:

@@ -12,6 +12,7 @@
 //! max  sync   alu 4        # ill-posed, but parses
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -72,9 +73,11 @@ impl ConstraintGraph {
     /// numbers, and structural violations (forward cycles etc.).
     pub fn from_text(text: &str) -> Result<Self, TextFormatError> {
         let mut g = ConstraintGraph::new();
-        let mut names: HashMap<String, VertexId> = HashMap::new();
-        names.insert("source".to_owned(), g.source());
-        names.insert("sink".to_owned(), g.sink());
+        // Keys borrow from `text`: only the vertex names themselves are
+        // copied, once each.
+        let mut names: HashMap<&str, VertexId> = HashMap::new();
+        names.insert("source", g.source());
+        names.insert("sink", g.sink());
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             let syntax = |message: String| TextFormatError::Syntax { line, message };
@@ -87,7 +90,6 @@ impl ConstraintGraph {
             let mut arg = |what: &str| {
                 parts
                     .next()
-                    .map(str::to_owned)
                     .ok_or_else(|| syntax(format!("missing {what}")))
             };
             match directive {
@@ -98,16 +100,14 @@ impl ConstraintGraph {
                         ExecDelay::Unbounded
                     } else {
                         ExecDelay::Fixed(
-                            delay
-                                .parse()
-                                .map_err(|_| syntax(format!("invalid delay '{delay}'")))?,
+                            parse_weight(delay)
+                                .ok_or_else(|| syntax(format!("invalid delay '{delay}'")))?,
                         )
                     };
-                    if names.contains_key(&name) {
+                    let Entry::Vacant(slot) = names.entry(name) else {
                         return Err(syntax(format!("duplicate operation '{name}'")));
-                    }
-                    let id = g.add_operation(name.clone(), delay);
-                    names.insert(name, id);
+                    };
+                    slot.insert(g.add_operation(name, delay));
                 }
                 "dep" | "min" | "max" => {
                     let from_name = arg("tail name")?;
@@ -118,14 +118,13 @@ impl ConstraintGraph {
                             .copied()
                             .ok_or_else(|| syntax(format!("undeclared operation '{n}'")))
                     };
-                    let from = lookup(&from_name)?;
-                    let to = lookup(&to_name)?;
+                    let from = lookup(from_name)?;
+                    let to = lookup(to_name)?;
                     let result = match directive {
                         "dep" => g.add_dependency(from, to).map(|_| ()),
                         "min" | "max" => {
-                            let cycles: u64 = arg("cycle count")?
-                                .parse()
-                                .map_err(|_| syntax("invalid cycle count".to_owned()))?;
+                            let cycles = parse_weight(arg("cycle count")?)
+                                .ok_or_else(|| syntax("invalid cycle count".to_owned()))?;
                             if directive == "min" {
                                 g.add_min_constraint(from, to, cycles).map(|_| ())
                             } else {
@@ -213,6 +212,12 @@ impl ConstraintGraph {
         }
         out
     }
+}
+
+/// Parses a delay or cycle count. Edge weights are `i64`, so a value above
+/// `i64::MAX` is refused here rather than wrapping to a negative weight.
+fn parse_weight(token: &str) -> Option<u64> {
+    token.parse().ok().filter(|&w| i64::try_from(w).is_ok())
 }
 
 #[cfg(test)]
@@ -309,6 +314,40 @@ max alu out 4
         assert!(err.to_string().contains("invalid delay"));
         let err = ConstraintGraph::from_text("op a 1\nop b 1\ndep a b\ndep b a\n").unwrap_err();
         assert!(matches!(err, TextFormatError::Graph { line: 4, .. }));
+    }
+
+    /// Weights are `i64`: `2^63 - 1` is the largest delay or cycle count
+    /// that fits, and `2^63` is refused instead of wrapping negative.
+    #[test]
+    fn weights_above_i64_max_are_rejected() {
+        let max = i64::MAX as u64;
+        let g = ConstraintGraph::from_text(&format!(
+            "op a {max}\nop b 1\ndep a b\nmin a b {max}\nmax a b {max}\n"
+        ))
+        .unwrap();
+        let weights: Vec<i64> = g.edges().map(|(_, e)| e.weight().zeroed()).collect();
+        // `dep a b` carries δ(a) and `min a b` its count; `max` is negated.
+        assert_eq!(weights.iter().filter(|&&w| w == i64::MAX).count(), 2);
+        assert!(weights.contains(&-i64::MAX));
+
+        let over = max + 1;
+        assert_eq!(
+            ConstraintGraph::from_text(&format!("op a 1\nop b {over}\n")).unwrap_err(),
+            TextFormatError::Syntax {
+                line: 2,
+                message: format!("invalid delay '{over}'")
+            }
+        );
+        for directive in ["min", "max"] {
+            assert_eq!(
+                ConstraintGraph::from_text(&format!("op a 1\nop b 1\n{directive} a b {over}\n"))
+                    .unwrap_err(),
+                TextFormatError::Syntax {
+                    line: 3,
+                    message: "invalid cycle count".into()
+                }
+            );
+        }
     }
 
     #[test]
