@@ -28,6 +28,7 @@ use rand::{Rng, SeedableRng};
 use rsched_cache::{schedule_cached, ScheduleCache};
 use rsched_core::schedule_threaded;
 use rsched_designs::cascade::{build_cascade as build, Cascade};
+use rsched_designs::random::{random_constraint_graph, RandomGraphConfig};
 
 fn smoke() -> bool {
     std::env::var("RSCHED_BENCH_SMOKE").is_ok_and(|v| v == "1")
@@ -94,7 +95,10 @@ fn run_stream(universe: &[Cascade], requests: usize, capacity: usize) -> StreamR
 }
 
 /// Criterion groups for absolute reference points: one cold schedule,
-/// one full hit (canonicalize + probe + remap), one key derivation.
+/// one full hit (canonicalize + probe + remap), one key derivation — on
+/// the cascade, and a key derivation beside a cold schedule on a random
+/// graph, the shape most served designs have. Long-range random edges
+/// are where the keep mask used to cost most.
 fn reference_points(c: &mut Criterion, design: Cascade) {
     let graph = build(design, 0);
     let relabeled = build(design, 7);
@@ -116,6 +120,24 @@ fn reference_points(c: &mut Criterion, design: Cascade) {
     group.bench_with_input(
         BenchmarkId::new("canonical_key", design.n),
         &relabeled,
+        |b, g| b.iter(|| g.canonical_key()),
+    );
+    let ops = 250;
+    let random = random_constraint_graph(
+        ops as u64,
+        &RandomGraphConfig {
+            n_ops: ops,
+            ..RandomGraphConfig::default()
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("cold_schedule_random", ops),
+        &random,
+        |b, g| b.iter(|| schedule_threaded(g, 1).expect("random graphs schedule")),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("canonical_key_random", ops),
+        &random,
         |b, g| b.iter(|| g.canonical_key()),
     );
     group.finish();

@@ -110,6 +110,17 @@ impl CacheStats {
     }
 }
 
+/// Outcome of [`ScheduleCache::probe`].
+#[derive(Debug)]
+pub enum Probe {
+    /// The cache is disabled: nothing was canonicalized or counted.
+    Off,
+    /// A byte-verified hit, in the probed graph's own labeling.
+    Hit(RelativeSchedule),
+    /// A miss, with the probed graph's key for a later insert.
+    Miss(CanonicalKey),
+}
+
 /// A sharded, content-addressed LRU cache of schedule results.
 ///
 /// Capacity is a total entry budget split evenly across shards; a
@@ -231,19 +242,25 @@ impl ScheduleCache {
         self.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Canonicalize `graph` and probe; on a hit, return the schedule
-    /// mapped back to `graph`'s own labeling. Hit latency (including
-    /// canonicalization and the remap) is accumulated into the stats.
-    pub fn get(&self, graph: &ConstraintGraph) -> Option<RelativeSchedule> {
+    /// Canonicalize `graph` and probe. A hit comes back mapped to
+    /// `graph`'s own labeling, its latency (canonicalization, probe and
+    /// remap) accumulated into the stats; a miss hands back the key, so
+    /// the caller can [`insert`](Self::insert) the cold result (mapped
+    /// through the key's `perm`) without canonicalizing the graph again.
+    pub fn probe(&self, graph: &ConstraintGraph) -> Probe {
         if !self.enabled() {
-            return None;
+            return Probe::Off;
         }
         let started = Instant::now();
         let form = graph.canonical_key();
-        let canonical = self.lookup(&form)?;
-        let out = canonical.remapped(&form.inv);
-        self.record_hit_nanos(started.elapsed().as_nanos() as u64);
-        Some(out)
+        match self.lookup(&form) {
+            Some(canonical) => {
+                let out = canonical.remapped(&form.inv);
+                self.record_hit_nanos(started.elapsed().as_nanos() as u64);
+                Probe::Hit(out)
+            }
+            None => Probe::Miss(form),
+        }
     }
 
     /// Canonicalize `graph` and store `result` (given in `graph`'s own
@@ -291,19 +308,15 @@ pub fn schedule_cached(
     graph: &ConstraintGraph,
     threads: usize,
 ) -> Result<(RelativeSchedule, bool), ScheduleError> {
-    if !cache.enabled() {
-        return Ok((schedule_threaded(graph, threads)?, false));
+    match cache.probe(graph) {
+        Probe::Hit(out) => Ok((out, true)),
+        Probe::Miss(form) => {
+            let cold = schedule_threaded(graph, threads)?;
+            cache.insert(&form, cold.remapped(&form.perm));
+            Ok((cold, false))
+        }
+        Probe::Off => Ok((schedule_threaded(graph, threads)?, false)),
     }
-    let started = Instant::now();
-    let form = graph.canonical_key();
-    if let Some(canonical) = cache.lookup(&form) {
-        let out = canonical.remapped(&form.inv);
-        cache.record_hit_nanos(started.elapsed().as_nanos() as u64);
-        return Ok((out, true));
-    }
-    let cold = schedule_threaded(graph, threads)?;
-    cache.insert(&form, cold.remapped(&form.perm));
-    Ok((cold, false))
 }
 
 #[cfg(test)]
@@ -467,18 +480,24 @@ mod tests {
         assert!(!hit);
         assert_eq!(result, schedule(&g).unwrap());
         cache.put(&g, &result);
-        assert_eq!(cache.get(&g).unwrap(), result);
+        assert!(matches!(cache.probe(&g), Probe::Hit(hit) if hit == result));
     }
 
     #[test]
-    fn get_and_put_round_trip_through_canonical_space() {
+    fn probe_and_put_round_trip_through_canonical_space() {
         let g1 = fixture(&[0, 1, 2, 3], &["a", "b", "c", "d"]);
         let g2 = fixture(&[2, 0, 3, 1], &["p", "q", "r", "s"]);
         let cache = ScheduleCache::new(16);
-        assert!(cache.get(&g1).is_none());
+        let Probe::Miss(key) = cache.probe(&g1) else {
+            panic!("empty cache must miss");
+        };
         let cold = schedule(&g1).unwrap();
-        cache.put(&g1, &cold);
-        assert_eq!(cache.get(&g1).unwrap(), cold);
-        assert_eq!(cache.get(&g2).unwrap(), schedule(&g2).unwrap());
+        cache.insert(&key, cold.remapped(&key.perm));
+        assert!(matches!(cache.probe(&g1), Probe::Hit(hit) if hit == cold));
+        let cold2 = schedule(&g2).unwrap();
+        assert!(matches!(cache.probe(&g2), Probe::Hit(hit) if hit == cold2));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (2, 1, 1));
+        assert!(matches!(ScheduleCache::new(0).probe(&g1), Probe::Off));
     }
 }

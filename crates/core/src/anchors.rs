@@ -20,6 +20,22 @@ use rsched_graph::{ConstraintGraph, EdgeId, VertexId};
 
 use crate::error::ScheduleError;
 
+/// The positions of the set bits of a word, ascending.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(bit)
+    }
+}
+
 /// A dense family of anchor sets: one bitset row per vertex over the
 /// anchors of a graph.
 ///
@@ -162,12 +178,16 @@ impl AnchorSetFamily {
 
     /// Iterates over the anchors in the set of `v`, in anchor-index order.
     pub fn set(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        let row = self.row(v);
-        self.anchors
+        self.set_indices(v).map(|i| self.anchors[i])
+    }
+
+    /// The family indices of the anchors in the set of `v`, ascending:
+    /// the set bits of its row, walked word by word.
+    pub(crate) fn set_indices(&self, v: VertexId) -> impl Iterator<Item = usize> + '_ {
+        self.row(v)
             .iter()
             .enumerate()
-            .filter(move |(i, _)| row[i / 64] & (1u64 << (i % 64)) != 0)
-            .map(|(_, &a)| a)
+            .flat_map(|(k, &word)| SetBits(word).map(move |b| k * 64 + b))
     }
 
     /// Anchors in the set of `a` but not in the set of `b`.
@@ -205,34 +225,52 @@ impl AnchorSetFamily {
     /// Panics (in debug builds) if `perm` is not a bijection of the right
     /// length.
     pub fn remapped(&self, perm: &[u32]) -> AnchorSetFamily {
+        self.remapped_with(perm, |_, _, _, _| {})
+    }
+
+    /// [`Self::remapped`], calling `moved(v, i, perm(v), j)` for every
+    /// member bit as it moves from column `i` of row `v` to column `j` of
+    /// row `perm(v)`.
+    ///
+    /// The old → new column map is built once; rows are then walked word
+    /// by word, so the cost is one step per member plus one per word.
+    pub(crate) fn remapped_with(
+        &self,
+        perm: &[u32],
+        mut moved: impl FnMut(usize, usize, usize, usize),
+    ) -> AnchorSetFamily {
         debug_assert_eq!(perm.len(), self.n_vertices);
-        let mut anchors: Vec<VertexId> = self
-            .anchors
-            .iter()
-            .map(|a| VertexId::from_index(perm[a.index()] as usize))
-            .collect();
-        anchors.sort_unstable();
+        // Old columns in new roster order: the roster is id-sorted, so
+        // sorting by the mapped id deals out the new columns.
+        let mut by_new: Vec<u32> = (0..self.anchors.len() as u32).collect();
+        by_new.sort_unstable_by_key(|&i| perm[self.anchors[i as usize].index()]);
+        let mut column = vec![0u32; self.anchors.len()];
+        let mut anchors = Vec::with_capacity(self.anchors.len());
         let mut anchor_index = vec![None; self.n_vertices];
-        for (i, &a) in anchors.iter().enumerate() {
-            debug_assert!(anchor_index[a.index()].is_none(), "perm must be injective");
-            anchor_index[a.index()] = Some(i as u32);
+        for (j, &i) in by_new.iter().enumerate() {
+            column[i as usize] = j as u32;
+            let a = perm[self.anchors[i as usize].index()];
+            debug_assert!(anchor_index[a as usize].is_none(), "perm must be injective");
+            anchor_index[a as usize] = Some(j as u32);
+            anchors.push(VertexId::from_index(a as usize));
         }
-        let mut out = AnchorSetFamily {
-            anchors,
-            anchor_index,
-            words_per_row: self.words_per_row,
-            bits: vec![0; self.words_per_row * self.n_vertices],
-            n_vertices: self.n_vertices,
-        };
-        for vi in 0..self.n_vertices {
-            let v = VertexId::from_index(vi);
-            let nv = VertexId::from_index(perm[vi] as usize);
-            for a in self.set(v) {
-                let na = VertexId::from_index(perm[a.index()] as usize);
-                out.insert(nv, na);
+        let w = self.words_per_row;
+        let mut bits = vec![0; w * self.n_vertices];
+        for (v, &nv) in perm.iter().enumerate() {
+            let nv = nv as usize;
+            for i in self.set_indices(VertexId::from_index(v)) {
+                let j = column[i] as usize;
+                bits[nv * w + j / 64] |= 1u64 << (j % 64);
+                moved(v, i, nv, j);
             }
         }
-        out
+        AnchorSetFamily {
+            anchors,
+            anchor_index,
+            words_per_row: w,
+            bits,
+            n_vertices: self.n_vertices,
+        }
     }
 
     /// Builds a family from explicit per-vertex anchor lists, as when

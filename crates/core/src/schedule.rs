@@ -92,11 +92,10 @@ impl RelativeSchedule {
 
     /// All `(anchor, offset)` pairs of `v`, in anchor order.
     pub fn offsets_of(&self, v: VertexId) -> impl Iterator<Item = (VertexId, i64)> + '_ {
-        let anchors: Vec<VertexId> = self.sets.set(v).collect();
-        anchors.into_iter().map(move |a| {
-            let ai = self.sets.anchor_index(a).expect("anchor in set");
-            (a, self.offsets[self.idx(v, ai)])
-        })
+        let anchors = self.sets.anchors();
+        self.sets
+            .set_indices(v)
+            .map(move |i| (anchors[i], self.offsets[self.idx(v, i)]))
     }
 
     /// The anchor-set family the schedule tracks offsets for (full `A(v)`
@@ -178,25 +177,17 @@ impl RelativeSchedule {
     /// a remapped schedule is bit-identical to one computed natively in
     /// the target labeling (the cache-hit contract, fuzzer-enforced).
     pub fn remapped(&self, perm: &[u32]) -> RelativeSchedule {
-        let n_vertices = self.offsets.len() / self.n_anchors.max(1);
-        let sets = self.sets.remapped(perm);
-        let mut out = RelativeSchedule {
+        let k = self.n_anchors;
+        let mut offsets = vec![0; self.offsets.len()];
+        let sets = self.sets.remapped_with(perm, |v, i, nv, j| {
+            offsets[nv * k + j] = self.offsets[v * k + i];
+        });
+        RelativeSchedule {
             sets,
-            offsets: vec![0; self.offsets.len()],
-            n_anchors: self.n_anchors,
+            offsets,
+            n_anchors: k,
             iterations: self.iterations,
-        };
-        for vi in 0..n_vertices {
-            let v = VertexId::from_index(vi);
-            let nv = VertexId::from_index(perm[vi] as usize);
-            for (a, offset) in self.offsets_of(v) {
-                let na = VertexId::from_index(perm[a.index()] as usize);
-                let ai = out.sets.anchor_index(na).expect("remapped roster anchor");
-                let slot = out.idx(nv, ai);
-                out.offsets[slot] = offset;
-            }
         }
-        out
     }
 
     /// Reconstructs a schedule from a tracked family plus its explicit

@@ -98,7 +98,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rsched_cache::{schedule_cached, CacheStats, ScheduleCache};
+use rsched_cache::{schedule_cached, CacheStats, Probe, ScheduleCache};
 use rsched_core::{KernelCounters, ScheduleError, WellPosedness, WorkPool};
 use rsched_graph::{failpoint, ConstraintGraph, ExecDelay};
 
@@ -644,15 +644,20 @@ impl Router {
                 // Cache keys are canonical forms of *polar* graphs (the
                 // space sessions live in); `from_text` already polarizes.
                 debug_assert!(graph.is_polar());
-                let seed = self.cache.get(&graph);
-                let seeded = seed.is_some();
+                // One key per open: a miss hands back the key the
+                // write-through below inserts under.
+                let (seed, miss) = match self.cache.probe(&graph) {
+                    Probe::Hit(seed) => (Some(seed), None),
+                    Probe::Miss(key) => (None, Some(key)),
+                    Probe::Off => (None, None),
+                };
                 let session = match Session::open_with_seed(graph, seed) {
                     Ok(s) => s,
                     Err(e) => return fail(id, format!("cannot open session: {e}")),
                 };
-                if !seeded && session.posedness().is_well_posed() {
-                    if let Some(omega) = session.schedule() {
-                        self.cache.put(session.graph(), omega);
+                if let (Some(key), Some(omega)) = (miss, session.schedule()) {
+                    if session.posedness().is_well_posed() {
+                        self.cache.insert(&key, omega.remapped(&key.perm));
                     }
                 }
                 Counters::bump(&self.counters.opened);

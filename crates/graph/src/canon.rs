@@ -137,54 +137,88 @@ fn kind_tag(k: EdgeKind) -> u64 {
     }
 }
 
-/// One refinement round: every vertex's new signature hashes its old one
-/// with the sorted multisets of incident-edge descriptors (edges flagged
-/// redundant by `keep` are invisible). Including the old signature makes
-/// rounds strictly refining (classes only split).
-fn refine(g: &ConstraintGraph, keep: &[bool], sig: &[u64]) -> Vec<u64> {
-    let mut next = Vec::with_capacity(sig.len());
-    let mut scratch: Vec<[u64; 4]> = Vec::new();
-    for v in g.vertex_ids() {
-        scratch.clear();
-        for (id, e) in g.out_edges(v) {
-            if !keep[id.index()] {
-                continue;
-            }
-            let (unb, extra) = weight_class(e.weight());
-            scratch.push([
-                kind_tag(e.kind()) << 1,
-                unb,
-                extra as u64,
-                sig[e.to().index()],
-            ]);
-        }
-        for (id, e) in g.in_edges(v) {
-            if !keep[id.index()] {
-                continue;
-            }
-            let (unb, extra) = weight_class(e.weight());
-            scratch.push([
-                (kind_tag(e.kind()) << 1) | 1,
-                unb,
-                extra as u64,
-                sig[e.from().index()],
-            ]);
-        }
-        scratch.sort_unstable();
-        let mut h = mix_words(FNV_OFFSET, &[sig[v.index()]]);
-        for row in &scratch {
-            h = mix_words(h, row);
-        }
-        next.push(h);
-    }
-    next
+/// The refinement state of one key derivation: every vertex's kept
+/// incident edges, flattened once, plus buffers reused across rounds.
+///
+/// Vertex `v`'s edges are `incident[start[v]..start[v + 1]]`, each as its
+/// static signature words — kind tagged with the direction,
+/// unboundedness, fixed weight — and the neighbor, sorted by those words.
+struct Refinement {
+    start: Vec<u32>,
+    incident: Vec<([u64; 3], u32)>,
+    neighbors: Vec<u64>,
+    sorted: Vec<u64>,
 }
 
-fn count_distinct(sig: &[u64]) -> usize {
-    let mut sorted: Vec<u64> = sig.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
+impl Refinement {
+    /// Flattens `g`'s incidence lists, hiding edges flagged redundant by
+    /// `keep`.
+    fn new(g: &ConstraintGraph, keep: &[bool]) -> Refinement {
+        let mut start = Vec::with_capacity(g.n_vertices() + 1);
+        let mut incident = Vec::with_capacity(2 * g.n_edges());
+        let words = |e: &crate::graph::Edge, dir: u64| {
+            let (unb, extra) = weight_class(e.weight());
+            [(kind_tag(e.kind()) << 1) | dir, unb, extra as u64]
+        };
+        for v in g.vertex_ids() {
+            let from = incident.len();
+            start.push(from as u32);
+            for (id, e) in g.out_edges(v) {
+                if keep[id.index()] {
+                    incident.push((words(e, 0), e.to().index() as u32));
+                }
+            }
+            for (id, e) in g.in_edges(v) {
+                if keep[id.index()] {
+                    incident.push((words(e, 1), e.from().index() as u32));
+                }
+            }
+            incident[from..].sort_unstable_by_key(|&(words, _)| words);
+        }
+        start.push(incident.len() as u32);
+        Refinement {
+            start,
+            incident,
+            neighbors: Vec::new(),
+            sorted: Vec::new(),
+        }
+    }
+
+    /// One refinement round into `next`: every vertex's new signature
+    /// hashes its old one with the sorted multiset of its incident-edge
+    /// rows `[static words.., neighbor signature]`. Including the old
+    /// signature makes rounds strictly refining (classes only split).
+    fn round(&mut self, sig: &[u64], next: &mut [u64]) {
+        for (v, out) in next.iter_mut().enumerate() {
+            let edges = &self.incident[self.start[v] as usize..self.start[v + 1] as usize];
+            // The edges are sorted by their static words already; sorting
+            // each run of equal words by neighbor signature sorts the rows.
+            self.neighbors.clear();
+            self.neighbors
+                .extend(edges.iter().map(|&(_, nbr)| sig[nbr as usize]));
+            let mut run = 0;
+            for (i, pair) in edges.windows(2).enumerate() {
+                if pair[0].0 != pair[1].0 {
+                    self.neighbors[run..=i].sort_unstable();
+                    run = i + 1;
+                }
+            }
+            self.neighbors[run..].sort_unstable();
+            let mut h = mix_words(FNV_OFFSET, &[sig[v]]);
+            for (&([tag, unb, extra], _), &nbr) in edges.iter().zip(&self.neighbors) {
+                h = mix_words(h, &[tag, unb, extra, nbr]);
+            }
+            *out = h;
+        }
+    }
+
+    /// Number of distinct signatures in `sig`.
+    fn distinct(&mut self, sig: &[u64]) -> usize {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(sig);
+        self.sorted.sort_unstable();
+        1 + self.sorted.windows(2).filter(|w| w[0] != w[1]).count()
+    }
 }
 
 impl ConstraintGraph {
@@ -239,21 +273,14 @@ impl ConstraintGraph {
         self.canonical_parts().0
     }
 
-    /// Shared canonicalization pipeline: flag redundant sequencing edges,
-    /// refine structural signatures, derive the permutation, and
-    /// serialize the sorted descriptor list. Returns the key plus the
-    /// descriptors (canonical-space, sorted) for callers that rebuild.
     /// Longest edge-count path from a root (`depth_f`) and to a leaf
-    /// (`depth_b`) over the kept forward subgraph, via one topological
-    /// pass each way. Backward (max-constraint) edges are ignored.
-    fn forward_depths(&self, keep: &[bool]) -> (Vec<u32>, Vec<u32>) {
+    /// (`depth_b`) over the kept forward subgraph, via one pass each way
+    /// along `order`. Backward (max-constraint) edges are ignored.
+    fn forward_depths(&self, keep: &[bool], order: &[VertexId]) -> (Vec<u32>, Vec<u32>) {
         let n = self.n_vertices();
         let mut depth_f = vec![0u32; n];
         let mut depth_b = vec![0u32; n];
-        let Ok(topo) = self.forward_topological_order() else {
-            return (depth_f, depth_b);
-        };
-        for &v in topo.order() {
+        for &v in order {
             for (id, e) in self.out_edges(v) {
                 if !keep[id.index()] || !e.is_forward() {
                     continue;
@@ -263,7 +290,7 @@ impl ConstraintGraph {
                 *slot = (*slot).max(cand);
             }
         }
-        for &v in topo.order().iter().rev() {
+        for &v in order.iter().rev() {
             for (id, e) in self.out_edges(v) {
                 if !keep[id.index()] || !e.is_forward() {
                     continue;
@@ -276,8 +303,14 @@ impl ConstraintGraph {
         (depth_f, depth_b)
     }
 
+    /// Shared canonicalization pipeline: flag redundant sequencing edges,
+    /// refine structural signatures, derive the permutation, and
+    /// serialize the sorted descriptor list. Returns the key plus the
+    /// descriptors (canonical-space, sorted) for callers that rebuild.
     fn canonical_parts(&self) -> (CanonicalKey, Vec<(u64, u32, u32, i64)>) {
-        let (keep, _) = self.sequencing_keep_mask();
+        // One topological order of G_f serves the keep mask and the depths.
+        let order = self.forward_order();
+        let (keep, _) = self.sequencing_keep_mask(&order);
         let n = self.n_vertices();
 
         // Structural depths over the kept forward subgraph: longest
@@ -286,7 +319,7 @@ impl ConstraintGraph {
         // they separate positions along chains immediately — pure
         // neighborhood refinement needs one round per hop of distance,
         // which made long periodic chains cost O(|V|) rounds.
-        let (depth_f, depth_b) = self.forward_depths(&keep);
+        let (depth_f, depth_b) = self.forward_depths(&keep, &order);
 
         // Initial signatures: role (source/sink/operation), delay, and
         // the two depths.
@@ -318,14 +351,16 @@ impl ConstraintGraph {
         // Refine until the partition stops splitting (or is discrete).
         // Rounds only ever split classes, so an unchanged distinct count
         // means a fixpoint; `n` rounds is a hard upper bound.
-        let mut distinct = count_distinct(&sig);
+        let mut refinement = Refinement::new(self, &keep);
+        let mut next = vec![0u64; n];
+        let mut distinct = refinement.distinct(&sig);
         for _ in 0..n {
             if distinct == n {
                 break;
             }
-            let next = refine(self, &keep, &sig);
-            let d = count_distinct(&next);
-            sig = next;
+            refinement.round(&sig, &mut next);
+            std::mem::swap(&mut sig, &mut next);
+            let d = refinement.distinct(&sig);
             if d == distinct {
                 break;
             }
@@ -348,29 +383,39 @@ impl ConstraintGraph {
 
         // Edge descriptors in the canonical space, sorted for a
         // deterministic serialization (and, when rebuilding, insertion
-        // order and hence edge ids / iteration order downstream).
-        let mut descriptors: Vec<(u64, u32, u32, i64)> = self
-            .edges()
-            .filter(|(id, _)| keep[id.index()])
-            .map(|(_, e)| match e.kind() {
-                EdgeKind::Sequencing => (0, perm[e.from().index()], perm[e.to().index()], 0),
-                EdgeKind::MinConstraint => (
-                    1,
-                    perm[e.from().index()],
-                    perm[e.to().index()],
-                    e.weight().zeroed(),
-                ),
-                // Max constraints are stored backward; descriptors use
-                // the user-facing (from, to, max) orientation.
-                EdgeKind::MaxConstraint => (
-                    2,
-                    perm[e.to().index()],
-                    perm[e.from().index()],
-                    -e.weight().zeroed(),
-                ),
-            })
-            .collect();
-        descriptors.sort_unstable();
+        // order and hence edge ids / iteration order downstream). Walking
+        // the vertices in canonical order yields them sorted by kind and
+        // `from` already, so only each vertex's own run needs sorting.
+        let mut by_kind: [Vec<(u64, u32, u32, i64)>; 3] = Default::default();
+        for (slot, &orig) in inv.iter().enumerate() {
+            let v = VertexId::from_index(orig as usize);
+            let from = slot as u32;
+            let runs = by_kind.each_ref().map(Vec::len);
+            for (id, e) in self.out_edges(v) {
+                if keep[id.index()] {
+                    match e.kind() {
+                        EdgeKind::Sequencing => by_kind[0].push((0, from, perm[e.to().index()], 0)),
+                        EdgeKind::MinConstraint => {
+                            by_kind[1].push((1, from, perm[e.to().index()], e.weight().zeroed()))
+                        }
+                        EdgeKind::MaxConstraint => {}
+                    }
+                }
+            }
+            // Max constraints are stored backward; descriptors use the
+            // user-facing (from, to, max) orientation.
+            for (id, e) in self.in_edges(v) {
+                if keep[id.index()] && e.kind() == EdgeKind::MaxConstraint {
+                    by_kind[2].push((2, from, perm[e.from().index()], -e.weight().zeroed()));
+                }
+            }
+            for (descriptors, run) in by_kind.iter_mut().zip(runs) {
+                descriptors[run..].sort_unstable();
+            }
+        }
+        let [mut descriptors, mins, maxs] = by_kind;
+        descriptors.extend(mins);
+        descriptors.extend(maxs);
 
         let bytes = serialize(self, &inv, &descriptors);
         let hash = fnv1a_bytes(FNV_OFFSET, &bytes);

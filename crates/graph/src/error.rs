@@ -59,6 +59,9 @@ pub enum GraphError {
     /// The source and sink vertices cannot be mutated: the source must
     /// remain the activation anchor and the sink a zero-delay no-op.
     ImmutableVertex(VertexId),
+    /// A delay or constraint value does not fit the signed 64-bit edge
+    /// weights (it exceeds `i64::MAX`).
+    WeightOverflow(u64),
 }
 
 impl fmt::Display for GraphError {
@@ -90,6 +93,11 @@ impl fmt::Display for GraphError {
             GraphError::ImmutableVertex(v) => {
                 write!(f, "vertex {v} is the source or sink and cannot be mutated")
             }
+            GraphError::WeightOverflow(value) => write!(
+                f,
+                "value {value} does not fit an edge weight (at most {})",
+                i64::MAX
+            ),
         }
     }
 }

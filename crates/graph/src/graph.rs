@@ -369,6 +369,11 @@ impl ConstraintGraph {
     }
 
     /// Adds an operation with the given name and execution delay.
+    ///
+    /// A fixed delay should not exceed `i64::MAX`: the sequencing edges
+    /// out of the operation carry it as a signed weight. Unlike
+    /// [`ConstraintGraph::set_delay`] this constructor cannot fail, so a
+    /// larger delay is not rejected here; it wraps to a negative weight.
     pub fn add_operation(&mut self, name: impl Into<String>, delay: ExecDelay) -> VertexId {
         let id = VertexId(self.vertices.len() as u32);
         self.vertices.push(Vertex {
@@ -502,6 +507,20 @@ impl ConstraintGraph {
     /// Panics if `v` does not belong to this graph.
     pub fn forward_rank(&self, v: VertexId) -> u32 {
         self.rank[v.index()]
+    }
+
+    /// The vertices in a topological order of `G_f`, read off the rank in
+    /// `O(|V|)` without visiting an edge: the source, the operations by
+    /// rank, then the sink.
+    pub(crate) fn forward_order(&self) -> Vec<VertexId> {
+        let n = self.vertices.len();
+        let mut order = vec![self.source; n];
+        order[n - 1] = self.sink;
+        // Operations hold exactly the ranks `2..n`.
+        for (v, &r) in self.rank.iter().enumerate().skip(2) {
+            order[r as usize - 1] = VertexId(v as u32);
+        }
+        order
     }
 
     /// `true` if a directed path of forward edges leads from `a` to `b`.
@@ -687,8 +706,9 @@ impl ConstraintGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::UnknownVertex`] for a foreign id and
-    /// [`GraphError::ImmutableVertex`] for the source or sink.
+    /// Returns [`GraphError::UnknownVertex`] for a foreign id,
+    /// [`GraphError::ImmutableVertex`] for the source or sink, and
+    /// [`GraphError::WeightOverflow`] for a fixed delay above `i64::MAX`.
     pub fn set_delay(&mut self, v: VertexId, delay: ExecDelay) -> Result<bool, GraphError> {
         self.check_vertex(v)?;
         if v == self.source || v == self.sink {
@@ -697,6 +717,13 @@ impl ConstraintGraph {
         if self.vertices[v.index()].delay == delay {
             return Ok(false);
         }
+        let weight = match delay {
+            ExecDelay::Fixed(d) => Weight::Fixed(checked_weight(d)?),
+            ExecDelay::Unbounded => Weight::Unbounded {
+                anchor: v,
+                extra: 0,
+            },
+        };
         let was_anchor = self.vertices[v.index()].delay.is_unbounded();
         self.vertices[v.index()].delay = delay;
         if delay.is_unbounded() != was_anchor {
@@ -711,15 +738,7 @@ impl ConstraintGraph {
             let e = self.vertices[v.index()].out_edges[i];
             let edge = &mut self.edges[e.index()];
             match edge.kind {
-                EdgeKind::Sequencing => {
-                    edge.weight = match delay {
-                        ExecDelay::Fixed(d) => Weight::Fixed(d as i64),
-                        ExecDelay::Unbounded => Weight::Unbounded {
-                            anchor: v,
-                            extra: 0,
-                        },
-                    };
-                }
+                EdgeKind::Sequencing => edge.weight = weight,
                 EdgeKind::MinConstraint => {
                     let min = edge.weight.zeroed();
                     edge.weight = match delay {
@@ -782,8 +801,9 @@ impl ConstraintGraph {
     /// Returns [`GraphError::ContradictsDependencies`] if a dependency path
     /// already runs `to -> from` (the paper deems such constraints invalid;
     /// an `l = 0` constraint in that situation should instead be expressed
-    /// as `add_max_constraint(to, from, 0)`), plus the same structural
-    /// errors as [`ConstraintGraph::add_dependency`].
+    /// as `add_max_constraint(to, from, 0)`), [`GraphError::WeightOverflow`]
+    /// if `min` exceeds `i64::MAX`, plus the same structural errors as
+    /// [`ConstraintGraph::add_dependency`].
     pub fn add_min_constraint(
         &mut self,
         from: VertexId,
@@ -795,6 +815,7 @@ impl ConstraintGraph {
         if from == to {
             return Err(GraphError::SelfLoop(from));
         }
+        let min_weight = checked_weight(min)?;
         if to == self.source || from == self.sink {
             return Err(GraphError::Polarity { from, to });
         }
@@ -807,10 +828,10 @@ impl ConstraintGraph {
         let weight = if self.is_anchor(from) {
             Weight::Unbounded {
                 anchor: from,
-                extra: min as i64,
+                extra: min_weight,
             }
         } else {
-            Weight::Fixed(min as i64)
+            Weight::Fixed(min_weight)
         };
         Ok(self.push_edge(Edge {
             from,
@@ -828,7 +849,8 @@ impl ConstraintGraph {
     ///
     /// # Errors
     ///
-    /// Returns an error if either endpoint is unknown or `from == to`.
+    /// Returns an error if either endpoint is unknown, if `from == to`, or
+    /// ([`GraphError::WeightOverflow`]) if `max` exceeds `i64::MAX`.
     pub fn add_max_constraint(
         &mut self,
         from: VertexId,
@@ -840,10 +862,11 @@ impl ConstraintGraph {
         if from == to {
             return Err(GraphError::SelfLoop(from));
         }
+        let weight = Weight::Fixed(-checked_weight(max)?);
         Ok(self.push_edge(Edge {
             from: to,
             to: from,
-            weight: Weight::Fixed(-(max as i64)),
+            weight,
             kind: EdgeKind::MaxConstraint,
         }))
     }
@@ -909,6 +932,12 @@ impl ConstraintGraph {
         }
         down.iter().all(|&b| b) && up.iter().all(|&b| b)
     }
+}
+
+/// `value` as an edge weight, or [`GraphError::WeightOverflow`] when it
+/// exceeds `i64::MAX` (an `as` cast would wrap it negative).
+fn checked_weight(value: u64) -> Result<i64, GraphError> {
+    i64::try_from(value).map_err(|_| GraphError::WeightOverflow(value))
 }
 
 #[cfg(test)]
@@ -1206,6 +1235,42 @@ mod tests {
             g.set_delay(VertexId(99), ExecDelay::Fixed(1)),
             Err(GraphError::UnknownVertex(VertexId(99)))
         );
+    }
+
+    #[test]
+    fn weights_above_i64_max_are_rejected() {
+        const TOP: u64 = i64::MAX as u64;
+        let mut g = ConstraintGraph::new();
+        let a = g.add_operation("a", ExecDelay::Fixed(1));
+        let b = g.add_operation("b", ExecDelay::Fixed(1));
+        let s = g.add_operation("s", ExecDelay::Unbounded);
+
+        // 2^63 - 1 still fits: stored exactly, negated for max constraints.
+        let min = g.add_min_constraint(a, b, TOP).unwrap();
+        assert_eq!(g.edge(min).weight(), Weight::Fixed(i64::MAX));
+        let anchored = g.add_min_constraint(s, b, TOP).unwrap();
+        assert_eq!(g.edge(anchored).weight().zeroed(), i64::MAX);
+        let max = g.add_max_constraint(a, b, TOP).unwrap();
+        assert_eq!(g.edge(max).weight(), Weight::Fixed(-i64::MAX));
+        let seq = g.add_dependency(a, s).unwrap();
+        assert!(g.set_delay(a, ExecDelay::Fixed(TOP)).unwrap());
+        assert_eq!(g.edge(seq).weight(), Weight::Fixed(i64::MAX));
+
+        // 2^63 would wrap negative: rejected, graph untouched.
+        let edges = g.n_edges();
+        for huge in [TOP + 1, u64::MAX] {
+            let overflow = GraphError::WeightOverflow(huge);
+            assert_eq!(g.add_min_constraint(a, b, huge), Err(overflow.clone()));
+            assert_eq!(g.add_min_constraint(s, b, huge), Err(overflow.clone()));
+            assert_eq!(g.add_max_constraint(a, b, huge), Err(overflow.clone()));
+            assert_eq!(g.set_delay(a, ExecDelay::Fixed(huge)), Err(overflow));
+        }
+        assert_eq!(g.n_edges(), edges);
+        assert_eq!(g.vertex(a).delay(), ExecDelay::Fixed(TOP));
+        assert_eq!(g.edge(seq).weight(), Weight::Fixed(i64::MAX));
+        assert!(GraphError::WeightOverflow(TOP + 1)
+            .to_string()
+            .contains("9223372036854775808"));
     }
 
     #[test]

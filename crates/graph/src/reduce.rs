@@ -10,7 +10,20 @@
 //!
 //! Timing-constraint edges are never removed: they carry user intent.
 
-use crate::graph::{ConstraintGraph, EdgeKind, VertexId};
+use crate::graph::{ConstraintGraph, Edge, EdgeId, EdgeKind, VertexId};
+
+/// How [`ConstraintGraph::sequencing_keep_mask`] decides an edge.
+#[derive(Clone, Copy)]
+enum Test {
+    /// Never implied: not a sequencing edge, or its tail has no other
+    /// forward edge out or its head none in.
+    Never,
+    /// Implied iff another `u → v` path exists; `witnessed` when `G_f`
+    /// holds one of two or more edges.
+    Reach { witnessed: bool },
+    /// Implied iff the longest other `u → v` path weighs at least `w`.
+    Exact,
+}
 
 /// Statistics of a [`ConstraintGraph::reduce_sequencing_edges`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,7 +44,7 @@ impl ConstraintGraph {
     /// Rebuilds the graph without the redundant edges and returns how
     /// many were removed. Timing-constraint edges are preserved.
     pub fn reduce_sequencing_edges(&mut self) -> ReductionReport {
-        let (keep, report) = self.sequencing_keep_mask();
+        let (keep, report) = self.sequencing_keep_mask(&self.forward_order());
         if report.removed > 0 {
             self.retain_edges(&keep);
         }
@@ -41,46 +54,220 @@ impl ConstraintGraph {
     /// Flags redundant sequencing edges without mutating the graph:
     /// `keep[edge] == false` marks an edge [`reduce_sequencing_edges`]
     /// would drop. Canonicalization uses this directly so key derivation
-    /// never clones or rebuilds the graph.
+    /// never clones or rebuilds the graph. `order` is a topological order
+    /// of `G_f`; it stays one for every kept subgraph.
+    ///
+    /// Edges are decided one by one in edge-id order, each against the
+    /// edges kept so far. Most need no path lengths at all. Forward
+    /// weights (unbounded ones at 0) are never negative once the
+    /// pre-pass has checked it, and every sequencing edge out of `u`
+    /// weighs `δ(u)`. So when no forward edge out of `u` is lighter than
+    /// `w`, every other `u → v` path weighs at least `w`, and `(u, v)` is
+    /// implied iff such a path exists at all: a kept parallel edge, or a
+    /// path of two or more edges. Dropping an implied edge never changes
+    /// reachability, and no path out of a successor of `u` can use
+    /// `(u, v)`, so the second case is a property of the unreduced `G_f`,
+    /// answered for all edges up front by [`two_step_witnesses`]. The
+    /// remaining edges — a lighter edge out of `u`, a bounded first step
+    /// under an anchor tail, or a negative or overflowing weight anywhere
+    /// — take the exact longest-path test of [`edge_is_implied`].
     ///
     /// [`reduce_sequencing_edges`]: ConstraintGraph::reduce_sequencing_edges
-    pub(crate) fn sequencing_keep_mask(&self) -> (Vec<bool>, ReductionReport) {
+    /// [`two_step_witnesses`]: ConstraintGraph::two_step_witnesses
+    /// [`edge_is_implied`]: ConstraintGraph::edge_is_implied
+    pub(crate) fn sequencing_keep_mask(&self, order: &[VertexId]) -> (Vec<bool>, ReductionReport) {
+        let n = self.n_vertices();
         let mut report = ReductionReport::default();
         // Indexed by raw EdgeId: removal tombstones leave holes, so live
         // ids can exceed the live-edge count.
         let mut keep = vec![true; self.n_all_edge_slots()];
-        // G_f is unchanged while edges are only flagged, so one
-        // topological order (and its position index) serves every
-        // per-edge check; it stays valid for every kept subgraph.
-        let Ok(topo) = self.forward_topological_order() else {
-            return (keep, report);
-        };
-        let order: Vec<VertexId> = topo.order().to_vec();
-        let mut pos = vec![0u32; self.n_vertices()];
+        let mut pos = vec![0u32; n];
         for (i, &v) in order.iter().enumerate() {
             pos[v.index()] = i as u32;
         }
-        let mut dist: Vec<Option<i64>> = vec![None; self.n_vertices()];
+
+        // Pre-pass: forward degrees, the lightest forward edge out of each
+        // vertex, whether an anchor tail has a bounded one, and whether
+        // every path weight is a non-negative i64 (the sum of all forward
+        // weights fits).
+        let mut out_deg = vec![0u32; n];
+        let mut in_deg = vec![0u32; n];
+        let mut lightest = vec![i64::MAX; n];
+        let mut bounded_out = vec![false; n];
+        let mut total = Some(0i64);
+        for (_, e) in self.forward_edges() {
+            let (u, w) = (e.from().index(), e.weight().zeroed());
+            out_deg[u] += 1;
+            in_deg[e.to().index()] += 1;
+            lightest[u] = lightest[u].min(w);
+            bounded_out[u] |= !e.weight().is_unbounded();
+            total = total.filter(|_| w >= 0).and_then(|t| t.checked_add(w));
+        }
+
+        let mut test = vec![Test::Never; keep.len()];
+        let mut reach_tests = Vec::new();
+        for (id, e) in self.edges() {
+            if e.kind() != EdgeKind::Sequencing {
+                continue;
+            }
+            let (u, v) = (e.from().index(), e.to().index());
+            // An alternative path needs another forward edge out of `u`
+            // and another forward edge into `v`.
+            test[id.index()] = if out_deg[u] < 2 || in_deg[v] < 2 {
+                Test::Never
+            } else if total.is_none()
+                || lightest[u] < e.weight().zeroed()
+                || (e.weight().is_unbounded() && bounded_out[u])
+            {
+                Test::Exact
+            } else {
+                reach_tests.push(id);
+                Test::Reach { witnessed: false }
+            };
+        }
+        for id in self.two_step_witnesses(order, &pos, &reach_tests) {
+            test[id.index()] = Test::Reach { witnessed: true };
+        }
+
+        let mut dist: Vec<Option<i64>> = Vec::new();
         for (id, e) in self.edges() {
             if e.kind() != EdgeKind::Sequencing {
                 continue;
             }
             report.examined += 1;
-            if self.edge_is_implied(
-                &keep,
-                &order,
-                &pos,
-                &mut dist,
-                id.index(),
-                e.from(),
-                e.to(),
-                e.weight().zeroed(),
-            ) {
+            let implied = match test[id.index()] {
+                Test::Never => false,
+                Test::Reach { witnessed } => {
+                    witnessed || self.has_kept_parallel(&keep, &out_deg, &in_deg, id, e)
+                }
+                Test::Exact => {
+                    dist.resize(n, None);
+                    self.edge_is_implied(
+                        &keep,
+                        order,
+                        &pos,
+                        &mut dist,
+                        id.index(),
+                        e.from(),
+                        e.to(),
+                        e.weight().zeroed(),
+                    )
+                }
+            };
+            if implied {
                 keep[id.index()] = false;
                 report.removed += 1;
             }
         }
         (keep, report)
+    }
+
+    /// The edges `(u, v)` among `edges` for which `G_f` holds a `u → v`
+    /// path of two or more edges.
+    ///
+    /// Works in topological positions. The heads are dealt, in position
+    /// order, into blocks of 64 bits. For each block one reverse sweep
+    /// over the window its edges span sets `reach[x]` to the block's heads
+    /// that `x` is or reaches; each tail then ORs the strict reach of its
+    /// successors. Memory stays `O(|V| + |E|)` for any graph: successor
+    /// lists and a few words per vertex, reused block after block.
+    fn two_step_witnesses(&self, order: &[VertexId], pos: &[u32], edges: &[EdgeId]) -> Vec<EdgeId> {
+        const NONE: u32 = u32::MAX;
+        let n = order.len();
+        let mut first = Vec::with_capacity(n + 1);
+        let mut succ = Vec::with_capacity(self.n_edges());
+        for &x in order {
+            first.push(succ.len() as u32);
+            succ.extend(
+                self.out_edges(x)
+                    .filter(|(_, e)| e.is_forward())
+                    .map(|(_, e)| pos[e.to().index()]),
+            );
+        }
+        first.push(succ.len() as u32);
+        let succs = |x: u32| &succ[first[x as usize] as usize..first[x as usize + 1] as usize];
+        let ends = |id: EdgeId| {
+            let e = self.edge(id);
+            (pos[e.from().index()], pos[e.to().index()])
+        };
+
+        // Head `k`, in position order, is bit `k % 64` of block `k / 64`.
+        let mut bit_of = vec![NONE; n];
+        for &id in edges {
+            bit_of[ends(id).1 as usize] = 0;
+        }
+        for (k, bit) in bit_of.iter_mut().filter(|bit| **bit != NONE).enumerate() {
+            *bit = k as u32;
+        }
+        let block_of = |id: EdgeId| bit_of[ends(id).1 as usize] / 64;
+        let mut edges = edges.to_vec();
+        edges.sort_unstable_by_key(|&id| block_of(id));
+
+        let mut reach = vec![0u64; n];
+        // A tail's OR over its successors, computed once a block.
+        let mut tail_word = vec![(NONE, 0u64); n];
+        let mut witnessed = Vec::new();
+        for block in edges.chunk_by(|&a, &b| block_of(a) == block_of(b)) {
+            let b = block_of(block[0]);
+            let own = |p: u32| {
+                let k = bit_of[p as usize];
+                if k != NONE && k / 64 == b {
+                    1u64 << (k % 64)
+                } else {
+                    0
+                }
+            };
+            // The window: from the first tail to the last head.
+            let lo = block.iter().map(|&id| ends(id).0).min().expect("non-empty");
+            let hi = block.iter().map(|&id| ends(id).1).max().expect("non-empty");
+            for x in (lo + 1..=hi).rev() {
+                let mut word = own(x);
+                for &y in succs(x) {
+                    if y <= hi {
+                        word |= reach[y as usize];
+                    }
+                }
+                reach[x as usize] = word;
+            }
+            for &id in block {
+                let (tail, head) = ends(id);
+                let (stamp, word) = &mut tail_word[tail as usize];
+                if *stamp != b {
+                    *stamp = b;
+                    *word = 0;
+                    for &x in succs(tail) {
+                        if x <= hi {
+                            *word |= reach[x as usize] & !own(x);
+                        }
+                    }
+                }
+                if *word & own(head) != 0 {
+                    witnessed.push(id);
+                }
+            }
+        }
+        witnessed
+    }
+
+    /// `true` if a kept forward edge other than `skip` (which is `e`) runs
+    /// parallel to it. Scans whichever endpoint has fewer forward edges.
+    fn has_kept_parallel(
+        &self,
+        keep: &[bool],
+        out_deg: &[u32],
+        in_deg: &[u32],
+        skip: EdgeId,
+        e: &Edge,
+    ) -> bool {
+        let (u, v) = (e.from(), e.to());
+        let parallel = |(id, f): (EdgeId, &Edge)| {
+            id != skip && keep[id.index()] && f.is_forward() && f.from() == u && f.to() == v
+        };
+        if out_deg[u.index()] <= in_deg[v.index()] {
+            self.out_edges(u).any(parallel)
+        } else {
+            self.in_edges(v).any(parallel)
+        }
     }
 
     /// Longest `u → v` forward path avoiding edge `skip` and every edge
@@ -102,9 +289,8 @@ impl ConstraintGraph {
     ) -> bool {
         // An alternative path needs another forward edge out of `u` and
         // another forward edge into `v`; most edges fail this for free.
-        let viable = |id: crate::graph::EdgeId, e: &crate::graph::Edge| {
-            id.index() != skip && keep[id.index()] && e.is_forward()
-        };
+        let viable =
+            |id: EdgeId, e: &Edge| id.index() != skip && keep[id.index()] && e.is_forward();
         if !self.out_edges(u).any(|(id, e)| viable(id, e))
             || !self.in_edges(v).any(|(id, e)| viable(id, e))
         {
@@ -115,10 +301,7 @@ impl ConstraintGraph {
         // (preserving anchor-set propagation). Any such path only visits
         // vertices topologically between `u` and `v`, so the single DP
         // pass (G_f is acyclic) is confined to that window.
-        let skip_unbounded = self
-            .edge(crate::graph::EdgeId(skip as u32))
-            .weight()
-            .is_unbounded();
+        let skip_unbounded = self.edge(EdgeId(skip as u32)).weight().is_unbounded();
         let (lo, hi) = (pos[u.index()] as usize, pos[v.index()] as usize);
         for &x in &order[lo..=hi] {
             dist[x.index()] = None;
@@ -164,7 +347,7 @@ impl ConstraintGraph {
 
     /// Rebuilds edge storage keeping only the flagged edges.
     fn retain_edges(&mut self, keep: &[bool]) {
-        let kept: Vec<crate::graph::Edge> = self
+        let kept: Vec<Edge> = self
             .edges()
             .filter(|(id, _)| keep[id.index()])
             .map(|(_, e)| *e)
