@@ -16,13 +16,17 @@
 //!   witnesses) are bit-identical to a cold [`rsched_core::schedule`].
 //! - [`serve`] — a batched JSON-lines service over any `BufRead`/`Write`
 //!   pair (stdin/stdout in the CLI): `open`/`edit`/`schedule`/`stats`/
-//!   `close` requests with id correlation, a bounded worker pool with
-//!   per-session ordering, per-request deadlines, and clean EOF shutdown.
+//!   `close` requests with id correlation, per-session ordering,
+//!   per-request deadlines, and clean EOF shutdown.
 //! - [`Router`] — the transport-agnostic core of the service (session
 //!   tables sharded by [`shard_of`], validation, panic isolation,
-//!   journaling with snapshot compaction); the `rsched-net` crate mounts
-//!   the same router behind a socket listener, so socket and stdio
-//!   responses are bit-identical for the same op stream.
+//!   journaling with snapshot compaction).
+//! - [`runtime`] — the shard runtime that runs the router for every
+//!   transport: frame intake, bounded per-slot queues with load
+//!   shedding, supervised workers, group commit, deadlines. [`serve`] is
+//!   its stdio transport and the `rsched-net` crate its socket
+//!   transport, so socket and stdio responses are bit-identical for the
+//!   same op stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +34,7 @@
 pub mod journal;
 pub mod json;
 pub mod optimize;
+pub mod runtime;
 pub mod service;
 pub mod session;
 
@@ -37,8 +42,8 @@ pub use journal::{Journal, JournalOp, ScheduleSeed};
 pub use optimize::{
     Objective, OptimizeConfig, OptimizeError, OptimizeReport, Optimizer, RoundReport,
 };
+pub use runtime::MALFORMED_UTF8_ERROR;
 pub use service::{
-    error_response, overloaded_response, serve, shard_of, Router, RouterStats, ServeConfig,
-    ServeSummary, DEADLINE_ERROR, MALFORMED_UTF8_ERROR,
+    error_response, serve, shard_of, Router, RouterStats, ServeConfig, ServeSummary,
 };
 pub use session::{EditOutcome, Session, SessionStats};

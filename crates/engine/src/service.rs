@@ -10,9 +10,11 @@
 //! without a global lock.
 //!
 //! The session tables, request validation, execution, and panic
-//! isolation all live in the transport-agnostic [`Router`]; this module's
-//! [`serve`] wires it to a stdin/stdout byte stream, and the `rsched-net`
-//! crate wires the same router to a socket listener — both transports
+//! isolation all live in the transport-agnostic [`Router`]; the shard
+//! runtime in [`crate::runtime`] (intake, bounded queues, supervised
+//! workers, deadlines) runs it for both transports. This module's
+//! [`serve`] is the stdin/stdout transport over that runtime, and the
+//! `rsched-net` crate is the socket transport over the same one — both
 //! produce bit-identical responses for the same op stream.
 //!
 //! ## Protocol
@@ -64,15 +66,18 @@
 //!   session's current design (see the `journal` module docs), so replay
 //!   and recovery cost are bounded by the snapshot interval instead of
 //!   the session's lifetime edit count.
-//! - **Worker respawn.** A worker thread that dies outright (not just a
-//!   caught request panic) is respawned on the same queue; sessions and
-//!   queued jobs live in shared state that outlives any one thread, so
-//!   nothing is lost or reordered and `serve` still ends only at EOF.
-//! - **Admission control.** Worker queues are bounded
+//! - **Worker respawn.** Each slot's worker runs under the shared
+//!   runtime's supervisor: a worker that dies outright (not just a caught
+//!   request panic) is restarted at once on the same queue, with no bound
+//!   on restarts. Sessions live in the router and queued jobs in the
+//!   queue, so nothing is lost or reordered, and a stdio client never
+//!   waits for its next request or EOF to get queued answers.
+//! - **Admission control.** The runtime's per-slot queues are bounded
 //!   ([`ServeConfig::queue_depth`]); when a queue is full the request is
-//!   shed in-band with `"error":"overloaded: …"` and a `retry_after_ms`
-//!   hint instead of stalling the intake loop. Oversized designs are
-//!   rejected at intake when [`ServeConfig::max_ops`] /
+//!   shed in-band with `"error":"overloaded: worker queue full, retry
+//!   later"` and a `retry_after_ms` hint instead of stalling the intake.
+//!   `health` is answered at intake and never queues. Oversized designs
+//!   are rejected at intake when [`ServeConfig::max_ops`] /
 //!   [`ServeConfig::max_edges`] are set.
 //!
 //! WAL mirror writes are **group-committed**: appends only buffer lines,
@@ -82,9 +87,9 @@
 //!
 //! Deterministic fault-injection tests drive all of this through the
 //! `rsched_graph::failpoint` facility: the sites `serve::handle` (per
-//! request), `serve::worker_kill` (per worker loop), and
-//! `journal::snapshot` (pre-compaction) plus `session::reschedule` and
-//! `kernel::build` deeper down. Workers enter
+//! request), `serve::worker_kill` (per receive in the runtime's worker
+//! loop), and `journal::snapshot` (pre-compaction) plus
+//! `session::reschedule` and `kernel::build` deeper down. Workers enter
 //! [`ServeConfig::fault_scope`] so a harness can target one service
 //! instance without affecting concurrent tests.
 
@@ -93,10 +98,9 @@ use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rsched_cache::{schedule_cached, CacheStats, Probe, ScheduleCache};
 use rsched_core::{KernelCounters, ScheduleError, WellPosedness, WorkPool};
@@ -105,6 +109,7 @@ use rsched_graph::{failpoint, ConstraintGraph, ExecDelay};
 use crate::journal::{Journal, JournalOp};
 use crate::json::{object, Json};
 use crate::optimize::{Objective, OptimizeConfig, Optimizer, RoundReport};
+use crate::runtime::{lock_recover, Frame, Runtime, Sink};
 use crate::session::{EditOutcome, Session};
 
 /// Tuning knobs for [`serve`] (and, via [`Router`], the socket server).
@@ -184,32 +189,8 @@ pub struct ServeSummary {
     pub snapshots: usize,
     /// Requests shed because a worker queue was full.
     pub shed: usize,
-    /// Worker threads respawned after dying outright.
+    /// Workers the shard runtime restarted after dying outright.
     pub workers_respawned: usize,
-}
-
-/// Milliseconds a shed client should wait before retrying.
-const RETRY_AFTER_MS: i64 = 25;
-
-/// The in-band error for a request whose deadline passed while it was
-/// still queued. Public so every transport answers with the same string.
-pub const DEADLINE_ERROR: &str = "deadline exceeded before execution";
-
-/// The in-band error for a frame that is not valid UTF-8 (binary junk,
-/// NUL bytes, truncated multi-byte sequences). Public so the stdio loop
-/// and the socket server answer hostile bytes identically — the frame
-/// is rejected, the connection lives on.
-pub const MALFORMED_UTF8_ERROR: &str = "malformed request: frame is not valid UTF-8";
-
-/// Respawn attempts per worker slot at EOF before the dispatcher drains
-/// the queue inline (where `serve::worker_kill` is never evaluated).
-const MAX_RESPAWNS_AT_EOF: usize = 4;
-
-struct Job {
-    id: Json,
-    request: Json,
-    accepted: Instant,
-    deadline: Option<Duration>,
 }
 
 /// Every op the protocol understands; anything else is rejected at
@@ -258,14 +239,6 @@ impl Counters {
     }
 }
 
-/// Mutex poisoning only means "a panic happened near this data"; every
-/// structure here is left consistent by construction (request panics are
-/// caught inside the lock scope and quarantine the session), so recover
-/// the guard instead of propagating.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Counters the [`Router`] accumulates across all transports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouterStats {
@@ -290,12 +263,12 @@ pub struct RouterStats {
 /// sharded into slots, request validation, execution under panic
 /// isolation, journaling, and snapshot compaction.
 ///
-/// A transport (the stdio loop here, the socket listener in
-/// `rsched-net`) owns queueing, deadlines, and load shedding; it calls
+/// The shard runtime ([`crate::runtime::Runtime`]) owns queueing,
+/// deadlines, and load shedding for both transports; it calls
 /// [`Router::route`] at intake to validate a request and learn its slot,
-/// guarantees per-slot execution is serial, calls [`Router::execute`]
-/// from the slot's worker, and [`Router::sync_journals`] once per
-/// drained batch (group commit).
+/// keeps per-slot execution serial, calls [`Router::execute`] from the
+/// slot's worker, and [`Router::sync_journals`] once per drained batch
+/// (group commit).
 pub struct Router {
     slots: Vec<Mutex<SlotState>>,
     counters: Counters,
@@ -433,7 +406,8 @@ impl Router {
     /// the ready-to-send error response (unknown/missing op, missing
     /// session, resource-limit violation) with the id echoed. Sessions
     /// pin by [`shard_of`] their name; the sessionless `batch_schedule`
-    /// spreads by request id.
+    /// spreads by request id. `health` never reaches the router: the
+    /// runtime answers it at intake with [`Router::health_json`].
     pub fn route(&self, id: &Json, request: &Json) -> Result<usize, Json> {
         let op = match request.get("op").and_then(Json::as_str) {
             Some(op) => op,
@@ -445,8 +419,8 @@ impl Router {
         if let Some(error) = self.resource_violation(request, op) {
             return Err(fail(id.clone(), error));
         }
-        if op == "batch_schedule" || op == "health" {
-            // Sessionless ops spread by request id.
+        if op == "batch_schedule" {
+            // Sessionless: spread by request id.
             Ok(shard_of(&id.render(), self.slots.len()))
         } else {
             let Some(session) = request.get("session").and_then(Json::as_str) else {
@@ -623,9 +597,6 @@ impl Router {
         };
         if op == "batch_schedule" {
             return batch_schedule(&self.cache, &self.pool, id, request);
-        }
-        if op == "health" {
-            return self.health_json(id);
         }
         let name = request
             .get("session")
@@ -1079,177 +1050,74 @@ impl Router {
     }
 }
 
-/// Everything a stdio worker needs that must outlive any one worker
-/// thread.
-struct Shared<W: Write> {
-    out: Mutex<CountingWriter<W>>,
-    router: Router,
-    /// Receivers live here — not in the worker — so queued jobs survive a
-    /// worker death and drain through its replacement.
-    receivers: Vec<Mutex<Receiver<Job>>>,
-    fault_scope: Option<u64>,
-    shed: AtomicUsize,
-}
-
 /// Runs the service until `input` reaches EOF, writing responses to
-/// `output`.
+/// `output`: a blocking reader over the shared shard runtime
+/// ([`crate::runtime`]), answering intake rejections and `health` itself
+/// and letting the workers write the rest.
 ///
 /// # Errors
 ///
 /// Only I/O errors on the transport are fatal; malformed requests,
 /// handler panics, shed load, and resource-limit rejections are all
 /// answered in-band with `"ok":false`.
-pub fn serve<R, W>(input: R, output: W, config: &ServeConfig) -> io::Result<ServeSummary>
+pub fn serve<R, W>(mut input: R, output: W, config: &ServeConfig) -> io::Result<ServeSummary>
 where
     R: BufRead,
     W: Write + Send,
 {
-    let n_workers = config.workers.max(1);
-    let queue_depth = config.queue_depth.max(1);
-
-    let mut senders: Vec<SyncSender<Job>> = Vec::with_capacity(n_workers);
-    let mut receivers: Vec<Mutex<Receiver<Job>>> = Vec::with_capacity(n_workers);
-    for _ in 0..n_workers {
-        let (tx, rx) = mpsc::sync_channel(queue_depth);
-        senders.push(tx);
-        receivers.push(Mutex::new(rx));
-    }
-    let shared = Shared {
-        out: Mutex::new(CountingWriter {
-            inner: output,
-            responses: 0,
-            errors: 0,
-        }),
-        router: Router::new(n_workers, config),
-        receivers,
-        fault_scope: config.fault_scope,
-        shed: AtomicUsize::new(0),
-    };
-    let shared = &shared;
-    let respawned = AtomicUsize::new(0);
-
-    thread::scope(|scope| -> io::Result<()> {
-        let mut handles: Vec<Option<thread::ScopedJoinHandle<'_, ()>>> = (0..n_workers)
-            .map(|slot| Some(scope.spawn(move || worker(slot, shared))))
-            .collect();
-
+    let runtime = Runtime::new(config);
+    let out = Mutex::new(Output {
+        inner: output,
+        responses: 0,
+        errors: 0,
+        broken: None,
+    });
+    runtime.run(&out, |intake| -> io::Result<()> {
         // Byte-level framing rather than `lines()`: a frame of binary
         // junk (invalid UTF-8) is a hostile *request*, not a transport
         // failure — it is answered in-band and the stream continues,
-        // matching the socket server. `\r\n` line ends stay accepted.
-        let mut input = input;
-        let mut raw = Vec::new();
+        // matching the socket server.
+        let mut frame = Vec::new();
         loop {
-            raw.clear();
-            if input.read_until(b'\n', &mut raw)? == 0 {
-                break; // EOF.
+            frame.clear();
+            if input.read_until(b'\n', &mut frame)? == 0 {
+                return Ok(()); // EOF.
             }
-            if raw.last() == Some(&b'\n') {
-                raw.pop();
+            if frame.last() == Some(&b'\n') {
+                frame.pop();
             }
-            if raw.last() == Some(&b'\r') {
-                raw.pop();
-            }
-            let Ok(line) = std::str::from_utf8(&raw) else {
-                respond(&shared.out, fail(Json::Null, MALFORMED_UTF8_ERROR))?;
-                continue;
+            let response = match intake.frame(&frame) {
+                Frame::Skip => continue,
+                Frame::Answer(response) => response,
+                Frame::Health(id) => intake.router().health_json(id),
+                Frame::Route(routed) => match intake.dispatch(routed, ()) {
+                    Ok(()) => continue,
+                    Err(response) => response,
+                },
             };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let request = match Json::parse(line) {
-                Ok(v) => v,
-                Err(e) => {
-                    respond(
-                        &shared.out,
-                        fail(Json::Null, format!("malformed request: {e}")),
-                    )?;
-                    continue;
-                }
-            };
-            let id = request.get("id").cloned().unwrap_or(Json::Null);
-            // Validation happens at intake so a frame with a missing or
-            // unknown op is answered with its id echoed even when it also
-            // lacks a "session" (which only known session ops require).
-            let slot = match shared.router.route(&id, &request) {
-                Ok(slot) => slot,
-                Err(response) => {
-                    respond(&shared.out, response)?;
-                    continue;
-                }
-            };
-            let deadline = request
-                .get("deadline_ms")
-                .and_then(Json::as_i64)
-                .map(|ms| Duration::from_millis(ms.max(0) as u64))
-                .or(config.deadline);
-            let job = Job {
-                id,
-                request,
-                accepted: Instant::now(),
-                deadline,
-            };
-            // A dead worker (it can only die by panicking outside the
-            // per-request catch, i.e. an injected kill) is replaced before
-            // the job is queued; its sessions and queue are shared state,
-            // so the replacement continues exactly where it stopped.
-            if handles[slot].as_ref().is_some_and(|h| h.is_finished()) {
-                let died = handles[slot].take().expect("checked above").join().is_err();
-                if died {
-                    respawned.fetch_add(1, Ordering::Relaxed);
-                }
-                handles[slot] = Some(scope.spawn(move || worker(slot, shared)));
-            }
-            match senders[slot].try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(job)) => {
-                    shared.shed.fetch_add(1, Ordering::Relaxed);
-                    respond(&shared.out, overloaded_response(job.id))?;
-                }
-                // The receiver lives in `shared` for the whole scope, so
-                // disconnection is impossible; answer in-band anyway
-                // rather than aborting the service on a logic error.
-                Err(TrySendError::Disconnected(job)) => {
-                    respond(&shared.out, fail(job.id, "worker queue disconnected"))?;
-                }
+            let mut out = lock_recover(&out);
+            out.write(&response);
+            if out.broken.is_some() {
+                return Ok(()); // Nobody is reading the answers any more.
             }
         }
-        drop(senders); // EOF: close every queue so workers drain and exit.
-
-        // Join every worker; respawn the ones that died with jobs still
-        // queued, falling back to an inline drain (which never evaluates
-        // the kill failpoint) if a slot keeps dying.
-        for (slot, entry) in handles.iter_mut().enumerate() {
-            let mut handle = entry.take();
-            let mut attempts = 0;
-            while let Some(h) = handle.take() {
-                if h.join().is_ok() {
-                    break;
-                }
-                respawned.fetch_add(1, Ordering::Relaxed);
-                attempts += 1;
-                if attempts > MAX_RESPAWNS_AT_EOF {
-                    drain_inline(slot, shared);
-                    break;
-                }
-                handle = Some(scope.spawn(move || worker(slot, shared)));
-            }
-        }
-        Ok(())
     })?;
 
-    let writer = shared.out.lock().unwrap_or_else(PoisonError::into_inner);
-    let router_stats = shared.router.stats();
+    let out = out.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if let Some(e) = out.broken {
+        return Err(e);
+    }
+    let router_stats = runtime.router().stats();
     Ok(ServeSummary {
-        requests: writer.responses,
-        errors: writer.errors,
+        requests: out.responses,
+        errors: out.errors,
         sessions_opened: router_stats.sessions_opened,
         panics: router_stats.panics,
         quarantined: router_stats.quarantined,
         recoveries: router_stats.recoveries,
         snapshots: router_stats.snapshots,
-        shed: shared.shed.load(Ordering::Relaxed),
-        workers_respawned: respawned.load(Ordering::Relaxed),
+        shed: runtime.shed(),
+        workers_respawned: runtime.respawned(),
     })
 }
 
@@ -1287,22 +1155,43 @@ fn wal_file_name(session: &str) -> String {
     format!("{safe}-{:016x}.wal", fnv1a(session))
 }
 
-struct CountingWriter<W: Write> {
+/// The stdio transport's output, shared by the reader and the workers.
+struct Output<W: Write> {
     inner: W,
     responses: usize,
     errors: usize,
+    /// The first write failure. Nothing is written after it, and `serve`
+    /// returns it.
+    broken: Option<io::Error>,
 }
 
-fn respond<W: Write>(out: &Mutex<CountingWriter<W>>, response: Json) -> io::Result<()> {
-    let mut guard = lock_recover(out);
-    guard.responses += 1;
-    if response.get("ok").and_then(Json::as_bool) == Some(false) {
-        guard.errors += 1;
+impl<W: Write> Output<W> {
+    fn write(&mut self, response: &Json) {
+        self.responses += 1;
+        if response.get("ok").and_then(Json::as_bool) == Some(false) {
+            self.errors += 1;
+        }
+        if self.broken.is_some() {
+            return;
+        }
+        let mut line = response.render();
+        line.push('\n');
+        if let Err(e) = self
+            .inner
+            .write_all(line.as_bytes())
+            .and_then(|()| self.inner.flush())
+        {
+            self.broken = Some(e);
+        }
     }
-    let line = response.render();
-    guard.inner.write_all(line.as_bytes())?;
-    guard.inner.write_all(b"\n")?;
-    guard.inner.flush()
+}
+
+impl<W: Write + Send> Sink for Mutex<Output<W>> {
+    type Tag = ();
+
+    fn deliver(&self, (): (), response: Json) {
+        lock_recover(self).write(&response);
+    }
 }
 
 /// Renders the schedule-cache counters for the `stats` op. With the cache
@@ -1348,88 +1237,6 @@ pub fn error_response(id: Json, message: impl Into<String>) -> Json {
 /// Internal shorthand for [`error_response`].
 fn fail(id: Json, message: impl Into<String>) -> Json {
     error_response(id, message)
-}
-
-/// The in-band load-shedding response: still `{"id":…,"ok":false,…}` so
-/// generic clients treat it as an error, plus a retry hint. Public so
-/// every transport sheds identically.
-pub fn overloaded_response(id: Json) -> Json {
-    object([
-        ("id", id),
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::Str("overloaded: worker queue full, retry later".to_owned()),
-        ),
-        ("retry_after_ms", Json::Int(RETRY_AFTER_MS)),
-    ])
-}
-
-fn worker<W: Write + Send>(slot: usize, shared: &Shared<W>) {
-    let _scope = shared.fault_scope.map(failpoint::enter_scope);
-    loop {
-        // Kill site, evaluated with no job in hand and no lock held: an
-        // injected panic here takes the thread down but loses nothing —
-        // queued jobs and sessions live in `shared` and the dispatcher
-        // respawns a replacement on the same queue.
-        let _ = rsched_graph::failpoint!("serve::worker_kill");
-        let job = {
-            let rx = lock_recover(&shared.receivers[slot]);
-            rx.recv()
-        };
-        let Ok(job) = job else {
-            shared.router.sync_journals(slot);
-            return;
-        };
-        if process(slot, shared, job).is_err() {
-            return; // Output gone; nothing sensible left to do.
-        }
-        // Batch drain: answer everything already queued, then group-
-        // commit the batch's WAL lines with a single sync per journal.
-        loop {
-            let _ = rsched_graph::failpoint!("serve::worker_kill");
-            let job = {
-                let rx = lock_recover(&shared.receivers[slot]);
-                rx.try_recv()
-            };
-            let Ok(job) = job else { break };
-            if process(slot, shared, job).is_err() {
-                return;
-            }
-        }
-        shared.router.sync_journals(slot);
-    }
-}
-
-/// Executes one job against the router, honoring its deadline.
-fn process<W: Write + Send>(slot: usize, shared: &Shared<W>, job: Job) -> io::Result<()> {
-    let expired = job.deadline.is_some_and(|d| job.accepted.elapsed() > d);
-    let response = if expired {
-        fail(job.id, DEADLINE_ERROR)
-    } else {
-        shared.router.execute(slot, job.id, &job.request)
-    };
-    respond(&shared.out, response)
-}
-
-/// EOF backstop when a slot's worker keeps dying: the dispatcher thread
-/// answers the remaining queue itself. It never evaluates
-/// `serve::worker_kill` (that site lives in the worker loop) and request
-/// panics are still caught per job, so this drain always terminates.
-fn drain_inline<W: Write + Send>(slot: usize, shared: &Shared<W>) {
-    loop {
-        let job = {
-            let rx = lock_recover(&shared.receivers[slot]);
-            rx.try_recv()
-        };
-        let Ok(job) = job else {
-            shared.router.sync_journals(slot);
-            return;
-        };
-        if process(slot, shared, job).is_err() {
-            return;
-        }
-    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -2141,7 +1948,7 @@ mod tests {
 
     /// Feeds each chunk after its delay, so a test can let the worker
     /// reach a known state (e.g. stalled in a Delay failpoint) before the
-    /// dispatcher sees the next requests.
+    /// intake sees the next requests.
     struct PacedReader {
         chunks: std::vec::IntoIter<(u64, Vec<u8>)>,
     }
@@ -2224,9 +2031,177 @@ mod tests {
             .and_then(Json::as_str)
             .unwrap()
             .starts_with("overloaded:"));
-        assert_eq!(shed.get("retry_after_ms"), Some(&Json::Int(RETRY_AFTER_MS)));
+        assert_eq!(
+            shed.get("retry_after_ms"),
+            Some(&Json::Int(crate::runtime::RETRY_AFTER_MS))
+        );
         // The queued request (2) still executed after the stall.
         assert_eq!(by_id(&responses, 2).get("ok"), Some(&Json::Bool(true)));
+    }
+
+    /// Input that stays open until the test drops the sender; each sent
+    /// chunk is one read.
+    struct HeldReader(mpsc::Receiver<Vec<u8>>);
+
+    impl io::Read for HeldReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.recv() {
+                Ok(bytes) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Err(_) => Ok(0),
+            }
+        }
+    }
+
+    /// Output that hands every write to the test as it happens.
+    struct LineTap(mpsc::Sender<Vec<u8>>);
+
+    impl Write for LineTap {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let _ = self.0.send(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn killed_worker_answers_queued_jobs_before_eof() {
+        const SCOPE: u64 = 0x5e45;
+        let design = DESIGN.replace('\n', "\\n");
+        // The open stalls, so requests 2 and 3 queue behind it; the kill
+        // then fires on the worker's next pass (skip 1) with both queued.
+        let _stall = failpoint::arm(
+            "serve::handle",
+            Some(SCOPE),
+            FailAction::Delay(Duration::from_millis(150)),
+            0,
+            Some(1),
+        );
+        let _kill = failpoint::arm(
+            "serve::worker_kill",
+            Some(SCOPE),
+            FailAction::Panic,
+            1,
+            Some(1),
+        );
+        let (input, held) = mpsc::channel();
+        let (tap, written) = mpsc::channel();
+        let server = thread::spawn(move || {
+            serve(
+                io::BufReader::new(HeldReader(held)),
+                LineTap(tap),
+                &ServeConfig {
+                    workers: 1,
+                    fault_scope: Some(SCOPE),
+                    ..ServeConfig::default()
+                },
+            )
+        });
+        let frames = [
+            req(1, "s", &format!(r#""op":"open","design":"{design}""#)),
+            req(
+                2,
+                "s",
+                r#""op":"edit","kind":"add_min","from":"alu","to":"out","value":3"#,
+            ),
+            req(3, "s", r#""op":"schedule""#),
+        ];
+        input
+            .send(format!("{}\n", frames.join("\n")).into_bytes())
+            .unwrap();
+        // The input stays open: every answer must arrive without EOF.
+        let mut text = String::new();
+        while text.matches('\n').count() < 3 {
+            let Ok(bytes) = written.recv_timeout(Duration::from_secs(5)) else {
+                break;
+            };
+            text.push_str(std::str::from_utf8(&bytes).unwrap());
+        }
+        let answered: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        drop(input);
+        let summary = server.join().unwrap().unwrap();
+        assert_eq!(answered.len(), 3, "answered before EOF: {answered:?}");
+        assert_eq!(summary.workers_respawned, 1);
+        assert_eq!(
+            by_id(&answered, 2).get("outcome").and_then(Json::as_str),
+            Some("rescheduled")
+        );
+        assert_eq!(by_id(&answered, 3).get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn a_worker_write_failure_is_returned() {
+        struct Refuse;
+        impl Write for Refuse {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let design = DESIGN.replace('\n', "\\n");
+        // Only a worker answers this open: the reader writes nothing.
+        let input = req(1, "s", &format!(r#""op":"open","design":"{design}""#));
+        let err = serve(input.as_bytes(), Refuse, &ServeConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn health_is_answered_at_intake_past_a_wedged_worker() {
+        const SCOPE: u64 = 0x5e46;
+        let design = DESIGN.replace('\n', "\\n");
+        let _wedge = failpoint::arm(
+            "serve::handle",
+            Some(SCOPE),
+            FailAction::Delay(Duration::from_millis(500)),
+            0,
+            Some(1),
+        );
+        // The health frame arrives while the only worker is stalled in
+        // the open.
+        let chunks = vec![
+            (
+                0,
+                format!(
+                    "{}\n",
+                    req(1, "s", &format!(r#""op":"open","design":"{design}""#))
+                ),
+            ),
+            (100, "{\"id\":2,\"op\":\"health\"}\n".to_owned()),
+        ];
+        let input = io::BufReader::new(PacedReader {
+            chunks: chunks
+                .into_iter()
+                .map(|(d, s)| (d, s.into_bytes()))
+                .collect::<Vec<_>>()
+                .into_iter(),
+        });
+        let mut output = Vec::new();
+        let config = ServeConfig {
+            workers: 1,
+            fault_scope: Some(SCOPE),
+            ..ServeConfig::default()
+        };
+        serve(input, &mut output, &config).unwrap();
+        let responses: Vec<Json> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .collect();
+        let ids: Vec<_> = responses.iter().filter_map(|r| r.get("id")).collect();
+        assert_eq!(
+            ids,
+            [&Json::Int(2), &Json::Int(1)],
+            "health jumps the queue"
+        );
+        let health = responses[0].get("health").unwrap();
+        assert_eq!(health.get("shards"), Some(&Json::Int(1)));
+        assert_eq!(responses[1].get("ok"), Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //!              ┌────────────────────────────────────────────┐
 //!  clients ──► │ event loop (one thread): epoll readiness,  │
 //!              │ accept, per-conn state machines — bounded  │
-//!              │ read buf (parse / route / quotas) and      │
+//!              │ read buf (runtime intake, quotas) and      │
 //!              │ bounded write buf (backpressure)           │
 //!              └──────────────┬─────────────▲───────────────┘
 //!                             │ shard queues│ completion queue
 //!                             │ (bounded)   │ + wake pipe
 //!                             ▼             │
-//!              shard worker threads (supervised, respawn on kill)
+//!              shard runtime (rsched_engine::runtime, shared
+//!              with stdio): supervised workers, one per slot
 //!                  Router::execute ──► (token, response)
 //! ```
 //!
@@ -50,20 +51,21 @@
 //!   ([`ShutdownHandle::shutdown`] or SIGTERM under the CLI): stop
 //!   accepting, finish in-flight requests, flush, tell idle clients
 //!   `going_away`, hard cutoff at [`NetConfig::drain_timeout`].
-//! - **Fault tolerance.** Shard workers run under a supervisor that
-//!   respawns them when an injected `serve::worker_kill` (or an organic
+//! - **Fault tolerance.** Shard workers belong to the engine's shard
+//!   runtime, the same one stdio runs on: its supervisor restarts a
+//!   worker in place when an injected `serve::worker_kill` (or an organic
 //!   bug outside the per-request catch) takes one down; queued jobs and
-//!   session tables live in shared state, so nothing is lost. Per-request
+//!   session tables outlive the worker, so nothing is lost. Per-request
 //!   panic isolation, quarantine, journaling, snapshot compaction, and
 //!   recovery all come with the router. The `net::accept` failpoint
 //!   covers the accept path itself: an injected error answers the new
 //!   connection in-band and drops it; an injected panic is caught and
 //!   the listener keeps accepting.
 //! - **Admission control.** The router's `max_ops`/`max_edges` design
-//!   limits and the bounded shard queues (shed with `overloaded` +
-//!   `retry_after_ms`) work as in the stdio loop. On top, per-connection
-//!   quotas: [`NetConfig::max_sessions_per_conn`] caps how many distinct
-//!   sessions one connection may hold open, and
+//!   limits and the runtime's bounded shard queues (shed with
+//!   `overloaded` + `retry_after_ms`) are the stdio loop's own. On top,
+//!   per-connection quotas: [`NetConfig::max_sessions_per_conn`] caps how
+//!   many distinct sessions one connection may hold open, and
 //!   [`NetConfig::max_inflight_per_conn`] caps its pipelined requests;
 //!   both answer in-band with a `"quota exceeded: …"` error so one
 //!   greedy tenant cannot monopolize the shard queues.
@@ -223,7 +225,7 @@ pub struct NetSummary {
     pub shed: usize,
     /// Requests rejected by per-connection quotas.
     pub quota_rejections: usize,
-    /// Shard worker threads respawned after dying outright.
+    /// Shard workers the shard runtime restarted after dying outright.
     pub shards_respawned: usize,
     /// Connections answered-and-dropped or panicked by the `net::accept`
     /// failpoint.

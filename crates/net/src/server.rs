@@ -1,6 +1,6 @@
 //! The readiness-driven connection runtime: one epoll event loop owning
-//! every socket, plus supervised shard workers; see the crate docs for
-//! the architecture.
+//! every socket, over the engine's shared shard runtime
+//! (`rsched_engine::runtime`); see the crate docs for the architecture.
 //!
 //! # Connection lifecycle
 //!
@@ -9,7 +9,7 @@
 //!              │ (net::accept fault: answer in-band, drop)
 //!              ▼
 //!   ┌──► READING ──────────────────────────────┐
-//!   │      │ frame complete: parse/route/quota │ write_buf ≥ cap/2:
+//!   │      │ frame complete: intake, quotas    │ write_buf ≥ cap/2:
 //!   │      │ → dispatch to shard               │ pause reads
 //!   │      ▼                                   ▼ (backpressure)
 //!   │   INFLIGHT ◄── completion queue ──── PAUSED
@@ -33,16 +33,13 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use rsched_engine::error_response;
 use rsched_engine::json::{object, Json};
-use rsched_engine::{
-    error_response, overloaded_response, Router, DEADLINE_ERROR, MALFORMED_UTF8_ERROR,
-};
+use rsched_engine::runtime::{lock_recover, Frame, Intake, Runtime, Sink};
 use rsched_graph::failpoint;
 
 use crate::poll::{self, Event, Interest, Poller, WakePipe};
@@ -182,33 +179,20 @@ impl Conn {
     }
 }
 
-struct ShardJob {
-    token: u64,
-    id: Json,
-    request: Json,
-    accepted: Instant,
-    deadline: Option<Duration>,
-}
-
-/// Everything shard workers and the event loop share; outlives any
-/// individual worker thread (they are respawned on kill).
-struct NetShared {
-    router: Router,
-    /// Receivers live here — not in the workers — so queued jobs survive
-    /// a shard death and drain through its replacement.
-    receivers: Vec<Mutex<Receiver<ShardJob>>>,
-    fault_scope: Option<u64>,
-    /// Finished `(token, response)` pairs on their way back to the event
-    /// loop, which owns all sockets.
-    completions: Mutex<Vec<(u64, Json)>>,
+/// Finished `(token, response)` pairs on their way from the shard
+/// workers back to the event loop, which owns all sockets.
+struct Completions {
+    done: Mutex<Vec<(u64, Json)>>,
     waker: poll::Waker,
-    respawned: AtomicUsize,
 }
 
-/// See `rsched_engine::service`: poisoning here only ever means a panic
-/// was already handled elsewhere; the data is consistent by construction.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+impl Sink for Completions {
+    type Tag = u64;
+
+    fn deliver(&self, token: u64, response: Json) {
+        lock_recover(&self.done).push((token, response));
+        self.waker.wake();
+    }
 }
 
 /// Asks a running [`NetServer`] to drain and stop. Idempotent: the flag
@@ -318,47 +302,36 @@ impl NetServer {
             sigterm,
         } = self;
         listener.set_nonblocking()?;
-        let n_shards = config.engine.workers.max(1);
-        let queue_depth = config.engine.queue_depth.max(1);
-        let mut senders: Vec<SyncSender<ShardJob>> = Vec::with_capacity(n_shards);
-        let mut receivers: Vec<Mutex<Receiver<ShardJob>>> = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let (tx, rx) = mpsc::sync_channel(queue_depth);
-            senders.push(tx);
-            receivers.push(Mutex::new(rx));
-        }
-        let shared = NetShared {
-            router: Router::new(n_shards, &config.engine),
-            receivers,
-            fault_scope: config.engine.fault_scope,
-            completions: Mutex::new(Vec::new()),
+        let runtime = Runtime::new(&config.engine);
+        let completions = Completions {
+            done: Mutex::new(Vec::new()),
             waker: wake.waker(),
-            respawned: AtomicUsize::new(0),
         };
-        let shared = &shared;
-
-        let counters = thread::scope(|scope| -> io::Result<LoopCounters> {
-            for slot in 0..n_shards {
-                scope.spawn(move || supervise_shard(slot, shared));
-            }
+        let counters = runtime.run(&completions, |intake| -> io::Result<LoopCounters> {
             // The event-loop thread enters the fault scope so
             // `net::accept` can target exactly this server instance.
-            let _scope_guard = shared.fault_scope.map(failpoint::enter_scope);
+            let _scope_guard = config.engine.fault_scope.map(failpoint::enter_scope);
             let mut el = EventLoop::new(
-                listener, senders, shared, &config, &shutdown, &wake, sigterm,
+                listener,
+                intake,
+                &completions,
+                &config,
+                &shutdown,
+                &wake,
+                sigterm,
             )?;
             el.run_loop()?;
             Ok(el.c)
-            // `el` drops here: its senders close the shard queues, the
-            // workers drain what's left (responses to now-dead tokens are
-            // discarded), group-commit their journals, and exit; the
-            // scope joins them before the summary is read.
+            // `el` drops here with its intake: the shard queues close,
+            // the workers drain what's left (responses to now-dead
+            // tokens are discarded), group-commit their journals, and
+            // exit before `run` returns.
         })?;
 
         if let Listen::Unix(path) = &resolved {
             let _ = std::fs::remove_file(path);
         }
-        let router_stats = shared.router.stats();
+        let router_stats = runtime.router().stats();
         Ok(NetSummary {
             connections: counters.connections,
             requests: counters.responses,
@@ -368,9 +341,9 @@ impl NetServer {
             quarantined: router_stats.quarantined,
             recoveries: router_stats.recoveries,
             snapshots: router_stats.snapshots,
-            shed: counters.shed,
+            shed: runtime.shed(),
             quota_rejections: counters.quota_rejections,
-            shards_respawned: shared.respawned.load(Ordering::Relaxed),
+            shards_respawned: runtime.respawned(),
             accept_faults: counters.accept_faults,
             evicted_idle: counters.evicted_idle,
             evicted_deadline: counters.evicted_deadline,
@@ -389,7 +362,6 @@ struct LoopCounters {
     connections: usize,
     responses: usize,
     errors: usize,
-    shed: usize,
     quota_rejections: usize,
     accept_faults: usize,
     evicted_idle: usize,
@@ -418,8 +390,8 @@ struct EventLoop<'a> {
     wake: &'a WakePipe,
     /// `None` once drain has closed it.
     listener: Option<Listener>,
-    senders: Vec<SyncSender<ShardJob>>,
-    shared: &'a NetShared,
+    intake: Intake<'a, u64>,
+    completions: &'a Completions,
     config: &'a NetConfig,
     shutdown: &'a AtomicBool,
     sigterm: bool,
@@ -441,8 +413,8 @@ struct EventLoop<'a> {
 impl<'a> EventLoop<'a> {
     fn new(
         listener: Listener,
-        senders: Vec<SyncSender<ShardJob>>,
-        shared: &'a NetShared,
+        intake: Intake<'a, u64>,
+        completions: &'a Completions,
         config: &'a NetConfig,
         shutdown: &'a AtomicBool,
         wake: &'a WakePipe,
@@ -459,8 +431,8 @@ impl<'a> EventLoop<'a> {
             poller,
             wake,
             listener: Some(listener),
-            senders,
-            shared,
+            intake,
+            completions,
             config,
             shutdown,
             sigterm,
@@ -734,47 +706,17 @@ impl<'a> EventLoop<'a> {
         );
     }
 
-    /// One complete frame: parse, validate/route, enforce quotas,
-    /// dispatch to the session's shard — the intake half of the old
-    /// per-connection reader thread, now running on the event loop.
+    /// One complete frame: the shared intake, then this transport's
+    /// quotas, then dispatch to the session's shard.
     fn intake_frame(&mut self, idx: usize, raw: &[u8]) {
-        let mut raw = raw;
-        if raw.last() == Some(&b'\r') {
-            raw = &raw[..raw.len() - 1]; // `\r\n` framing stays accepted.
-        }
-        let Ok(line) = std::str::from_utf8(raw) else {
-            self.queue_response(idx, error_response(Json::Null, MALFORMED_UTF8_ERROR), true);
-            return;
-        };
-        if line.trim().is_empty() {
-            return;
-        }
-        let request = match Json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                self.queue_response(
-                    idx,
-                    error_response(Json::Null, format!("malformed request: {e}")),
-                    true,
-                );
-                return;
+        let routed = match self.intake.frame(raw) {
+            Frame::Skip => return,
+            Frame::Answer(response) => return self.queue_response(idx, response, true),
+            Frame::Health(id) => {
+                let response = self.health_response(id);
+                return self.queue_response(idx, response, true);
             }
-        };
-        let id = request.get("id").cloned().unwrap_or(Json::Null);
-        let op = request.get("op").and_then(Json::as_str).unwrap_or("");
-        if op == "health" {
-            // Answered synchronously: liveness must not depend on shard
-            // queues having room.
-            let response = self.health_response(id);
-            self.queue_response(idx, response, true);
-            return;
-        }
-        let slot = match self.shared.router.route(&id, &request) {
-            Ok(slot) => slot,
-            Err(response) => {
-                self.queue_response(idx, response, true);
-                return;
-            }
+            Frame::Route(routed) => routed,
         };
         // Quotas apply after validation so they only reject requests
         // that would otherwise consume shard capacity.
@@ -787,7 +729,7 @@ impl<'a> EventLoop<'a> {
                 self.queue_response(
                     idx,
                     error_response(
-                        id,
+                        routed.id,
                         format!(
                             "quota exceeded: {max} request(s) already in flight on this connection"
                         ),
@@ -797,11 +739,12 @@ impl<'a> EventLoop<'a> {
                 return;
             }
         }
-        let session = request.get("session").and_then(Json::as_str);
+        let op = routed.request.get("op").and_then(Json::as_str);
+        let session = routed.request.get("session").and_then(Json::as_str);
         // Session slots are accounted at dispatch: an `open` claims one
         // (even if the design later fails to parse — admission control
         // is deliberately pessimistic), a `close` frees it.
-        if op == "open" {
+        if op == Some("open") {
             if let (Some(max), Some(name)) = (self.config.max_sessions_per_conn, session) {
                 let over = self.conns[idx]
                     .as_ref()
@@ -811,7 +754,7 @@ impl<'a> EventLoop<'a> {
                     self.queue_response(
                         idx,
                         error_response(
-                            id,
+                            routed.id,
                             format!("quota exceeded: connection already holds {max} session(s)"),
                         ),
                         true,
@@ -822,57 +765,24 @@ impl<'a> EventLoop<'a> {
             if let (Some(conn), Some(name)) = (self.conns[idx].as_mut(), session) {
                 conn.held.insert(name.to_owned());
             }
-        } else if op == "close" {
+        } else if op == Some("close") {
             if let (Some(conn), Some(name)) = (self.conns[idx].as_mut(), session) {
                 conn.held.remove(name);
             }
         }
-        let deadline = request
-            .get("deadline_ms")
-            .and_then(Json::as_i64)
-            .map(|ms| Duration::from_millis(ms.max(0) as u64))
-            .or(self.config.engine.deadline);
-        let token = {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            conn.inflight += 1;
-            conn.token
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
         };
-        let job = ShardJob {
-            token,
-            id,
-            request,
-            accepted: Instant::now(),
-            deadline,
-        };
-        match self.senders[slot].try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
-                self.c.shed += 1;
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.inflight -= 1;
-                }
-                self.queue_response(idx, overloaded_response(job.id), true);
-            }
-            // Possible only if a shard's supervisor itself died — answer
-            // in-band rather than hanging the client.
-            Err(TrySendError::Disconnected(job)) => {
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.inflight -= 1;
-                }
-                self.queue_response(
-                    idx,
-                    error_response(job.id, "shard queue disconnected"),
-                    true,
-                );
-            }
+        conn.inflight += 1;
+        if let Err(response) = self.intake.dispatch(routed, conn.token) {
+            conn.inflight -= 1;
+            self.queue_response(idx, response, true);
         }
     }
 
     /// The router's `health` body plus this transport's `net` block.
     fn health_response(&self, id: Json) -> Json {
-        let mut response = self.shared.router.health_json(id);
+        let mut response = self.intake.router().health_json(id);
         let body = match &mut response {
             Json::Object(pairs) => pairs
                 .iter_mut()
@@ -1039,7 +949,7 @@ impl<'a> EventLoop<'a> {
     /// Delivers finished responses from the shard workers to their
     /// connections' write buffers.
     fn handle_completions(&mut self) {
-        let batch = std::mem::take(&mut *lock_recover(&self.shared.completions));
+        let batch = std::mem::take(&mut *lock_recover(&self.completions.done));
         for (token, response) in batch {
             let idx = (token & u64::from(u32::MAX)) as usize;
             let alive = self
@@ -1143,60 +1053,4 @@ impl<'a> EventLoop<'a> {
         }
         self.close_conn(idx);
     }
-}
-
-/// Keeps one shard slot staffed: a worker that dies outright (an
-/// injected `serve::worker_kill`, or an organic bug outside the
-/// per-request catch) is replaced on the same queue — sessions and
-/// queued jobs live in `shared`, so nothing is lost or reordered.
-fn supervise_shard(slot: usize, shared: &NetShared) {
-    loop {
-        if catch_unwind(AssertUnwindSafe(|| shard_worker(slot, shared))).is_ok() {
-            return; // Clean exit: queue closed.
-        }
-        shared.respawned.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A shard's serving loop — the socket twin of the stdio worker: recv,
-/// execute, answer, batch-drain, then group-commit the batch's WAL
-/// lines with one sync per journal.
-fn shard_worker(slot: usize, shared: &NetShared) {
-    let _scope = shared.fault_scope.map(failpoint::enter_scope);
-    loop {
-        // Kill site, evaluated with no job in hand and no lock held.
-        let _ = failpoint!("serve::worker_kill");
-        let job = {
-            let rx = lock_recover(&shared.receivers[slot]);
-            rx.recv()
-        };
-        let Ok(job) = job else {
-            shared.router.sync_journals(slot);
-            return;
-        };
-        process(slot, shared, job);
-        loop {
-            let _ = failpoint!("serve::worker_kill");
-            let job = {
-                let rx = lock_recover(&shared.receivers[slot]);
-                rx.try_recv()
-            };
-            let Ok(job) = job else { break };
-            process(slot, shared, job);
-        }
-        shared.router.sync_journals(slot);
-    }
-}
-
-/// Executes one job, honoring its deadline, and hands the response back
-/// to the event loop (which owns the socket and the inflight counter).
-fn process(slot: usize, shared: &NetShared, job: ShardJob) {
-    let expired = job.deadline.is_some_and(|d| job.accepted.elapsed() > d);
-    let response = if expired {
-        error_response(job.id, DEADLINE_ERROR)
-    } else {
-        shared.router.execute(slot, job.id, &job.request)
-    };
-    lock_recover(&shared.completions).push((job.token, response));
-    shared.waker.wake();
 }
