@@ -135,7 +135,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 }
                 None => {
                     let stdin = std::io::stdin();
-                    rsched_engine::serve(stdin.lock(), std::io::stdout(), &invocation.config)
+                    // Buffered, so a worker's batch leaves in one write.
+                    let stdout = std::io::BufWriter::new(std::io::stdout());
+                    rsched_engine::serve(stdin.lock(), stdout, &invocation.config)
                         .map_err(CliError::failure)?;
                     Ok(String::new())
                 }

@@ -11,9 +11,18 @@
 //!                          └─► Route ──► transport checks (e.g. quotas)
 //!                                    ──► Intake::dispatch ──► bounded slot queue
 //!                                                             (full: shed in-band)
-//!  one supervised worker per slot: deadline check, Router::execute,
-//!  batch drain, Router::sync_journals ──► Sink::deliver(tag, response)
+//!  Intake::flush: one wake per slot that received work while its worker slept
+//!
+//!  one supervised worker per slot, one batch per wake (the jobs queued
+//!  when it woke): per job a deadline check, Router::execute and the
+//!  rendered line; then Router::sync_journals (group commit), then
+//!  Sink::deliver(whole batch)
 //! ```
+//!
+//! A response is handed to the transport only after its WAL line is
+//! written, and the hand-off is batch-shaped both ways: the transport
+//! wakes a sleeping worker once per loop turn (not once per frame), and
+//! a worker hands its transport one batch per wake (not one response).
 //!
 //! `health` is answered at intake, so liveness never waits behind
 //! session work. A worker that dies outside the per-request catch (an
@@ -22,10 +31,10 @@
 //! the [`Router`] and queued jobs in the queue, so nothing is lost or
 //! reordered.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -54,14 +63,36 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A finished response, rendered to its wire line.
+pub struct Reply {
+    /// The response's JSON line, `\n`-terminated.
+    pub line: String,
+    /// The response carries `"ok":false`.
+    pub failed: bool,
+}
+
+impl Reply {
+    /// Renders `response` to its line.
+    pub fn new(response: &Json) -> Reply {
+        let mut line = response.render();
+        line.push('\n');
+        Reply {
+            line,
+            failed: response.get("ok").and_then(Json::as_bool) == Some(false),
+        }
+    }
+}
+
 /// Where shard workers hand finished responses: the transport's output.
 pub trait Sink: Sync {
     /// Names the requester a response goes back to (a connection token
     /// on a socket; nothing on stdio, which has one requester).
     type Tag: Send;
 
-    /// Takes one finished response. Called from worker threads.
-    fn deliver(&self, tag: Self::Tag, response: Json);
+    /// Takes one batch of finished responses, in execution order, once
+    /// their WAL lines are written. Called from worker threads; what the
+    /// sink leaves in `batch` is dropped.
+    fn deliver(&self, batch: &mut Vec<(Self::Tag, Reply)>);
 }
 
 /// What [`Intake::frame`] made of one frame.
@@ -94,6 +125,66 @@ struct Job<T> {
     request: Json,
     accepted: Instant,
     deadline: Option<Duration>,
+}
+
+/// One slot's bounded job queue and the condition its worker sleeps on.
+struct Slot<T> {
+    queue: Mutex<Queue<T>>,
+    ready: Condvar,
+}
+
+struct Queue<T> {
+    /// Jobs not yet started; its length is what `queue_depth` bounds.
+    jobs: VecDeque<Job<T>>,
+    /// The worker sleeps on `ready` and no wake is owed to it yet. The
+    /// intake clears it when it queues the job that owes one.
+    asleep: bool,
+    /// The intake is gone: answer what is queued, then exit.
+    closed: bool,
+}
+
+impl<T> Slot<T> {
+    fn new() -> Slot<T> {
+        Slot {
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                asleep: false,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Sleeps until jobs are queued and returns how many: the batch.
+    /// `None` once the queue is closed and empty.
+    ///
+    /// No wake is lost: `asleep` is set under the same lock the intake
+    /// queues under, and the wait releases that lock atomically, so a
+    /// job queued after the check finds `asleep` set and owes a wake.
+    fn next_batch(&self) -> Option<usize> {
+        let mut queue = lock_recover(&self.queue);
+        while queue.jobs.is_empty() {
+            if queue.closed {
+                return None;
+            }
+            queue.asleep = true;
+            queue = self
+                .ready
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        queue.asleep = false;
+        Some(queue.jobs.len())
+    }
+
+    /// Starts the next job. Only the slot's worker pops, after
+    /// [`Self::next_batch`] counted the job in.
+    fn pop(&self) -> Job<T> {
+        lock_recover(&self.queue)
+            .jobs
+            .pop_front()
+            .expect("the batch counts queued jobs")
+    }
 }
 
 /// The router plus the worker policy both transports share; see the
@@ -139,19 +230,18 @@ impl Runtime {
     /// Staffs every slot with a supervised worker delivering to `sink`,
     /// then runs `transport` with the intake. When `transport` returns,
     /// its [`Intake`] is dropped, which closes the queues; the workers
-    /// answer what is still queued, sync their journals and exit, and
-    /// `run` returns once they have.
+    /// answer what is still queued and exit, and `run` returns once they
+    /// have.
     pub fn run<S: Sink, R>(&self, sink: &S, transport: impl FnOnce(Intake<'_, S::Tag>) -> R) -> R {
-        let (senders, queues): (Vec<_>, Vec<_>) = (0..self.router.n_slots())
-            .map(|_| mpsc::sync_channel(self.queue_depth))
-            .unzip();
+        let slots: Vec<Slot<S::Tag>> = (0..self.router.n_slots()).map(|_| Slot::new()).collect();
         thread::scope(|scope| {
-            for (slot, queue) in queues.into_iter().enumerate() {
-                scope.spawn(move || self.supervise(slot, &queue, sink));
+            for (index, slot) in slots.iter().enumerate() {
+                scope.spawn(move || self.supervise(index, slot, sink));
             }
             transport(Intake {
                 runtime: self,
-                senders,
+                slots: &slots,
+                wakes: Vec::new(),
             })
         })
     }
@@ -159,44 +249,43 @@ impl Runtime {
     /// Keeps one slot staffed: a worker that panics out of [`Self::work`]
     /// is restarted on the same queue. Returns once the queue is closed
     /// and drained.
-    fn supervise<S: Sink>(&self, slot: usize, queue: &Receiver<Job<S::Tag>>, sink: &S) {
+    fn supervise<S: Sink>(&self, index: usize, slot: &Slot<S::Tag>, sink: &S) {
         let _scope = self.fault_scope.map(failpoint::enter_scope);
-        while catch_unwind(AssertUnwindSafe(|| self.work(slot, queue, sink))).is_err() {
+        while catch_unwind(AssertUnwindSafe(|| self.work(index, slot, sink))).is_err() {
             self.respawned.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// A slot's serving loop: block for a job, then answer everything
-    /// already queued, then group-commit the batch's WAL lines with one
-    /// sync per journal.
-    fn work<S: Sink>(&self, slot: usize, queue: &Receiver<Job<S::Tag>>, sink: &S) {
-        let mut in_batch = false;
+    /// A slot's serving loop: sleep until jobs are queued, answer the
+    /// ones queued at the wake, group-commit their WAL lines with one
+    /// sync per journal, then deliver the batch.
+    fn work<S: Sink>(&self, index: usize, slot: &Slot<S::Tag>, sink: &S) {
+        let mut batch = Vec::new();
         loop {
-            // Kill site, evaluated before every receive with no job in
-            // hand and no lock held: an injected panic takes the worker
-            // down but loses nothing.
+            // Kill site, evaluated once per batch (and once at start):
+            // after delivery, before sleeping, with no job in hand, no
+            // undelivered response and no lock held, so an injected
+            // panic takes the worker down but loses nothing.
             let _ = failpoint!("serve::worker_kill");
-            let job = if in_batch {
-                queue.try_recv().ok()
-            } else {
-                queue.recv().ok()
+            let Some(jobs) = slot.next_batch() else {
+                return; // The intake is gone and the queue is empty.
             };
-            let Some(job) = job else {
-                self.router.sync_journals(slot);
-                if !in_batch {
-                    return; // Every sender is gone: the transport is done.
-                }
-                in_batch = false;
-                continue;
-            };
-            in_batch = true;
-            let expired = job.deadline.is_some_and(|d| job.accepted.elapsed() > d);
-            let response = if expired {
-                error_response(job.id, DEADLINE_ERROR)
-            } else {
-                self.router.execute(slot, job.id, &job.request)
-            };
-            sink.deliver(job.tag, response);
+            // One pop per job, so the queue keeps counting exactly the
+            // jobs not yet started; jobs queued meanwhile form the next
+            // batch.
+            for _ in 0..jobs {
+                let job = slot.pop();
+                let expired = job.deadline.is_some_and(|d| job.accepted.elapsed() > d);
+                let response = if expired {
+                    error_response(job.id, DEADLINE_ERROR)
+                } else {
+                    self.router.execute(index, job.id, &job.request)
+                };
+                batch.push((job.tag, Reply::new(&response)));
+            }
+            self.router.sync_journals(index);
+            sink.deliver(&mut batch);
+            batch.clear();
         }
     }
 }
@@ -205,7 +294,10 @@ impl Runtime {
 /// requests and queues them. Dropping it closes the queues.
 pub struct Intake<'a, T> {
     runtime: &'a Runtime,
-    senders: Vec<SyncSender<Job<T>>>,
+    slots: &'a [Slot<T>],
+    /// Slots whose sleeping worker was given work since the last
+    /// [`Intake::flush`].
+    wakes: Vec<usize>,
 }
 
 impl<T> Intake<'_, T> {
@@ -247,34 +339,57 @@ impl<T> Intake<'_, T> {
     }
 
     /// Queues a routed request on its slot without blocking; its response
-    /// reaches the sink under `tag`. `Err` carries the response to send
-    /// now instead: the in-band shed when the queue is full.
-    pub fn dispatch(&self, routed: Routed, tag: T) -> Result<(), Json> {
+    /// reaches the sink under `tag`. A sleeping worker is not woken here
+    /// but at the next [`Intake::flush`]. `Err` carries the response to
+    /// send now instead: the in-band shed when the queue is full.
+    pub fn dispatch(&mut self, routed: Routed, tag: T) -> Result<(), Json> {
         let Routed { id, request, slot } = routed;
+        let mut queue = lock_recover(&self.slots[slot].queue);
+        if queue.jobs.len() >= self.runtime.queue_depth {
+            drop(queue);
+            self.runtime.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(overloaded_response(id));
+        }
         let deadline = request
             .get("deadline_ms")
             .and_then(Json::as_i64)
             .map(|ms| Duration::from_millis(ms.max(0) as u64))
             .or(self.runtime.deadline);
-        let job = Job {
+        queue.jobs.push_back(Job {
             tag,
             id,
             request,
             accepted: Instant::now(),
             deadline,
-        };
-        match self.senders[slot].try_send(job) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(job)) => {
-                self.runtime.shed.fetch_add(1, Ordering::Relaxed);
-                Err(overloaded_response(job.id))
-            }
-            // A worker holds its queue until every sender is gone, so
-            // this cannot happen; answer in-band rather than abort the
-            // transport on a logic error.
-            Err(TrySendError::Disconnected(job)) => {
-                Err(error_response(job.id, "worker queue disconnected"))
-            }
+        });
+        if queue.asleep {
+            queue.asleep = false;
+            self.wakes.push(slot);
+        }
+        Ok(())
+    }
+
+    /// Wakes, once each, the workers that were given work while asleep.
+    /// A transport calls it before it blocks: the socket loop once per
+    /// turn, stdio after each frame.
+    pub fn flush(&mut self) {
+        for slot in self.wakes.drain(..) {
+            self.slots[slot].ready.notify_one();
+        }
+    }
+
+    #[cfg(test)]
+    fn queued(&self, slot: usize) -> (usize, bool) {
+        let queue = lock_recover(&self.slots[slot].queue);
+        (queue.jobs.len(), queue.asleep)
+    }
+}
+
+impl<T> Drop for Intake<'_, T> {
+    fn drop(&mut self) {
+        for slot in self.slots {
+            lock_recover(&slot.queue).closed = true;
+            slot.ready.notify_one();
         }
     }
 }
@@ -291,4 +406,127 @@ fn overloaded_response(id: Json) -> Json {
         ),
         ("retry_after_ms", Json::Int(RETRY_AFTER_MS)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsched_graph::failpoint::FailAction;
+
+    const DESIGN: &str =
+        "op sync unbounded\nop alu 2\nop out 1\ndep sync alu\ndep alu out\nmax alu out 4\n";
+
+    /// A sink that records each delivery as the tags it held, checking
+    /// every line answers its tag's id.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<Vec<i64>>>);
+
+    impl Sink for Recorder {
+        type Tag = i64;
+
+        fn deliver(&self, batch: &mut Vec<(i64, Reply)>) {
+            let tags = batch
+                .drain(..)
+                .map(|(tag, reply)| {
+                    let response = Json::parse(reply.line.trim_end()).unwrap();
+                    assert_eq!(response.get("id"), Some(&Json::Int(tag)));
+                    tag
+                })
+                .collect();
+            lock_recover(&self.0).push(tags);
+        }
+    }
+
+    fn frame(id: i64, rest: &str) -> String {
+        format!(r#"{{"id":{id},"session":"s",{rest}}}"#)
+    }
+
+    fn open(id: i64) -> String {
+        let design = Json::Str(DESIGN.to_owned()).render();
+        frame(id, &format!(r#""op":"open","design":{design}"#))
+    }
+
+    fn dispatch(intake: &mut Intake<'_, i64>, id: i64, line: &str) -> Result<(), Json> {
+        let Frame::Route(routed) = intake.frame(line.as_bytes()) else {
+            panic!("request {id} is routed");
+        };
+        intake.dispatch(routed, id)
+    }
+
+    /// Polls slot 0 until it reports `queued`: (jobs waiting, worker
+    /// asleep with no wake owed).
+    fn wait_for(intake: &Intake<'_, i64>, queued: (usize, bool)) {
+        let start = Instant::now();
+        while intake.queued(0) != queued {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "slot never reached {queued:?}"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn one_flush_wakes_a_sleeping_worker_for_one_delivery() {
+        let runtime = Runtime::new(&ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let sink = Recorder::default();
+        runtime.run(&sink, |mut intake| {
+            wait_for(&intake, (0, true));
+            dispatch(&mut intake, 1, &open(1)).unwrap();
+            for id in 2..=4 {
+                let edit = format!(r#""op":"edit","kind":"set_delay","vertex":"alu","delay":{id}"#);
+                dispatch(&mut intake, id, &frame(id, &edit)).unwrap();
+            }
+            dispatch(&mut intake, 5, &frame(5, r#""op":"schedule""#)).unwrap();
+            // Queued, and the wake is owed rather than sent.
+            assert_eq!(intake.queued(0), (5, false));
+            intake.flush();
+        });
+        assert_eq!(*lock_recover(&sink.0), vec![vec![1, 2, 3, 4, 5]]);
+    }
+
+    #[test]
+    fn queue_depth_counts_only_jobs_not_yet_started() {
+        const SCOPE: u64 = 0x7274_0001;
+        // Wedge the worker on the first job of a 3-job batch.
+        let _wedge = failpoint::arm(
+            "serve::handle",
+            Some(SCOPE),
+            FailAction::Delay(Duration::from_millis(300)),
+            0,
+            Some(1),
+        );
+        let runtime = Runtime::new(&ServeConfig {
+            workers: 1,
+            queue_depth: 3,
+            fault_scope: Some(SCOPE),
+            ..ServeConfig::default()
+        });
+        let sink = Recorder::default();
+        let shed = runtime.run(&sink, |mut intake| {
+            wait_for(&intake, (0, true));
+            dispatch(&mut intake, 1, &open(1)).unwrap();
+            for id in 2..=3 {
+                dispatch(&mut intake, id, &frame(id, r#""op":"schedule""#)).unwrap();
+            }
+            intake.flush();
+            // Job 1 started: the two jobs left of the batch still count
+            // against the depth, so one more fits and the rest are shed.
+            wait_for(&intake, (2, false));
+            (4..=6)
+                .filter_map(|id| {
+                    let shed = dispatch(&mut intake, id, &frame(id, r#""op":"schedule""#)).err()?;
+                    assert_eq!(shed.get("retry_after_ms"), Some(&Json::Int(RETRY_AFTER_MS)));
+                    Some(id)
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(shed, vec![5, 6]);
+        assert_eq!(runtime.shed(), 2);
+        // Job 4 arrived mid-batch, so it formed the next batch.
+        assert_eq!(*lock_recover(&sink.0), vec![vec![1, 2, 3], vec![4]]);
+    }
 }

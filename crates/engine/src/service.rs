@@ -81,15 +81,18 @@
 //!   [`ServeConfig::max_edges`] are set.
 //!
 //! WAL mirror writes are **group-committed**: appends only buffer lines,
-//! and a worker flushes once per drained request batch
+//! and a worker flushes once per request batch
 //! ([`Router::sync_journals`]) instead of once per op — measured at ~58%
-//! of a serve round when every op paid its own write+flush.
+//! of a serve round when every op paid its own write+flush. The batch's
+//! answers leave only after that flush, so an acknowledged edit is
+//! already in its WAL file.
 //!
 //! Deterministic fault-injection tests drive all of this through the
 //! `rsched_graph::failpoint` facility: the sites `serve::handle` (per
-//! request), `serve::worker_kill` (per receive in the runtime's worker
-//! loop), and `journal::snapshot` (pre-compaction) plus
-//! `session::reschedule` and `kernel::build` deeper down. Workers enter
+//! request), `serve::worker_kill` (once per batch in the runtime's
+//! worker loop, after delivery, before sleeping), and
+//! `journal::snapshot` (pre-compaction) plus `session::reschedule` and
+//! `kernel::build` deeper down. Workers enter
 //! [`ServeConfig::fault_scope`] so a harness can target one service
 //! instance without affecting concurrent tests.
 
@@ -109,7 +112,7 @@ use rsched_graph::{failpoint, ConstraintGraph, ExecDelay};
 use crate::journal::{Journal, JournalOp};
 use crate::json::{object, Json};
 use crate::optimize::{Objective, OptimizeConfig, Optimizer, RoundReport};
-use crate::runtime::{lock_recover, Frame, Runtime, Sink};
+use crate::runtime::{lock_recover, Frame, Reply, Runtime, Sink};
 use crate::session::{EditOutcome, Session};
 
 /// Tuning knobs for [`serve`] (and, via [`Router`], the socket server).
@@ -221,6 +224,16 @@ struct SessionEntry {
 #[derive(Default)]
 struct SlotState {
     sessions: HashMap<String, SessionEntry>,
+    /// Sessions whose journal may hold WAL lines not yet synced: every
+    /// dirty journal's name is here, so a group commit visits only them.
+    unsynced: Vec<String>,
+}
+
+impl SlotState {
+    fn dirty(&self, name: Option<&str>) -> bool {
+        name.and_then(|name| self.sessions.get(name))
+            .is_some_and(|entry| entry.journal.dirty())
+    }
 }
 
 #[derive(Default)]
@@ -440,9 +453,11 @@ impl Router {
             .and_then(Json::as_str)
             .map(str::to_owned);
         let mut state = lock_recover(&self.slots[slot]);
+        let journaled = self.journal_dir.is_some();
+        let was_dirty = journaled && state.dirty(session_name.as_deref());
         // The catch is *inside* the lock scope: the guard drops normally,
         // so the slot mutex is never poisoned by a request panic.
-        match catch_unwind(AssertUnwindSafe(|| {
+        let response = match catch_unwind(AssertUnwindSafe(|| {
             self.handle(&mut state, id.clone(), request)
         })) {
             Ok(response) => response,
@@ -467,26 +482,35 @@ impl Router {
                     ("error", Json::Str(format!("worker_panic: {msg}"))),
                     ("quarantined", Json::Bool(quarantined)),
                 ];
-                if let Some(name) = session_name.filter(|_| quarantined) {
-                    pairs.push(("session", Json::Str(name)));
+                if let Some(name) = session_name.as_ref().filter(|_| quarantined) {
+                    pairs.push(("session", Json::Str(name.clone())));
                     pairs.push(("recover_with", Json::Str("recover".to_owned())));
                 }
                 object(pairs)
             }
+        };
+        if journaled && !was_dirty && state.dirty(session_name.as_deref()) {
+            state.unsynced.extend(session_name);
         }
+        response
     }
 
     /// Group commit: flushes every buffered WAL line in the slot with one
-    /// write+flush per dirty journal. Called by a slot's worker after
-    /// draining a request batch. Free when no journal directory is
-    /// configured.
+    /// write+flush per dirty journal, visiting only the sessions whose
+    /// journal went dirty since the last call. Called by a slot's worker
+    /// after a request batch, before its responses leave. Free when no
+    /// journal directory is configured.
     pub fn sync_journals(&self, slot: usize) {
         if self.journal_dir.is_none() {
             return;
         }
         let mut state = lock_recover(&self.slots[slot]);
-        for entry in state.sessions.values_mut() {
-            entry.journal.sync();
+        let SlotState { sessions, unsynced } = &mut *state;
+        for name in unsynced.drain(..) {
+            // Gone when closed since: dropping a journal syncs it.
+            if let Some(entry) = sessions.get_mut(&name) {
+                entry.journal.sync();
+            }
         }
     }
 
@@ -1072,7 +1096,7 @@ where
         errors: 0,
         broken: None,
     });
-    runtime.run(&out, |intake| -> io::Result<()> {
+    runtime.run(&out, |mut intake| -> io::Result<()> {
         // Byte-level framing rather than `lines()`: a frame of binary
         // junk (invalid UTF-8) is a hostile *request*, not a transport
         // failure — it is answered in-band and the stream continues,
@@ -1091,12 +1115,17 @@ where
                 Frame::Answer(response) => response,
                 Frame::Health(id) => intake.router().health_json(id),
                 Frame::Route(routed) => match intake.dispatch(routed, ()) {
-                    Ok(()) => continue,
+                    // The next read may block, so wake the worker now.
+                    Ok(()) => {
+                        intake.flush();
+                        continue;
+                    }
                     Err(response) => response,
                 },
             };
             let mut out = lock_recover(&out);
-            out.write(&response);
+            out.write(&Reply::new(&response));
+            out.flush();
             if out.broken.is_some() {
                 return Ok(()); // Nobody is reading the answers any more.
             }
@@ -1166,22 +1195,21 @@ struct Output<W: Write> {
 }
 
 impl<W: Write> Output<W> {
-    fn write(&mut self, response: &Json) {
+    fn write(&mut self, reply: &Reply) {
         self.responses += 1;
-        if response.get("ok").and_then(Json::as_bool) == Some(false) {
-            self.errors += 1;
+        self.errors += usize::from(reply.failed);
+        if self.broken.is_none() {
+            if let Err(e) = self.inner.write_all(reply.line.as_bytes()) {
+                self.broken = Some(e);
+            }
         }
-        if self.broken.is_some() {
-            return;
-        }
-        let mut line = response.render();
-        line.push('\n');
-        if let Err(e) = self
-            .inner
-            .write_all(line.as_bytes())
-            .and_then(|()| self.inner.flush())
-        {
-            self.broken = Some(e);
+    }
+
+    fn flush(&mut self) {
+        if self.broken.is_none() {
+            if let Err(e) = self.inner.flush() {
+                self.broken = Some(e);
+            }
         }
     }
 }
@@ -1189,8 +1217,13 @@ impl<W: Write> Output<W> {
 impl<W: Write + Send> Sink for Mutex<Output<W>> {
     type Tag = ();
 
-    fn deliver(&self, (): (), response: Json) {
-        lock_recover(self).write(&response);
+    /// The batch leaves under one lock and one flush.
+    fn deliver(&self, batch: &mut Vec<((), Reply)>) {
+        let mut out = lock_recover(self);
+        for ((), reply) in batch.drain(..) {
+            out.write(&reply);
+        }
+        out.flush();
     }
 }
 
@@ -2277,6 +2310,108 @@ mod tests {
         );
         assert_eq!(by_id(&responses, 6).get("ok"), Some(&Json::Bool(false)));
         assert_eq!(summary.recoveries, 1);
+    }
+
+    #[test]
+    fn an_answered_edit_is_already_in_the_wal() {
+        const SCOPE: u64 = 0x5e47;
+        let dir = std::env::temp_dir().join(format!("rsched_ack_commit_{}", std::process::id()));
+        let design = DESIGN.replace('\n', "\\n");
+        // From the kill-site evaluation right after the edit is answered
+        // on, the worker stalls there 300 ms: a WAL line written only
+        // after that point would still be buffered when the answer lands.
+        let _stall = failpoint::arm(
+            "serve::worker_kill",
+            Some(SCOPE),
+            FailAction::Delay(Duration::from_millis(300)),
+            2,
+            None,
+        );
+        let (input, held) = mpsc::channel();
+        let (tap, written) = mpsc::channel();
+        let config = ServeConfig {
+            workers: 1,
+            journal_dir: Some(dir.clone()),
+            fault_scope: Some(SCOPE),
+            ..ServeConfig::default()
+        };
+        let server = thread::spawn(move || {
+            serve(io::BufReader::new(HeldReader(held)), LineTap(tap), &config)
+        });
+        let answer = |line: String| {
+            input.send(format!("{line}\n").into_bytes()).unwrap();
+            let bytes = written.recv_timeout(Duration::from_secs(5)).unwrap();
+            Json::parse(std::str::from_utf8(&bytes).unwrap().trim_end()).unwrap()
+        };
+        let open = answer(req(1, "s", &format!(r#""op":"open","design":"{design}""#)));
+        assert_eq!(open.get("ok"), Some(&Json::Bool(true)));
+        let edit = answer(req(
+            2,
+            "s",
+            r#""op":"edit","kind":"add_min","from":"alu","to":"out","value":3"#,
+        ));
+        assert_eq!(edit.get("ok"), Some(&Json::Bool(true)));
+        let wal = std::fs::read_to_string(dir.join(wal_file_name("s"))).unwrap();
+        drop(input);
+        server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            wal.lines().count(),
+            2,
+            "the answered edit is on disk: {wal}"
+        );
+        assert!(wal.lines().nth(1).unwrap().contains("\"op\":\"add_min\""));
+    }
+
+    #[test]
+    fn sync_journals_visits_only_the_edited_session() {
+        let dir = std::env::temp_dir().join(format!("rsched_sync_dirty_{}", std::process::id()));
+        let router = Router::new(
+            1,
+            &ServeConfig {
+                journal_dir: Some(dir.clone()),
+                ..ServeConfig::default()
+            },
+        );
+        let design = DESIGN.replace('\n', "\\n");
+        let names: Vec<String> = (0..1001).map(|i| format!("s{i}")).collect();
+        for (id, name) in names.iter().enumerate() {
+            let open = req(
+                id as i64,
+                name,
+                &format!(r#""op":"open","design":"{design}""#),
+            );
+            router.execute(0, Json::Null, &Json::parse(&open).unwrap());
+        }
+        router.sync_journals(0);
+        let lengths = || -> Vec<u64> {
+            names
+                .iter()
+                .map(|name| {
+                    std::fs::metadata(dir.join(wal_file_name(name)))
+                        .unwrap()
+                        .len()
+                })
+                .collect()
+        };
+        let before = lengths();
+        let edit = req(
+            0,
+            "s7",
+            r#""op":"edit","kind":"add_min","from":"alu","to":"out","value":3"#,
+        );
+        router.execute(0, Json::Null, &Json::parse(&edit).unwrap());
+        assert_eq!(lock_recover(&router.slots[0]).unsynced, ["s7"]);
+        router.sync_journals(0);
+        let after = lengths();
+        let _ = std::fs::remove_dir_all(&dir);
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            if i == 7 {
+                assert!(a > b, "the edited session's WAL grew");
+            } else {
+                assert_eq!(a, b, "idle session s{i} untouched");
+            }
+        }
     }
 
     #[test]

@@ -20,19 +20,25 @@
 //!              │ bounded write buf (backpressure)           │
 //!              └──────────────┬─────────────▲───────────────┘
 //!                             │ shard queues│ completion queue
-//!                             │ (bounded)   │ + wake pipe
+//!                             │ (bounded;   │ + wake pipe (one
+//!                             │ one wake    │ byte per batch at
+//!                             │ per turn)   │ most)
 //!                             ▼             │
 //!              shard runtime (rsched_engine::runtime, shared
 //!              with stdio): supervised workers, one per slot
-//!                  Router::execute ──► (token, response)
+//!                  Router::execute ──► batch of (token, line)
 //! ```
 //!
 //! Connections are *not* threads: every socket is non-blocking and
 //! multiplexed by a single epoll event loop (raw syscall bindings in
 //! the crate's one `unsafe` module, `poll`), so thousands of idle
 //! clients cost a few hundred bytes each instead of a stack. The event
-//! loop owns every socket; shard workers hand finished responses back
-//! through a completion queue and a wake pipe.
+//! loop owns every socket. The hand-off is batch-shaped both ways: the
+//! loop wakes each sleeping shard worker at most once per turn, and a
+//! worker hands back each drained batch of rendered response lines in
+//! one append to a completion queue, writing a byte to a wake pipe only
+//! when the loop has not already been woken. The loop then sends once
+//! per connection per turn.
 //!
 //! - **Sharding.** Each session is pinned to one shard by
 //!   [`rsched_engine::shard_of`] of its name — the identical consistent

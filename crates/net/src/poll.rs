@@ -140,10 +140,16 @@ pub struct Event {
     pub closed: bool,
 }
 
+/// Readiness reports one [`Poller::wait`] can return.
+const MAX_EVENTS: usize = 1024;
+
 /// A safe epoll instance. Registrations are keyed by caller-chosen
 /// `u64` tokens; the poller never dereferences them.
 pub struct Poller {
     epfd: RawFd,
+    /// The kernel's report buffer, allocated once and reused by every
+    /// [`Poller::wait`].
+    buf: Vec<EpollEvent>,
 }
 
 impl Poller {
@@ -154,7 +160,10 @@ impl Poller {
     /// Propagates `epoll_create1` failure (fd exhaustion).
     pub fn new() -> io::Result<Poller> {
         let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(Poller { epfd })
+        Ok(Poller {
+            epfd,
+            buf: vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS],
+        })
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
@@ -196,9 +205,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_wait` failure; `EINTR` is retried internally.
-    pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        const MAX_EVENTS: usize = 1024;
-        let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         let timeout_ms: c_int = match timeout {
             // Round up so a 1ns deadline does not spin at timeout 0.
             Some(t) => {
@@ -207,8 +214,14 @@ impl Poller {
             None => -1,
         };
         let n = loop {
-            let ret =
-                unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), MAX_EVENTS as c_int, timeout_ms) };
+            let ret = unsafe {
+                epoll_wait(
+                    self.epfd,
+                    self.buf.as_mut_ptr(),
+                    MAX_EVENTS as c_int,
+                    timeout_ms,
+                )
+            };
             if ret >= 0 {
                 break ret as usize;
             }
@@ -217,7 +230,7 @@ impl Poller {
                 return Err(err);
             }
         };
-        for ev in &buf[..n] {
+        for ev in &self.buf[..n] {
             // Copy out of the (possibly packed) struct before use.
             let bits = ev.events;
             let token = ev.data;
@@ -291,14 +304,16 @@ impl WakePipe {
         Waker { fd: self.write_fd }
     }
 
-    /// Drains every pending wake byte so a burst of notifications
-    /// collapses into one loop iteration.
+    /// Drains the pending wake bytes so a burst of notifications
+    /// collapses into one loop iteration. Stops after a short read: the
+    /// pipe is level-triggered, so bytes written after it are reported
+    /// again.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
             let n = unsafe { read(self.read_fd, buf.as_mut_ptr().cast(), buf.len()) };
-            if n <= 0 {
-                return; // Empty (EAGAIN), EOF, or a transient error.
+            if n < buf.len() as isize {
+                return; // Short, empty (EAGAIN), EOF, or a transient error.
             }
         }
     }
@@ -380,7 +395,7 @@ mod tests {
 
     #[test]
     fn wake_pipe_wakes_and_coalesces() {
-        let poller = Poller::new().expect("epoll");
+        let mut poller = Poller::new().expect("epoll");
         let pipe = WakePipe::new().expect("pipe");
         poller
             .add(
@@ -429,7 +444,7 @@ mod tests {
         let (server, _) = listener.accept().expect("accept");
         server.set_nonblocking(true).expect("nonblocking");
 
-        let poller = Poller::new().expect("epoll");
+        let mut poller = Poller::new().expect("epoll");
         poller
             .add(
                 server.as_raw_fd(),

@@ -23,9 +23,9 @@
 //! ```
 //!
 //! Every transition runs on the event-loop thread; shard workers only
-//! ever see `(token, request)` pairs and hand `(token, response)` pairs
-//! back through the completion queue, so no socket is ever touched from
-//! two threads.
+//! ever see `(token, request)` pairs and hand batches of `(token,
+//! response line)` pairs back through the completion queue, so no socket
+//! is ever touched from two threads.
 
 use std::collections::HashSet;
 use std::io::{self, Read, Write};
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use rsched_engine::error_response;
 use rsched_engine::json::{object, Json};
-use rsched_engine::runtime::{lock_recover, Frame, Intake, Runtime, Sink};
+use rsched_engine::runtime::{lock_recover, Frame, Intake, Reply, Runtime, Sink};
 use rsched_graph::failpoint;
 
 use crate::poll::{self, Event, Interest, Poller, WakePipe};
@@ -179,19 +179,47 @@ impl Conn {
     }
 }
 
-/// Finished `(token, response)` pairs on their way from the shard
+/// Finished `(token, response line)` pairs on their way from the shard
 /// workers back to the event loop, which owns all sockets.
 struct Completions {
-    done: Mutex<Vec<(u64, Json)>>,
+    done: Mutex<Done>,
     waker: poll::Waker,
+}
+
+struct Done {
+    replies: Vec<(u64, Reply)>,
+    /// A wake byte is owed to, or already on its way to, the loop.
+    woken: bool,
+}
+
+impl Completions {
+    /// Swaps the finished replies into `into` (empty, capacity kept).
+    ///
+    /// No completion is stranded. `woken` lives under the list's lock
+    /// and the loop clears it as it takes the list, so a batch appended
+    /// after a take finds it clear and writes a wake byte. A batch that
+    /// finds it set joins a list that is not taken yet, and the byte of
+    /// the batch that set it wakes the loop to take it.
+    fn take(&self, into: &mut Vec<(u64, Reply)>) {
+        let mut done = lock_recover(&self.done);
+        done.woken = false;
+        std::mem::swap(&mut done.replies, into);
+    }
 }
 
 impl Sink for Completions {
     type Tag = u64;
 
-    fn deliver(&self, token: u64, response: Json) {
-        lock_recover(&self.done).push((token, response));
-        self.waker.wake();
+    /// One lock and at most one wake byte per batch.
+    fn deliver(&self, batch: &mut Vec<(u64, Reply)>) {
+        let wake = {
+            let mut done = lock_recover(&self.done);
+            done.replies.append(batch);
+            !std::mem::replace(&mut done.woken, true)
+        };
+        if wake {
+            self.waker.wake();
+        }
     }
 }
 
@@ -304,7 +332,10 @@ impl NetServer {
         listener.set_nonblocking()?;
         let runtime = Runtime::new(&config.engine);
         let completions = Completions {
-            done: Mutex::new(Vec::new()),
+            done: Mutex::new(Done {
+                replies: Vec::new(),
+                woken: false,
+            }),
             waker: wake.waker(),
         };
         let counters = runtime.run(&completions, |intake| -> io::Result<LoopCounters> {
@@ -323,9 +354,8 @@ impl NetServer {
             el.run_loop()?;
             Ok(el.c)
             // `el` drops here with its intake: the shard queues close,
-            // the workers drain what's left (responses to now-dead
-            // tokens are discarded), group-commit their journals, and
-            // exit before `run` returns.
+            // the workers answer what's left (responses to now-dead
+            // tokens are discarded) and exit before `run` returns.
         })?;
 
         if let Listen::Unix(path) = &resolved {
@@ -404,6 +434,10 @@ struct EventLoop<'a> {
     /// Reused read scratch (taken/restored around reads to satisfy the
     /// borrow checker without reallocating 64 KiB per event).
     scratch: Vec<u8>,
+    /// Reused list the completion queue is swapped into each turn.
+    replies: Vec<(u64, Reply)>,
+    /// Connections that got replies this turn; flushed once each.
+    touched: Vec<usize>,
     draining: bool,
     drain_deadline: Option<Instant>,
     fatal: Option<io::Error>,
@@ -441,6 +475,8 @@ impl<'a> EventLoop<'a> {
             gens: Vec::new(),
             live: 0,
             scratch: vec![0u8; 64 * 1024],
+            replies: Vec::new(),
+            touched: Vec::new(),
             draining: false,
             drain_deadline: None,
             fatal: None,
@@ -458,6 +494,8 @@ impl<'a> EventLoop<'a> {
                 return Ok(());
             }
             events.clear();
+            // Workers given work this turn wake once each, here.
+            self.intake.flush();
             self.poller.wait(&mut events, self.next_timeout())?;
             for ev in &events {
                 match ev.token {
@@ -612,6 +650,15 @@ impl<'a> EventLoop<'a> {
                     // are not in-flight; the client gets `going_away`.
                     if !self.draining {
                         self.ingest(idx, &scratch[..n]);
+                        // Answers made at intake leave in one send.
+                        if self.conns[idx].as_ref().is_some_and(|c| c.pending() > 0) {
+                            self.flush_conn(idx);
+                        }
+                    }
+                    // A short read emptied the socket; level-triggered
+                    // epoll reports any later bytes (or EOF) next turn.
+                    if n < scratch.len() {
+                        break;
                     }
                 }
                 ReadStep::Eof | ReadStep::Blocked => break,
@@ -698,11 +745,10 @@ impl<'a> EventLoop<'a> {
         let max = self.config.max_frame_bytes;
         self.queue_response(
             idx,
-            error_response(
+            &error_response(
                 Json::Null,
                 format!("oversize frame: exceeds {max} byte cap"),
             ),
-            true,
         );
     }
 
@@ -711,10 +757,10 @@ impl<'a> EventLoop<'a> {
     fn intake_frame(&mut self, idx: usize, raw: &[u8]) {
         let routed = match self.intake.frame(raw) {
             Frame::Skip => return,
-            Frame::Answer(response) => return self.queue_response(idx, response, true),
+            Frame::Answer(response) => return self.queue_response(idx, &response),
             Frame::Health(id) => {
                 let response = self.health_response(id);
-                return self.queue_response(idx, response, true);
+                return self.queue_response(idx, &response);
             }
             Frame::Route(routed) => routed,
         };
@@ -728,13 +774,12 @@ impl<'a> EventLoop<'a> {
                 self.c.quota_rejections += 1;
                 self.queue_response(
                     idx,
-                    error_response(
+                    &error_response(
                         routed.id,
                         format!(
                             "quota exceeded: {max} request(s) already in flight on this connection"
                         ),
                     ),
-                    true,
                 );
                 return;
             }
@@ -753,11 +798,10 @@ impl<'a> EventLoop<'a> {
                     self.c.quota_rejections += 1;
                     self.queue_response(
                         idx,
-                        error_response(
+                        &error_response(
                             routed.id,
                             format!("quota exceeded: connection already holds {max} session(s)"),
                         ),
-                        true,
                     );
                     return;
                 }
@@ -776,7 +820,7 @@ impl<'a> EventLoop<'a> {
         conn.inflight += 1;
         if let Err(response) = self.intake.dispatch(routed, conn.token) {
             conn.inflight -= 1;
-            self.queue_response(idx, response, true);
+            self.queue_response(idx, &response);
         }
     }
 
@@ -807,25 +851,22 @@ impl<'a> EventLoop<'a> {
         response
     }
 
-    /// Appends one response line to the connection's write buffer and
-    /// pushes it toward the socket. `count_request` marks lines that
-    /// answer a request (vs. `going_away`/eviction notices, which are
-    /// server-initiated and tallied separately).
-    fn queue_response(&mut self, idx: usize, response: Json, count_request: bool) {
-        if self.conns[idx].is_none() {
+    /// Appends an intake-time answer to the connection's write buffer;
+    /// `read_conn` flushes once per chunk read.
+    fn queue_response(&mut self, idx: usize, response: &Json) {
+        self.append_reply(idx, &Reply::new(response));
+    }
+
+    /// Appends the line answering one request to the connection's write
+    /// buffer, without flushing. (`going_away` and eviction notices are
+    /// server-initiated and tallied separately.)
+    fn append_reply(&mut self, idx: usize, reply: &Reply) {
+        let Some(conn) = self.conns[idx].as_mut() else {
             return; // Connection died while the request ran.
-        }
-        if count_request {
-            self.c.responses += 1;
-            if response.get("ok").and_then(Json::as_bool) == Some(false) {
-                self.c.errors += 1;
-            }
-        }
-        let mut line = response.render();
-        line.push('\n');
-        let conn = self.conns[idx].as_mut().expect("checked above");
-        conn.write_buf.extend_from_slice(line.as_bytes());
-        self.flush_conn(idx);
+        };
+        self.c.responses += 1;
+        self.c.errors += usize::from(reply.failed);
+        conn.write_buf.extend_from_slice(reply.line.as_bytes());
     }
 
     fn flush_conn(&mut self, idx: usize) {
@@ -946,11 +987,14 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    /// Delivers finished responses from the shard workers to their
-    /// connections' write buffers.
+    /// Appends finished responses from the shard workers to their
+    /// connections' write buffers, then flushes each touched connection
+    /// once: one send per connection per turn.
     fn handle_completions(&mut self) {
-        let batch = std::mem::take(&mut *lock_recover(&self.completions.done));
-        for (token, response) in batch {
+        let mut replies = std::mem::take(&mut self.replies);
+        let mut touched = std::mem::take(&mut self.touched);
+        self.completions.take(&mut replies);
+        for (token, reply) in replies.drain(..) {
             let idx = (token & u64::from(u32::MAX)) as usize;
             let alive = self
                 .conns
@@ -962,10 +1006,19 @@ impl<'a> EventLoop<'a> {
             }
             let conn = self.conns[idx].as_mut().expect("checked above");
             conn.inflight -= 1;
-            // queue_response flushes, which re-evaluates interest and
-            // (during drain or after EOF) may finish the connection.
-            self.queue_response(idx, response, true);
+            self.append_reply(idx, &reply);
+            touched.push(idx);
         }
+        touched.sort_unstable();
+        touched.dedup();
+        for &idx in &touched {
+            // Flushing re-evaluates interest and (during drain or after
+            // EOF) may finish the connection.
+            self.flush_conn(idx);
+        }
+        touched.clear();
+        self.replies = replies;
+        self.touched = touched;
     }
 
     fn begin_drain(&mut self) {

@@ -368,6 +368,64 @@ fn accept_faults_answer_in_band_and_keep_listening() {
 }
 
 #[test]
+fn pipelined_burst_is_answered_once_in_session_order() {
+    let mut config = loopback_config();
+    config.engine.queue_depth = 256;
+    // Eight sessions, spread over both slots.
+    let sessions: Vec<String> = (0..8).map(|i| format!("burst{i}")).collect();
+    let slots: std::collections::HashSet<usize> = sessions
+        .iter()
+        .map(|name| rsched_engine::shard_of(name, 2))
+        .collect();
+    assert_eq!(slots.len(), 2, "the sessions cover both slots");
+
+    let (listen, handle, join) = spawn_server(config);
+    let mut client = Client::connect_tcp(&listen);
+    // 256 frames in one write: each session's open, then edits in turn.
+    let mut burst = String::new();
+    for id in 0..256u32 {
+        let session = &sessions[id as usize % 8];
+        if id < 8 {
+            burst.push_str(&open_line(session, id));
+        } else {
+            burst.push_str(&format!(
+                "{{\"id\":{id},\"op\":\"edit\",\"session\":\"{session}\",\"kind\":\"set_delay\",\"vertex\":\"alu\",\"delay\":{}}}",
+                1 + id % 3
+            ));
+        }
+        burst.push('\n');
+    }
+    client.writer.write_all(burst.as_bytes()).expect("write");
+
+    let mut answered = vec![false; 256];
+    let mut last = [None::<i64>; 8];
+    for _ in 0..256 {
+        let response = client.recv();
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response:?}");
+        let id = response
+            .get("id")
+            .and_then(Json::as_i64)
+            .expect("id echoed");
+        assert!(!answered[id as usize], "request {id} answered twice");
+        answered[id as usize] = true;
+        let session = id as usize % 8;
+        assert!(
+            last[session] < Some(id),
+            "session {session}: {id} answered after {:?}",
+            last[session]
+        );
+        last[session] = Some(id);
+    }
+
+    drop(client);
+    handle.shutdown();
+    let summary = join.join().expect("server thread");
+    assert_eq!(summary.requests, 256);
+    assert_eq!(summary.errors, 0);
+    assert_eq!(summary.shed, 0);
+}
+
+#[test]
 fn worker_kill_mid_stream_loses_no_requests() {
     let mut config = loopback_config();
     config.engine.workers = 1;
