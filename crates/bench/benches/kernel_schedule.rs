@@ -8,6 +8,12 @@
 //! - `kernel_t<N>/…` — [`rsched_core::schedule_threaded`], the kernel with
 //!   anchor columns fanned over `N` workers.
 //!
+//! A `reschedule_warm/250` vs `kernel/250` pair prices warm seeding on
+//! a 250-op random design: both run on one prebuilt kernel, the first
+//! with every anchor seeded from the design's own fixpoint (so its
+//! fixpoint is a single round and the seeding cost shows), the second
+//! cold.
+//!
 //! A `batch/…` group additionally schedules a fleet of independent designs
 //! serially vs fanned through a shared [`rsched_core::WorkPool`] — the
 //! same executor the `batch_schedule` service request uses.
@@ -30,10 +36,13 @@ use std::sync::{Arc, Mutex};
 
 use criterion::{BenchmarkId, Criterion, SummaryWriter};
 
-use rsched_core::{schedule, schedule_reference, schedule_threaded, RelativeSchedule, WorkPool};
+use rsched_core::{
+    reschedule_on, schedule, schedule_reference, schedule_threaded, schedule_with_sets_on,
+    AnchorSets, RelativeSchedule, WorkPool,
+};
 use rsched_designs::paper::fig10;
 use rsched_designs::random::{random_constraint_graph, RandomGraphConfig};
-use rsched_graph::ConstraintGraph;
+use rsched_graph::{ConstraintGraph, ScheduleKernel};
 
 const LARGEST: &str = "rand_800";
 const BATCH_DESIGNS: usize = 8;
@@ -159,6 +168,42 @@ fn kernel_schedule(c: &mut Criterion, threads: usize) {
     group.finish();
 }
 
+fn warm_seeding(c: &mut Criterion) {
+    let ops = 250;
+    let graph = random_constraint_graph(
+        ops as u64,
+        &RandomGraphConfig {
+            n_ops: ops,
+            ..Default::default()
+        },
+    );
+    let sets = AnchorSets::compute(&graph).expect("random graphs are acyclic");
+    let family = sets.family();
+    let kernel = ScheduleKernel::build(&graph).expect("random graphs are acyclic");
+    let prev = schedule(&graph).expect("random graphs schedule");
+    let warm = family.anchors().to_vec();
+    let warmed = reschedule_on(&kernel, family, &prev, &warm, 1).expect("feasible");
+    assert_eq!(
+        warmed.iterations(),
+        1,
+        "a seed at the fixpoint converges at once"
+    );
+    for v in graph.vertex_ids() {
+        assert!(
+            warmed.offsets_of(v).eq(prev.offsets_of(v)),
+            "warm offsets of {v} must equal the cold fixpoint"
+        );
+    }
+    let mut group = c.benchmark_group("kernel_schedule");
+    group.bench_with_input(BenchmarkId::new("reschedule_warm", ops), &kernel, |b, k| {
+        b.iter(|| reschedule_on(k, family, &prev, &warm, 1).expect("feasible"))
+    });
+    group.bench_with_input(BenchmarkId::new("kernel", ops), &kernel, |b, k| {
+        b.iter(|| schedule_with_sets_on(k, family, 1).expect("feasible"))
+    });
+    group.finish();
+}
+
 fn batch(c: &mut Criterion, threads: usize) {
     let fleet = Arc::new(batch_fleet());
     // One long-lived pool per mode, exactly like the service: the pool
@@ -193,6 +238,7 @@ fn main() {
         .warm_up_time(std::time::Duration::from_millis(warm_ms))
         .measurement_time(std::time::Duration::from_millis(measure_ms));
     kernel_schedule(&mut criterion, threads);
+    warm_seeding(&mut criterion);
     batch(&mut criterion, threads);
     let results = criterion.take_results();
 

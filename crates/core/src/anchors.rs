@@ -206,6 +206,11 @@ impl AnchorSetFamily {
         graph.operation_ids().map(|v| self.cardinality(v)).sum()
     }
 
+    /// Number of vertex rows.
+    pub(crate) fn n_vertices(&self) -> usize {
+        self.n_vertices
+    }
+
     /// Sum of cardinalities over every vertex (no graph needed).
     pub(crate) fn total_bits(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
@@ -218,27 +223,15 @@ impl AnchorSetFamily {
     /// `out.contains(perm(v), perm(a)) == self.contains(v, a)`.
     ///
     /// Used by the canonical-form schedule cache to move anchor sets
-    /// between the original and canonical index spaces.
+    /// between the original and canonical index spaces. The old → new
+    /// column map is built once; rows are then walked word by word, so
+    /// the cost is one step per member plus one per word.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if `perm` is not a bijection of the right
     /// length.
     pub fn remapped(&self, perm: &[u32]) -> AnchorSetFamily {
-        self.remapped_with(perm, |_, _, _, _| {})
-    }
-
-    /// [`Self::remapped`], calling `moved(v, i, perm(v), j)` for every
-    /// member bit as it moves from column `i` of row `v` to column `j` of
-    /// row `perm(v)`.
-    ///
-    /// The old → new column map is built once; rows are then walked word
-    /// by word, so the cost is one step per member plus one per word.
-    pub(crate) fn remapped_with(
-        &self,
-        perm: &[u32],
-        mut moved: impl FnMut(usize, usize, usize, usize),
-    ) -> AnchorSetFamily {
         debug_assert_eq!(perm.len(), self.n_vertices);
         // Old columns in new roster order: the roster is id-sorted, so
         // sorting by the mapped id deals out the new columns.
@@ -261,7 +254,6 @@ impl AnchorSetFamily {
             for i in self.set_indices(VertexId::from_index(v)) {
                 let j = column[i] as usize;
                 bits[nv * w + j / 64] |= 1u64 << (j % 64);
-                moved(v, i, nv, j);
             }
         }
         AnchorSetFamily {

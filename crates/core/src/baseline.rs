@@ -51,7 +51,7 @@ pub fn schedule_by_decomposition_with(
     graph: &ConstraintGraph,
     sets: &AnchorSets,
 ) -> Result<RelativeSchedule, ScheduleError> {
-    let mut omega = RelativeSchedule::with_zero_offsets(sets.family().clone(), graph.n_vertices());
+    let mut omega = RelativeSchedule::zeroed(sets.family().clone());
     let n = graph.n_vertices();
     for (ai, &a) in sets.anchors().iter().enumerate() {
         // Membership test: v is in the subgraph iff it tracks `a` (or is

@@ -23,13 +23,21 @@ use crate::wellposed::{check_well_posed_with, WellPosedness};
 
 /// A relative schedule: one offset `σ_a(v)` per `(vertex, anchor)` pair
 /// with `a` in the vertex's tracked anchor set.
+///
+/// Only those pairs are stored (Definition 3 defines nothing else): the
+/// offsets are packed row by row, each vertex's row holding its tracked
+/// anchors' offsets in anchor-index order. Storage is therefore
+/// `tracked pairs × 8 + (|V| + 1) × 4` bytes, not a dense `|V| × |A|`
+/// matrix — the fixpoint unpacks into a run-local dense scratch and packs
+/// the result, so nothing dense outlives a run.
 #[derive(Clone, PartialEq, Eq)]
 pub struct RelativeSchedule {
     sets: AnchorSetFamily,
-    /// Dense `|V| × |A|` offset matrix; meaningful only where `sets` has
-    /// the corresponding bit.
+    /// Prefix counts of the family's bit rows (`|V| + 1` entries):
+    /// `offsets[row_start[v]..row_start[v + 1]]` is `v`'s row.
+    row_start: Vec<u32>,
+    /// The tracked offsets, packed row by row.
     offsets: Vec<i64>,
-    n_anchors: usize,
     iterations: usize,
 }
 
@@ -37,7 +45,7 @@ impl fmt::Debug for RelativeSchedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = f.debug_struct("RelativeSchedule");
         s.field("iterations", &self.iterations);
-        let rows: Vec<String> = (0..self.offsets.len() / self.n_anchors.max(1))
+        let rows: Vec<String> = (0..self.n_vertices())
             .map(|vi| {
                 let v = VertexId::from_index(vi);
                 let offs: Vec<String> = self
@@ -52,30 +60,88 @@ impl fmt::Debug for RelativeSchedule {
     }
 }
 
+/// The number of set bits of `row` below column `i`: the position of
+/// column `i` within a packed row.
+#[inline]
+fn rank(row: &[u64], i: usize) -> usize {
+    let k = i >> 6;
+    let below: u32 = row[..k].iter().map(|w| w.count_ones()).sum();
+    (below + (row[k] & ((1u64 << (i & 63)) - 1)).count_ones()) as usize
+}
+
+/// Calls `f` with the column of every set bit of `row`, ascending.
+#[inline]
+fn for_each_member(row: &[u64], mut f: impl FnMut(usize)) {
+    for (k, &word) in row.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f((k << 6) | bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
 impl RelativeSchedule {
-    fn new(sets: AnchorSetFamily, n_vertices: usize) -> Self {
-        let n_anchors = sets.n_anchors();
+    /// Packs `value(v, i)` for every tracked pair (vertex index `v`,
+    /// anchor index `i`) of `sets`, row by row.
+    fn pack(
+        sets: AnchorSetFamily,
+        iterations: usize,
+        mut value: impl FnMut(usize, usize) -> i64,
+    ) -> Self {
+        let n = sets.n_vertices();
+        let mut row_start = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(sets.total_bits());
+        row_start.push(0);
+        for vi in 0..n {
+            for_each_member(sets.row_words(VertexId::from_index(vi)), |i| {
+                offsets.push(value(vi, i));
+            });
+            row_start.push(u32::try_from(offsets.len()).expect("fewer than 2^32 tracked pairs"));
+        }
         RelativeSchedule {
             sets,
-            offsets: vec![0; n_vertices * n_anchors],
-            n_anchors,
-            iterations: 0,
+            row_start,
+            offsets,
+            iterations,
         }
     }
 
-    /// Zero-initialized schedule for external fillers (baselines).
-    pub(crate) fn with_zero_offsets(sets: AnchorSetFamily, n_vertices: usize) -> Self {
-        Self::new(sets, n_vertices)
+    /// Packs a run's dense `|V| × |A|` scratch (`data[v * |A| + i]`).
+    fn from_dense(sets: AnchorSetFamily, data: &[i64], iterations: usize) -> Self {
+        let k = sets.n_anchors();
+        Self::pack(sets, iterations, |v, i| data[v * k + i])
     }
 
-    /// Raw offset write by anchor index (baselines only).
+    /// A schedule with every tracked offset at zero.
+    pub(crate) fn zeroed(sets: AnchorSetFamily) -> Self {
+        Self::pack(sets, 0, |_, _| 0)
+    }
+
+    /// Raw offset write by anchor index (baselines only); the pair must
+    /// be tracked.
     pub(crate) fn set_offset_raw(&mut self, v: VertexId, anchor_index: usize, value: i64) {
-        let i = self.idx(v, anchor_index);
-        self.offsets[i] = value;
+        let slot = self.slot(v.index(), anchor_index);
+        self.offsets[slot] = value;
     }
 
-    fn idx(&self, v: VertexId, anchor_index: usize) -> usize {
-        v.index() * self.n_anchors + anchor_index
+    fn n_vertices(&self) -> usize {
+        self.row_start.len() - 1
+    }
+
+    /// The packed offsets of vertex index `v`, in anchor-index order.
+    fn row(&self, v: usize) -> &[i64] {
+        &self.offsets[self.row_start[v] as usize..self.row_start[v + 1] as usize]
+    }
+
+    /// Position in `offsets` of the tracked pair (vertex index `v`,
+    /// anchor index `i`).
+    fn slot(&self, v: usize, i: usize) -> usize {
+        debug_assert!(
+            self.sets.row_words(VertexId::from_index(v))[i >> 6] >> (i & 63) & 1 != 0,
+            "untracked pair"
+        );
+        self.row_start[v] as usize + rank(self.sets.row_words(VertexId::from_index(v)), i)
     }
 
     /// The offset `σ_a(v)`, or `None` when `a` is not a tracked anchor of
@@ -84,7 +150,7 @@ impl RelativeSchedule {
     pub fn offset(&self, v: VertexId, a: VertexId) -> Option<i64> {
         let ai = self.sets.anchor_index(a)?;
         if self.sets.contains(v, a) {
-            Some(self.offsets[self.idx(v, ai)])
+            Some(self.offsets[self.slot(v.index(), ai)])
         } else {
             None
         }
@@ -95,7 +161,8 @@ impl RelativeSchedule {
         let anchors = self.sets.anchors();
         self.sets
             .set_indices(v)
-            .map(move |i| (anchors[i], self.offsets[self.idx(v, i)]))
+            .zip(self.row(v.index()))
+            .map(move |(i, &o)| (anchors[i], o))
     }
 
     /// The anchor-set family the schedule tracks offsets for (full `A(v)`
@@ -121,9 +188,9 @@ impl RelativeSchedule {
         let Some(ai) = self.sets.anchor_index(a) else {
             return 0;
         };
-        (0..self.offsets.len() / self.n_anchors)
+        (0..self.n_vertices())
             .filter(|&vi| self.sets.contains(VertexId::from_index(vi), a))
-            .map(|vi| self.offsets[vi * self.n_anchors + ai])
+            .map(|vi| self.offsets[self.slot(vi, ai)])
             .max()
             .unwrap_or(0)
     }
@@ -172,20 +239,48 @@ impl RelativeSchedule {
     /// must be a bijection over the vertex indices. The tracked family is
     /// remapped via [`AnchorSetFamily::remapped`] and every tracked
     /// offset moves with its `(vertex, anchor)` pair, so
-    /// `out.offset(perm(v), perm(a)) == self.offset(v, a)`. Untracked
-    /// slots stay zero — the same invariant the scheduler maintains — so
-    /// a remapped schedule is bit-identical to one computed natively in
-    /// the target labeling (the cache-hit contract, fuzzer-enforced).
+    /// `out.offset(perm(v), perm(a)) == self.offset(v, a)` and the result
+    /// is bit-identical to one computed natively in the target labeling
+    /// (the cache-hit contract, fuzzer-enforced).
     pub fn remapped(&self, perm: &[u32]) -> RelativeSchedule {
-        let k = self.n_anchors;
+        let sets = self.sets.remapped(perm);
+        // New column of each old anchor index.
+        let column: Vec<usize> = self
+            .anchors()
+            .iter()
+            .map(|a| {
+                sets.anchor_index(VertexId::from_index(perm[a.index()] as usize))
+                    .expect("the roster maps onto the remapped roster")
+            })
+            .collect();
+        // Row `perm(v)` holds as many pairs as row `v`.
+        let n = self.n_vertices();
+        let mut row_start = vec![0u32; n + 1];
+        for (v, &nv) in perm.iter().enumerate() {
+            row_start[nv as usize + 1] = self.row_start[v + 1] - self.row_start[v];
+        }
+        for v in 0..n {
+            row_start[v + 1] += row_start[v];
+        }
+        // Each row is scattered by new column into `by_column`, then
+        // gathered in the new row's bit order.
+        let mut by_column = vec![0; column.len()];
         let mut offsets = vec![0; self.offsets.len()];
-        let sets = self.sets.remapped_with(perm, |v, i, nv, j| {
-            offsets[nv * k + j] = self.offsets[v * k + i];
-        });
+        for (v, &nv) in perm.iter().enumerate() {
+            let nv = nv as usize;
+            let mut src = self.row(v).iter();
+            for_each_member(self.sets.row_words(VertexId::from_index(v)), |i| {
+                by_column[column[i]] = *src.next().expect("one offset per member");
+            });
+            let mut dst = offsets[row_start[nv] as usize..row_start[nv + 1] as usize].iter_mut();
+            for_each_member(sets.row_words(VertexId::from_index(nv)), |j| {
+                *dst.next().expect("rows keep their size") = by_column[j];
+            });
+        }
         RelativeSchedule {
             sets,
+            row_start,
             offsets,
-            n_anchors: k,
             iterations: self.iterations,
         }
     }
@@ -195,32 +290,28 @@ impl RelativeSchedule {
     /// that lets `recover` skip the re-schedule.
     ///
     /// Every triple must name a tracked pair and every tracked pair must
-    /// be covered exactly once; returns `None` otherwise (callers fall
-    /// back to scheduling from scratch). Untracked slots are zero, so the
-    /// result is bit-identical to the schedule that was serialized.
+    /// be covered exactly once, over a family of `n_vertices` rows;
+    /// returns `None` otherwise (callers fall back to scheduling from
+    /// scratch). The result is bit-identical to the schedule that was
+    /// serialized.
     pub fn from_offsets(
         sets: AnchorSetFamily,
         n_vertices: usize,
         offsets: &[(VertexId, VertexId, i64)],
         iterations: usize,
     ) -> Option<RelativeSchedule> {
-        let expected = sets.total_bits();
-        if offsets.len() != expected {
+        if sets.n_vertices() != n_vertices || offsets.len() != sets.total_bits() {
             return None;
         }
-        let mut omega = RelativeSchedule {
-            n_anchors: sets.n_anchors(),
-            offsets: vec![0; n_vertices * sets.n_anchors()],
-            sets,
-            iterations,
-        };
+        let mut omega = RelativeSchedule::zeroed(sets);
+        omega.iterations = iterations;
         let mut seen = vec![false; omega.offsets.len()];
         for &(v, a, offset) in offsets {
             if v.index() >= n_vertices || !omega.sets.contains(v, a) {
                 return None;
             }
             let ai = omega.sets.anchor_index(a)?;
-            let slot = omega.idx(v, ai);
+            let slot = omega.slot(v.index(), ai);
             if seen[slot] {
                 return None;
             }
@@ -239,25 +330,98 @@ impl RelativeSchedule {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `smaller` is not a per-vertex subset of
-    /// the tracked sets.
+    /// Panics if `smaller` is not a per-vertex subset of the tracked sets.
     pub fn restrict(&self, smaller: &AnchorSetFamily) -> RelativeSchedule {
-        debug_assert_eq!(smaller.n_anchors(), self.sets.n_anchors());
-        let n_vertices = self.offsets.len() / self.n_anchors.max(1);
-        if cfg!(debug_assertions) {
-            for vi in 0..n_vertices {
+        assert_eq!(smaller.n_anchors(), self.sets.n_anchors());
+        assert_eq!(smaller.n_vertices(), self.n_vertices());
+        for vi in 0..self.n_vertices() {
+            let v = VertexId::from_index(vi);
+            let (small, own) = (smaller.row_words(v), self.sets.row_words(v));
+            assert!(
+                small.iter().zip(own).all(|(s, o)| s & !o == 0),
+                "restriction must shrink sets"
+            );
+        }
+        RelativeSchedule::pack(smaller.clone(), self.iterations, |v, i| {
+            self.offsets[self.slot(v, i)]
+        })
+    }
+}
+
+/// The additive fast path's in-place updates.
+impl RelativeSchedule {
+    /// Readies the previous fixpoint for a relaxation over `sets`, the
+    /// family after an additive edit: re-packed once when `changed_sets`
+    /// grew it (surviving pairs keep their offsets, new pairs start at
+    /// 0), and marked as one iteration.
+    fn regrow(&mut self, sets: &AnchorSetFamily, changed_sets: &[VertexId]) {
+        debug_assert_eq!(
+            sets.anchors(),
+            self.sets.anchors(),
+            "additive edits keep the anchor roster"
+        );
+        if changed_sets.is_empty() {
+            debug_assert!(self.sets == *sets, "no set change means identical families");
+        } else {
+            let old = std::mem::replace(self, RelativeSchedule::zeroed(sets.clone()));
+            for vi in 0..self.n_vertices() {
                 let v = VertexId::from_index(vi);
-                for a in smaller.set(v) {
-                    assert!(self.sets.contains(v, a), "restriction must shrink sets");
+                let (new_row, old_row) = (sets.row_words(v), old.sets.row_words(v));
+                let dst = self.row_start[vi] as usize;
+                let src = old.row_start[vi] as usize;
+                let (mut nbase, mut obase) = (0, 0);
+                for (&nw, &ow) in new_row.iter().zip(old_row) {
+                    let mut bits = nw & ow;
+                    while bits != 0 {
+                        let low = (1u64 << bits.trailing_zeros()) - 1;
+                        bits &= bits - 1;
+                        self.offsets[dst + nbase + (nw & low).count_ones() as usize] =
+                            old.offsets[src + obase + (ow & low).count_ones() as usize];
+                    }
+                    nbase += nw.count_ones() as usize;
+                    obase += ow.count_ones() as usize;
                 }
             }
         }
-        RelativeSchedule {
-            sets: smaller.clone(),
-            offsets: self.offsets.clone(),
-            n_anchors: self.n_anchors,
-            iterations: self.iterations,
+        self.iterations = 1;
+    }
+
+    /// One relaxation of the edge `(t, h)` of zeroed weight `w`: every
+    /// anchor tracked at both endpoints (found by walking `tail_row &
+    /// head_row` a word at a time), plus for forward edges the
+    /// `σ_t(t) = 0` base case. Returns whether any head offset rose.
+    fn relax_edge(&mut self, t: usize, h: usize, w: i64, forward: bool) -> bool {
+        let (tv, hv) = (VertexId::from_index(t), VertexId::from_index(h));
+        let (trow, hrow) = (self.sets.row_words(tv), self.sets.row_words(hv));
+        let (mut tpos, mut hpos) = (self.row_start[t] as usize, self.row_start[h] as usize);
+        let mut raised = false;
+        for (&tw, &hw) in trow.iter().zip(hrow) {
+            let mut bits = tw & hw;
+            while bits != 0 {
+                let low = (1u64 << bits.trailing_zeros()) - 1;
+                bits &= bits - 1;
+                let cand = self.offsets[tpos + (tw & low).count_ones() as usize] + w;
+                let slot = &mut self.offsets[hpos + (hw & low).count_ones() as usize];
+                if cand > *slot {
+                    *slot = cand;
+                    raised = true;
+                }
+            }
+            tpos += tw.count_ones() as usize;
+            hpos += hw.count_ones() as usize;
         }
+        if forward {
+            if let Some(ai) = self.sets.anchor_index(tv) {
+                if self.sets.contains(hv, tv) {
+                    let slot = self.slot(h, ai);
+                    if w > self.offsets[slot] {
+                        self.offsets[slot] = w;
+                        raised = true;
+                    }
+                }
+            }
+        }
+        raised
     }
 }
 
@@ -433,8 +597,8 @@ pub fn schedule_with_sets_tuned(
     sets: &AnchorSetFamily,
     tuning: FixpointTuning,
 ) -> Result<RelativeSchedule, ScheduleError> {
-    let omega = RelativeSchedule::new(sets.clone(), kernel.n_vertices());
-    kernel_run_from(kernel, omega, tuning)
+    let dense = vec![0; kernel.n_vertices() * sets.n_anchors()];
+    kernel_run_from(kernel, sets.clone(), dense, tuning)
 }
 
 /// [`schedule`] with per-iteration snapshots (used to reproduce Fig. 10).
@@ -534,8 +698,8 @@ pub fn reschedule_tuned(
     warm_anchors: &[VertexId],
     tuning: FixpointTuning,
 ) -> Result<RelativeSchedule, ScheduleError> {
-    let omega = seeded_omega(kernel.n_vertices(), sets, prev, warm_anchors);
-    kernel_run_from(kernel, omega, tuning)
+    let dense = seeded_dense(kernel.n_vertices(), sets, prev, warm_anchors);
+    kernel_run_from(kernel, sets.clone(), dense, tuning)
 }
 
 /// The pre-kernel adjacency-walking implementation of [`reschedule`],
@@ -551,33 +715,75 @@ pub fn reschedule_reference(
     prev: &RelativeSchedule,
     warm_anchors: &[VertexId],
 ) -> Result<RelativeSchedule, ScheduleError> {
-    let omega = seeded_omega(graph.n_vertices(), sets, prev, warm_anchors);
-    run_from(graph, omega, None)
+    let dense = seeded_dense(graph.n_vertices(), sets, prev, warm_anchors);
+    run_from(graph, sets.clone(), dense, None)
 }
 
-/// Fresh schedule seeded with `prev`'s offsets on the `warm_anchors`
-/// columns (where both families track the `(vertex, anchor)` pair); all
-/// other slots start at zero.
-fn seeded_omega(
+/// A run's dense `|V| × |A|` scratch over `sets`, seeded with `prev`'s
+/// offsets on the `warm_anchors` columns (where both families track the
+/// `(vertex, anchor)` pair); all other slots start at zero.
+///
+/// Each row is seeded word-wise: the new row, the previous row and the
+/// warm mask are ANDed one `u64` at a time and the set bits scattered.
+/// Anchor indices are mapped between the two rosters only when they
+/// differ.
+fn seeded_dense(
     n_vertices: usize,
     sets: &AnchorSetFamily,
     prev: &RelativeSchedule,
     warm_anchors: &[VertexId],
-) -> RelativeSchedule {
-    let mut omega = RelativeSchedule::new(sets.clone(), n_vertices);
+) -> Vec<i64> {
+    let k = sets.n_anchors();
+    let mut dense = vec![0; n_vertices * k];
+    let same_roster = sets.anchors() == prev.anchors();
+    // Warm columns in the new roster, and (only when the rosters differ)
+    // each one's column in `prev`.
+    let mut warm = vec![0u64; k.div_ceil(64).max(1)];
+    let mut old_column = vec![0usize; if same_roster { 0 } else { k }];
     for &a in warm_anchors {
-        let (Some(ai_new), Some(ai_old)) = (sets.anchor_index(a), prev.sets.anchor_index(a)) else {
+        let (Some(i), Some(oi)) = (sets.anchor_index(a), prev.sets.anchor_index(a)) else {
             continue;
         };
-        for vi in 0..n_vertices {
-            let v = VertexId::from_index(vi);
-            if sets.contains(v, a) && prev.sets.contains(v, a) {
-                omega.offsets[vi * omega.n_anchors + ai_new] =
-                    prev.offsets[vi * prev.n_anchors + ai_old];
+        warm[i >> 6] |= 1 << (i & 63);
+        if !same_roster {
+            old_column[i] = oi;
+        }
+    }
+    if warm.iter().all(|&w| w == 0) {
+        return dense;
+    }
+    for vi in 0..n_vertices.min(prev.n_vertices()) {
+        let v = VertexId::from_index(vi);
+        let (new_row, old_row) = (sets.row_words(v), prev.sets.row_words(v));
+        let old = prev.row(vi);
+        let dst = &mut dense[vi * k..(vi + 1) * k];
+        if same_roster {
+            let mut base = 0;
+            for (w, (&nw, &ow)) in new_row.iter().zip(old_row).enumerate() {
+                let mut bits = nw & ow & warm[w];
+                while bits != 0 {
+                    let b = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let pos = base + (ow & ((1u64 << b) - 1)).count_ones() as usize;
+                    dst[(w << 6) | b as usize] = old[pos];
+                }
+                base += ow.count_ones() as usize;
+            }
+        } else {
+            for (w, &nw) in new_row.iter().enumerate() {
+                let mut bits = nw & warm[w];
+                while bits != 0 {
+                    let i = (w << 6) | bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let oi = old_column[i];
+                    if old_row[oi >> 6] >> (oi & 63) & 1 != 0 {
+                        dst[i] = old[rank(old_row, oi)];
+                    }
+                }
             }
         }
     }
-    omega
+    dense
 }
 
 /// Local re-relaxation after one *additive* edit — the incremental
@@ -589,20 +795,21 @@ fn seeded_omega(
 /// whose anchor sets grew under the edit (as returned by
 /// [`AnchorSets::notify_add_edge`](crate::AnchorSets::notify_add_edge)).
 /// Additive edits never change the anchor roster, so `sets` and
-/// `prev.tracked_sets()` share anchors and the dense offset layout.
+/// `prev.tracked_sets()` share anchors.
 ///
-/// Under those preconditions `prev`'s offsets, reinterpreted over `sets`,
-/// are a pointwise lower bound on the new minimum: surviving `(vertex,
-/// anchor)` pairs keep offsets that constraints can only push up, and
-/// newly tracked pairs start from zero (untracked slots are zero in every
-/// schedule the iteration produces). The seed also satisfies every
+/// Under those preconditions `prev`'s offsets, re-packed over `sets`
+/// (once, and only when `changed_sets` is non-empty), are a pointwise
+/// lower bound on the new minimum: surviving `(vertex, anchor)` pairs
+/// keep offsets that constraints can only push up, and newly tracked
+/// pairs start from zero. The seed also satisfies every
 /// constraint except those headed at a `changed_sets` vertex or at the
 /// new edge's head — so relaxing exactly those and worklist-propagating
 /// the raises along out-edges converges to the minimum schedule of
 /// `graph`, touching only the cone of vertices whose offsets actually
 /// move instead of sweeping all `O((|V| + |E|) · |A|)` pairs per
-/// iteration. The schedule is updated **in place** (no `|V| × |A|` matrix
-/// copy — on large designs the copy alone would rival the relaxation).
+/// iteration. The packed rows are updated **in place**: each edge walks
+/// `tail_row & head_row` a word at a time, so an edge costs one step per
+/// shared anchor plus one per word, not one membership test per anchor.
 ///
 /// Returns the vertices whose offsets rose (empty when the new constraint
 /// was already satisfied).
@@ -624,55 +831,18 @@ pub fn relax_additive(
     new_edge: EdgeId,
     changed_sets: &[VertexId],
 ) -> Result<Vec<VertexId>, ScheduleError> {
-    // One relaxation of `e`: all anchor columns tracked at both endpoints,
-    // plus (for forward edges) the σ_tail(tail) = 0 base case — the exact
-    // per-edge rules of `incremental_offset` / `readjust_offsets`.
-    fn relax_edge(
-        omega: &mut RelativeSchedule,
-        anchors: &[VertexId],
-        e: &rsched_graph::Edge,
-    ) -> bool {
-        let n = omega.n_anchors;
-        let (t, h) = (e.from(), e.to());
-        let w = e.weight().zeroed();
-        let mut raised = false;
-        for (ai, &a) in anchors.iter().enumerate() {
-            if !omega.sets.contains(t, a) || !omega.sets.contains(h, a) {
-                continue;
-            }
-            let cand = omega.offsets[t.index() * n + ai] + w;
-            let slot = &mut omega.offsets[h.index() * n + ai];
-            if cand > *slot {
-                *slot = cand;
-                raised = true;
-            }
-        }
-        if e.is_forward() {
-            if let Some(ai) = omega.sets.anchor_index(t) {
-                if omega.sets.contains(h, t) {
-                    let slot = &mut omega.offsets[h.index() * n + ai];
-                    if w > *slot {
-                        *slot = w;
-                        raised = true;
-                    }
-                }
-            }
-        }
-        raised
+    // One relaxation of `e` — the exact per-edge rules of
+    // `incremental_offset` / `readjust_offsets`.
+    fn relax_edge(omega: &mut RelativeSchedule, e: &rsched_graph::Edge) -> bool {
+        omega.relax_edge(
+            e.from().index(),
+            e.to().index(),
+            e.weight().zeroed(),
+            e.is_forward(),
+        )
     }
 
-    debug_assert_eq!(
-        sets.anchors(),
-        prev.sets.anchors(),
-        "additive edits keep the anchor roster"
-    );
-    let anchors = sets.anchors().to_vec();
-    if !changed_sets.is_empty() {
-        prev.sets = sets.clone();
-    } else {
-        debug_assert!(prev.sets == *sets, "no set change means identical families");
-    }
-    prev.iterations = 1;
+    prev.regrow(sets, changed_sets);
     let omega = prev;
     let mut raised_list = Vec::new();
     let mut is_raised = vec![false; graph.n_vertices()];
@@ -683,7 +853,7 @@ pub fn relax_additive(
     // vertex exceeding the budget proves divergence. The bound is per
     // column because FIFO order can interleave raises of different
     // columns.
-    let cap = (graph.n_vertices().max(2) as u32).saturating_mul(anchors.len().max(1) as u32);
+    let cap = (graph.n_vertices().max(2) as u32).saturating_mul(sets.n_anchors().max(1) as u32);
     let mut queue = std::collections::VecDeque::new();
     // Seed: vertices with grown sets have fresh zero columns — their
     // in-constraints need one relaxation now, and their out-constraints
@@ -697,14 +867,14 @@ pub fn relax_additive(
         }
         let mut grew = false;
         for (_, e) in graph.in_edges(v) {
-            grew |= relax_edge(omega, &anchors, e);
+            grew |= relax_edge(omega, e);
         }
         if grew && !is_raised[v.index()] {
             is_raised[v.index()] = true;
             raised_list.push(v);
         }
     }
-    if relax_edge(omega, &anchors, graph.edge(new_edge)) {
+    if relax_edge(omega, graph.edge(new_edge)) {
         let h = graph.edge(new_edge).to();
         if !is_raised[h.index()] {
             raised_list.push(h);
@@ -724,7 +894,7 @@ pub fn relax_additive(
             });
         }
         for (_, e) in graph.out_edges(v) {
-            if relax_edge(omega, &anchors, e) {
+            if relax_edge(omega, e) {
                 let u = e.to();
                 if !is_raised[u.index()] {
                     is_raised[u.index()] = true;
@@ -760,59 +930,7 @@ pub fn relax_additive_on(
     new_edge: EdgeId,
     changed_sets: &[VertexId],
 ) -> Result<Vec<VertexId>, ScheduleError> {
-    // One relaxation of the edge `(t, h, w, forward)` — the kernel twin of
-    // `relax_additive`'s `relax_edge`.
-    fn relax_edge_k(
-        omega: &mut RelativeSchedule,
-        anchors: &[VertexId],
-        t: u32,
-        h: u32,
-        w: i64,
-        forward: bool,
-    ) -> bool {
-        let n = omega.n_anchors;
-        let (tv, hv) = (
-            VertexId::from_index(t as usize),
-            VertexId::from_index(h as usize),
-        );
-        let mut raised = false;
-        for (ai, &a) in anchors.iter().enumerate() {
-            if !omega.sets.contains(tv, a) || !omega.sets.contains(hv, a) {
-                continue;
-            }
-            let cand = omega.offsets[t as usize * n + ai] + w;
-            let slot = &mut omega.offsets[h as usize * n + ai];
-            if cand > *slot {
-                *slot = cand;
-                raised = true;
-            }
-        }
-        if forward {
-            if let Some(ai) = omega.sets.anchor_index(tv) {
-                if omega.sets.contains(hv, tv) {
-                    let slot = &mut omega.offsets[h as usize * n + ai];
-                    if w > *slot {
-                        *slot = w;
-                        raised = true;
-                    }
-                }
-            }
-        }
-        raised
-    }
-
-    debug_assert_eq!(
-        sets.anchors(),
-        prev.sets.anchors(),
-        "additive edits keep the anchor roster"
-    );
-    let anchors = sets.anchors().to_vec();
-    if !changed_sets.is_empty() {
-        prev.sets = sets.clone();
-    } else {
-        debug_assert!(prev.sets == *sets, "no set change means identical families");
-    }
-    prev.iterations = 1;
+    prev.regrow(sets, changed_sets);
     let omega = prev;
     let n_vertices = kernel.n_vertices();
     let mut raised_list = Vec::new();
@@ -821,7 +939,7 @@ pub fn relax_additive_on(
     let mut pops = vec![0u32; n_vertices];
     // Same per-vertex pop budget as the reference path: |V| pops per
     // anchor column before divergence is declared.
-    let cap = (n_vertices.max(2) as u32).saturating_mul(anchors.len().max(1) as u32);
+    let cap = (n_vertices.max(2) as u32).saturating_mul(sets.n_anchors().max(1) as u32);
     let mut queue = std::collections::VecDeque::new();
     // Seed: relax every in-edge of each grown vertex. In-edge relaxations
     // of `v` write only `v`'s own slots and read tails' slots, so visiting
@@ -835,13 +953,13 @@ pub fn relax_additive_on(
         let mut grew = false;
         let (tails, weights) = kernel.forward_in_edges(v.index());
         for (&t, &w) in tails.iter().zip(weights) {
-            grew |= relax_edge_k(omega, &anchors, t, v.index() as u32, w, true);
+            grew |= omega.relax_edge(t as usize, v.index(), w, true);
         }
         for &i in kernel.backward_in_edges(v.index()) {
             let i = i as usize;
             let t = kernel.backward_tails()[i];
             let w = kernel.backward_weights()[i];
-            grew |= relax_edge_k(omega, &anchors, t, v.index() as u32, w, false);
+            grew |= omega.relax_edge(t as usize, v.index(), w, false);
         }
         if grew && !is_raised[v.index()] {
             is_raised[v.index()] = true;
@@ -850,7 +968,7 @@ pub fn relax_additive_on(
     }
     {
         let (t, h, w, forward) = kernel.edge(new_edge);
-        if relax_edge_k(omega, &anchors, t, h, w, forward) {
+        if omega.relax_edge(t as usize, h as usize, w, forward) {
             let hv = VertexId::from_index(h as usize);
             if !is_raised[hv.index()] {
                 raised_list.push(hv);
@@ -872,7 +990,7 @@ pub fn relax_additive_on(
         }
         let (heads, weights, forward) = kernel.out_edges(v.index());
         for (k, &h) in heads.iter().enumerate() {
-            if relax_edge_k(omega, &anchors, v.index() as u32, h, weights[k], forward[k]) {
+            if omega.relax_edge(v.index(), h as usize, weights[k], forward[k]) {
                 let u = VertexId::from_index(h as usize);
                 if !is_raised[u.index()] {
                     is_raised[u.index()] = true;
@@ -893,38 +1011,43 @@ fn run(
     sets: AnchorSetFamily,
     trace: Option<&mut Vec<IterationTrace>>,
 ) -> Result<RelativeSchedule, ScheduleError> {
-    let omega = RelativeSchedule::new(sets, graph.n_vertices());
-    run_from(graph, omega, trace)
+    let dense = vec![0; graph.n_vertices() * sets.n_anchors()];
+    run_from(graph, sets, dense, trace)
 }
 
+/// The reference fixpoint over the run-local dense scratch `data`
+/// (`data[v * |A| + i]`, seeded by the caller; untracked slots are never
+/// read), packed into the result — and into each traced snapshot.
 fn run_from(
     graph: &ConstraintGraph,
-    mut omega: RelativeSchedule,
+    sets: AnchorSetFamily,
+    mut data: Vec<i64>,
     mut trace: Option<&mut Vec<IterationTrace>>,
 ) -> Result<RelativeSchedule, ScheduleError> {
     let topo = graph.forward_topological_order()?;
     let budget = graph.n_backward_edges() + 1;
+    let snapshot = |data: &[i64]| RelativeSchedule::from_dense(sets.clone(), data, 0);
     for iter in 1..=budget {
-        incremental_offset(graph, &topo, &mut omega);
-        let violations = find_violations(graph, &omega);
-        let computed = trace.as_ref().map(|_| omega.clone());
+        incremental_offset(graph, &topo, &sets, &mut data);
+        let violations = find_violations(graph, &sets, &data);
+        let computed = trace.as_ref().map(|_| snapshot(&data));
         if violations.is_empty() {
-            omega.iterations = iter;
             if let Some(trace) = trace.as_mut() {
+                let computed = computed.expect("snapshot exists when tracing");
                 trace.push(IterationTrace {
-                    computed: computed.clone().expect("snapshot exists when tracing"),
+                    computed: computed.clone(),
                     violations: Vec::new(),
-                    readjusted: computed.expect("snapshot exists when tracing"),
+                    readjusted: computed,
                 });
             }
-            return Ok(omega);
+            return Ok(RelativeSchedule::from_dense(sets, &data, iter));
         }
-        readjust_offsets(graph, &mut omega, &violations);
+        readjust_offsets(graph, &sets, &mut data, &violations);
         if let Some(trace) = trace.as_mut() {
             trace.push(IterationTrace {
                 computed: computed.expect("snapshot exists when tracing"),
                 violations: violations.clone(),
-                readjusted: omega.clone(),
+                readjusted: snapshot(&data),
             });
         }
     }
@@ -936,9 +1059,10 @@ fn run_from(
 fn incremental_offset(
     graph: &ConstraintGraph,
     topo: &rsched_graph::ForwardTopo,
-    omega: &mut RelativeSchedule,
+    sets: &AnchorSetFamily,
+    data: &mut [i64],
 ) {
-    let n_anchors = omega.n_anchors;
+    let n_anchors = sets.n_anchors();
     for &v in topo.order() {
         for (_, e) in graph.in_edges(v) {
             if !e.is_forward() {
@@ -948,12 +1072,12 @@ fn incremental_offset(
             let w = e.weight().zeroed();
             // For every anchor tracked by both p and v: relax through p.
             for ai in 0..n_anchors {
-                let a = omega.sets.anchors()[ai];
-                if !omega.sets.contains(p, a) || !omega.sets.contains(v, a) {
+                let a = sets.anchors()[ai];
+                if !sets.contains(p, a) || !sets.contains(v, a) {
                     continue;
                 }
-                let cand = omega.offsets[p.index() * n_anchors + ai] + w;
-                let slot = &mut omega.offsets[v.index() * n_anchors + ai];
+                let cand = data[p.index() * n_anchors + ai] + w;
+                let slot = &mut data[v.index() * n_anchors + ai];
                 if cand > *slot {
                     *slot = cand;
                 }
@@ -963,9 +1087,9 @@ fn incremental_offset(
             // `0 + w`. This is what carries a minimum constraint sourced
             // at an anchor (e.g. the source) into its successor's offset;
             // for unbounded edges (w = 0) it is a no-op.
-            if let Some(ai) = omega.sets.anchor_index(p) {
-                if omega.sets.contains(v, p) {
-                    let slot = &mut omega.offsets[v.index() * n_anchors + ai];
+            if let Some(ai) = sets.anchor_index(p) {
+                if sets.contains(v, p) {
+                    let slot = &mut data[v.index() * n_anchors + ai];
                     if w > *slot {
                         *slot = w;
                     }
@@ -976,20 +1100,18 @@ fn incremental_offset(
 }
 
 /// A violated backward edge with the anchors requiring readjustment.
-fn find_violations(graph: &ConstraintGraph, omega: &RelativeSchedule) -> Vec<EdgeId> {
-    let n_anchors = omega.n_anchors;
+fn find_violations(graph: &ConstraintGraph, sets: &AnchorSetFamily, data: &[i64]) -> Vec<EdgeId> {
+    let n_anchors = sets.n_anchors();
     let mut out = Vec::new();
     'edges: for (id, e) in graph.backward_edges() {
         let (t, h) = (e.from(), e.to());
         let w = e.weight().zeroed();
         for ai in 0..n_anchors {
-            let a = omega.sets.anchors()[ai];
-            if !omega.sets.contains(t, a) || !omega.sets.contains(h, a) {
+            let a = sets.anchors()[ai];
+            if !sets.contains(t, a) || !sets.contains(h, a) {
                 continue;
             }
-            if omega.offsets[h.index() * n_anchors + ai]
-                < omega.offsets[t.index() * n_anchors + ai] + w
-            {
+            if data[h.index() * n_anchors + ai] < data[t.index() * n_anchors + ai] + w {
                 out.push(id);
                 continue 'edges;
             }
@@ -1000,19 +1122,24 @@ fn find_violations(graph: &ConstraintGraph, omega: &RelativeSchedule) -> Vec<Edg
 
 /// `ReadjustOffsets`: raise each violated head offset to the minimum value
 /// satisfying its backward edge.
-fn readjust_offsets(graph: &ConstraintGraph, omega: &mut RelativeSchedule, violations: &[EdgeId]) {
-    let n_anchors = omega.n_anchors;
+fn readjust_offsets(
+    graph: &ConstraintGraph,
+    sets: &AnchorSetFamily,
+    data: &mut [i64],
+    violations: &[EdgeId],
+) {
+    let n_anchors = sets.n_anchors();
     for &id in violations {
         let e = graph.edge(id);
         let (t, h) = (e.from(), e.to());
         let w = e.weight().zeroed();
         for ai in 0..n_anchors {
-            let a = omega.sets.anchors()[ai];
-            if !omega.sets.contains(t, a) || !omega.sets.contains(h, a) {
+            let a = sets.anchors()[ai];
+            if !sets.contains(t, a) || !sets.contains(h, a) {
                 continue;
             }
-            let required = omega.offsets[t.index() * n_anchors + ai] + w;
-            let slot = &mut omega.offsets[h.index() * n_anchors + ai];
+            let required = data[t.index() * n_anchors + ai] + w;
+            let slot = &mut data[h.index() * n_anchors + ai];
             if *slot < required {
                 *slot = required;
             }
@@ -1206,26 +1333,27 @@ pub fn kernel_counters() -> KernelCounters {
     }
 }
 
-/// Runs the iterative fixpoint over the kernel, starting from (and
-/// preserving the untracked slots of) `omega`'s offsets.
+/// Runs the iterative fixpoint over the kernel on the run-local dense
+/// scratch `dense` (`dense[v * |A| + i]`, seeded by the caller; the
+/// kernel never reads or writes an untracked slot) and packs the result.
 fn kernel_run_from(
     kernel: &ScheduleKernel,
-    mut omega: RelativeSchedule,
+    sets: AnchorSetFamily,
+    mut dense: Vec<i64>,
     tuning: FixpointTuning,
 ) -> Result<RelativeSchedule, ScheduleError> {
     let n = kernel.n_vertices();
-    let n_anchors = omega.n_anchors;
+    let n_anchors = sets.n_anchors();
     let budget = kernel.n_backward_edges() + 1;
     if n_anchors == 0 {
         // With no columns the first violation scan is vacuously empty.
-        omega.iterations = 1;
-        return Ok(omega);
+        return Ok(RelativeSchedule::pack(sets, 1, |_, _| 0));
     }
     COUNTERS.runs.fetch_add(1, Ordering::Relaxed);
 
     // Column index of each anchor vertex (for the σ_a(a) = 0 base case).
     let mut col_of_vertex = vec![u32::MAX; n];
-    for (ai, &a) in omega.sets.anchors().iter().enumerate() {
+    for (ai, &a) in sets.anchors().iter().enumerate() {
         col_of_vertex[a.index()] = ai as u32;
     }
 
@@ -1239,32 +1367,27 @@ fn kernel_run_from(
         if requested > 1 {
             COUNTERS.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
-        // One tile covering every column: operate on the offset matrix in
-        // place (its layout is already tile-major) with masks borrowed
-        // straight from the family's bitset rows — zero mask copies.
-        let mut data = std::mem::take(&mut omega.offsets);
+        // One tile covering every column: the dense scratch is already
+        // tile-major, and the masks are borrowed straight from the
+        // family's bitset rows — zero mask copies.
         let iterations = kernel_fixpoint_serial(
             kernel,
             &col_of_vertex,
-            omega.sets.all_words(),
-            &mut data,
+            sets.all_words(),
+            &mut dense,
             n_anchors,
             budget,
             tuning.compact_frontier,
         );
-        omega.offsets = data;
         return match iterations {
-            Some(iters) => {
-                omega.iterations = iters;
-                Ok(omega)
-            }
+            Some(iters) => Ok(RelativeSchedule::from_dense(sets, &dense, iters)),
             None => Err(ScheduleError::Inconsistent { iterations: budget }),
         };
     }
     COUNTERS.parallel_runs.fetch_add(1, Ordering::Relaxed);
 
-    // Tile-major scratch: tile `t` owns columns `[lo_t, lo_t + w_t)` as
-    // an `n × w_t` vertex-major block. ~4 tiles per worker gives the
+    // Tile-major scratch: tile `t` owns columns `[t * per, t * per + w_t)`
+    // as an `n × w_t` vertex-major block. ~4 tiles per worker gives the
     // stealing executor imbalance slack without drowning in mask copies.
     let n_tiles = (workers * 4).min(n_anchors);
     let per = n_anchors.div_ceil(n_tiles);
@@ -1281,14 +1404,15 @@ fn kernel_run_from(
         for vi in 0..n {
             let src = vi * n_anchors + lo;
             let dst = off + vi * width;
-            data[dst..dst + width].copy_from_slice(&omega.offsets[src..src + width]);
+            data[dst..dst + width].copy_from_slice(&dense[src..src + width]);
         }
         off += n * width;
     }
+    drop(dense);
 
     let iterations = kernel_fixpoint_parallel(
         kernel,
-        &omega.sets,
+        &sets,
         &col_of_vertex,
         &bounds,
         &mut data,
@@ -1298,17 +1422,16 @@ fn kernel_run_from(
     );
     match iterations {
         Some(iters) => {
-            let mut off = 0;
+            // Column `i` of vertex `v` sits at `base + v * width` in the
+            // tile-major scratch: `(base, width)` per column, found once.
+            let mut place = Vec::with_capacity(n_anchors);
             for &(lo, width) in &bounds {
-                for vi in 0..n {
-                    let src = off + vi * width;
-                    let dst = vi * n_anchors + lo;
-                    omega.offsets[dst..dst + width].copy_from_slice(&data[src..src + width]);
-                }
-                off += n * width;
+                place.extend((0..width).map(|j| (n * lo + j, width)));
             }
-            omega.iterations = iters;
-            Ok(omega)
+            Ok(RelativeSchedule::pack(sets, iters, |v, i| {
+                let (base, width) = place[i];
+                data[base + v * width]
+            }))
         }
         None => Err(ScheduleError::Inconsistent { iterations: budget }),
     }
@@ -2253,5 +2376,252 @@ mod tests {
         let dbg = format!("{omega:?}");
         assert!(dbg.contains("RelativeSchedule"));
         assert!(dbg.contains("σ_"));
+    }
+
+    /// A random well-posed design: `n` operations (about one in five
+    /// unbounded), forward dependencies, minimum constraints and a few
+    /// maximum constraints, made well-posed by serialization. `None` when
+    /// the constraints came out unfeasible.
+    fn random_graph(seed: u64, n: usize) -> Option<ConstraintGraph> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = ConstraintGraph::new();
+        let vs: Vec<VertexId> = (0..n)
+            .map(|i| {
+                let delay = if rng.gen_bool(0.2) {
+                    ExecDelay::Unbounded
+                } else {
+                    ExecDelay::Fixed(rng.gen_range(0u64..5))
+                };
+                g.add_operation(format!("op{i}"), delay)
+            })
+            .collect();
+        for j in 1..n {
+            for _ in 0..2 {
+                let i = rng.gen_range(0..j);
+                g.add_dependency(vs[i], vs[j]).unwrap();
+            }
+        }
+        for _ in 0..n / 8 {
+            let j = rng.gen_range(1..n);
+            let i = rng.gen_range(0..j);
+            g.add_min_constraint(vs[i], vs[j], rng.gen_range(0u64..6))
+                .unwrap();
+        }
+        for _ in 0..n / 16 {
+            let j = rng.gen_range(1..n);
+            let i = rng.gen_range(0..j);
+            g.add_max_constraint(vs[i], vs[j], rng.gen_range(20u64..40))
+                .unwrap();
+        }
+        g.polarize().unwrap();
+        crate::make_well_posed(&mut g).ok()?;
+        Some(g)
+    }
+
+    /// fig10 plus the feasible ones of twenty random 60-op designs.
+    fn designs() -> Vec<ConstraintGraph> {
+        let mut out = vec![fig10().0];
+        out.extend((0..20).filter_map(|seed| random_graph(seed, 60)));
+        assert!(out.len() > 10, "most random designs are feasible");
+        out
+    }
+
+    /// Dense `|V| × |A|` reference of a minimum schedule over `sets`:
+    /// `σ_a(v)` is the longest path from `a` to `v` (Theorem 3) where
+    /// `sets` tracks the pair, `None` elsewhere.
+    fn dense_reference(g: &ConstraintGraph, sets: &AnchorSetFamily) -> Vec<Vec<Option<i64>>> {
+        let paths: Vec<_> = sets
+            .anchors()
+            .iter()
+            .map(|&a| g.longest_paths_from(a).unwrap())
+            .collect();
+        g.vertex_ids()
+            .map(|v| {
+                sets.anchors()
+                    .iter()
+                    .zip(&paths)
+                    .map(|(&a, lp)| sets.contains(v, a).then(|| lp.length_to(v).unwrap()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `omega` stores exactly its tracked pairs, each equal to `dense`.
+    fn assert_packed(omega: &RelativeSchedule, dense: &[Vec<Option<i64>>]) {
+        assert_eq!(omega.offsets.len(), omega.tracked_sets().total_bits());
+        assert_eq!(omega.row_start.len(), dense.len() + 1);
+        for (vi, row) in dense.iter().enumerate() {
+            let v = VertexId::from_index(vi);
+            for (&a, &want) in omega.anchors().iter().zip(row) {
+                assert_eq!(omega.offset(v, a), want, "σ_{a}({v})");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_layout_after_schedule_restrict_and_from_offsets() {
+        for g in designs() {
+            let omega = schedule(&g).unwrap();
+            let full = dense_reference(&g, omega.tracked_sets());
+            assert_packed(&omega, &full);
+
+            let ir = crate::anchors::IrredundantAnchors::analyze(&g)
+                .unwrap()
+                .irredundant;
+            let restricted = omega.restrict(ir.family());
+            assert_packed(&restricted, &dense_reference(&g, ir.family()));
+
+            let triples: Vec<_> = g
+                .vertex_ids()
+                .flat_map(|v| omega.offsets_of(v).map(move |(a, o)| (v, a, o)))
+                .collect();
+            let rebuilt = RelativeSchedule::from_offsets(
+                omega.tracked_sets().clone(),
+                g.n_vertices(),
+                &triples,
+                omega.iterations(),
+            )
+            .unwrap();
+            assert_packed(&rebuilt, &full);
+            assert_eq!(rebuilt, omega);
+        }
+    }
+
+    /// A restricted schedule equals the one rebuilt from its own tracked
+    /// triples: the dropped pairs leave nothing behind.
+    #[test]
+    fn restrict_equals_rebuild_from_its_own_offsets() {
+        for g in designs() {
+            let omega = schedule(&g).unwrap();
+            let ir = crate::anchors::IrredundantAnchors::analyze(&g)
+                .unwrap()
+                .irredundant;
+            let restricted = omega.restrict(ir.family());
+            let triples: Vec<_> = g
+                .vertex_ids()
+                .flat_map(|v| restricted.offsets_of(v).map(move |(a, o)| (v, a, o)))
+                .collect();
+            let rebuilt = RelativeSchedule::from_offsets(
+                ir.family().clone(),
+                g.n_vertices(),
+                &triples,
+                restricted.iterations(),
+            )
+            .unwrap();
+            assert_eq!(restricted, rebuilt);
+        }
+    }
+
+    #[test]
+    fn packed_layout_after_remapped_round_trip() {
+        for g in designs() {
+            let omega = schedule(&g).unwrap();
+            let dense = dense_reference(&g, omega.tracked_sets());
+            let n = g.n_vertices() as u32;
+            // Reverse the ids, then rotate them by a third.
+            let perm: Vec<u32> = (0..n).map(|v| (n - 1 - v + n / 3) % n).collect();
+            let mut inv = vec![0u32; perm.len()];
+            for (v, &p) in perm.iter().enumerate() {
+                inv[p as usize] = v as u32;
+            }
+            let moved = omega.remapped(&perm);
+            assert_eq!(moved.offsets.len(), moved.tracked_sets().total_bits());
+            for v in g.vertex_ids() {
+                let pv = VertexId::from_index(perm[v.index()] as usize);
+                for (&a, &want) in omega.anchors().iter().zip(&dense[v.index()]) {
+                    let pa = VertexId::from_index(perm[a.index()] as usize);
+                    assert_eq!(moved.offset(pv, pa), want);
+                }
+            }
+            let back = moved.remapped(&inv);
+            assert_packed(&back, &dense);
+            assert_eq!(back, omega);
+        }
+    }
+
+    /// A changed roster with a mixed warm list (anchors that cannot reach
+    /// the edited operation stay warm, the rest and the new anchor start
+    /// cold), then an additive edit with every anchor warm.
+    #[test]
+    fn packed_layout_after_warm_reschedule() {
+        let mut mixed = 0;
+        for mut g in designs() {
+            let prev = schedule(&g).unwrap();
+            let Some(v) = g
+                .operation_ids()
+                .filter(|&v| !g.vertex(v).delay().is_unbounded())
+                .nth(3)
+            else {
+                continue;
+            };
+            let warm: Vec<VertexId> = prev
+                .anchors()
+                .iter()
+                .copied()
+                .filter(|&a| g.longest_paths_from(a).unwrap().length_to(v).is_none())
+                .collect();
+            mixed += usize::from(!warm.is_empty());
+            g.set_delay(v, ExecDelay::Unbounded).unwrap();
+            let sets = AnchorSets::compute(&g).unwrap();
+            if !matches!(check_well_posed_with(&g, &sets), WellPosedness::WellPosed) {
+                continue;
+            }
+            assert_ne!(sets.anchors(), prev.anchors(), "the roster grew");
+            let kernel = ScheduleKernel::build(&g).unwrap();
+            let warmed = reschedule_on(&kernel, sets.family(), &prev, &warm, 1).unwrap();
+            assert_packed(&warmed, &dense_reference(&g, sets.family()));
+            assert_eq!(warmed, schedule_with_sets(&g, sets.family()).unwrap());
+
+            // Same roster, every anchor warm.
+            let (s, last) = (g.source(), g.operation_ids().last().unwrap());
+            g.add_min_constraint(s, last, 7).unwrap();
+            let sets = AnchorSets::compute(&g).unwrap();
+            let kernel = ScheduleKernel::build(&g).unwrap();
+            let all = sets.anchors().to_vec();
+            let rewarmed = reschedule_on(&kernel, sets.family(), &warmed, &all, 1).unwrap();
+            assert_packed(&rewarmed, &dense_reference(&g, sets.family()));
+        }
+        assert!(mixed > 5, "most designs warm some anchors");
+    }
+
+    /// An additive edit that grows anchor sets re-packs the rows once;
+    /// the new pairs start at zero and relax to the minimum.
+    #[test]
+    fn packed_layout_after_relax_additive_with_growing_sets() {
+        let mut grown = 0;
+        for g in designs() {
+            let omega = schedule(&g).unwrap();
+            // An edge from an anchor to an operation that does not track it.
+            let Some((a, v)) = omega.anchors().iter().find_map(|&a| {
+                g.operation_ids()
+                    .filter(|&v| v > a && !omega.tracked_sets().contains(v, a))
+                    .last()
+                    .map(|v| (a, v))
+            }) else {
+                continue;
+            };
+            for kernel_path in [false, true] {
+                let mut g = g.clone();
+                let mut sets = AnchorSets::compute(&g).unwrap();
+                let id = g.add_dependency(a, v).unwrap();
+                let changed = sets.notify_add_edge(&g, id);
+                assert!(!changed.is_empty(), "the edge grows {v}'s set");
+                if !matches!(check_well_posed_with(&g, &sets), WellPosedness::WellPosed) {
+                    continue;
+                }
+                let mut relaxed = omega.clone();
+                if kernel_path {
+                    let kernel = ScheduleKernel::build(&g).unwrap();
+                    relax_additive_on(&kernel, sets.family(), &mut relaxed, id, &changed).unwrap();
+                } else {
+                    relax_additive(&g, sets.family(), &mut relaxed, id, &changed).unwrap();
+                }
+                assert_packed(&relaxed, &dense_reference(&g, sets.family()));
+                grown += 1;
+            }
+        }
+        assert!(grown > 10, "most designs take a set-growing edge");
     }
 }

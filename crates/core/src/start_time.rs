@@ -142,11 +142,9 @@ pub fn update_start_times(
     while let Some(v) = queue.pop_front() {
         in_queue[v.index()] = false;
         let mut t = 0u64;
-        for &a in sets.anchors() {
-            if let Some(off) = schedule.offset(v, a) {
-                debug_assert!(off >= 0, "minimum offsets are non-negative");
-                t = t.max(times[a.index()] + profile.delay(a) + off.max(0) as u64);
-            }
+        for (a, off) in schedule.offsets_of(v) {
+            debug_assert!(off >= 0, "minimum offsets are non-negative");
+            t = t.max(times[a.index()] + profile.delay(a) + off.max(0) as u64);
         }
         if t <= times[v.index()] {
             continue;

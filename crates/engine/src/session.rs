@@ -141,14 +141,6 @@ struct ZeroCertificate {
 #[derive(Debug, Clone)]
 pub struct Session {
     graph: ConstraintGraph,
-    /// CSR snapshot of `graph`; all full fixpoint runs execute against
-    /// it. Edits mark it stale and it is rebuilt lazily on the next
-    /// [`Session::run_schedule`] — the additive fast path repairs the
-    /// schedule by a worklist walk of the (already-updated) adjacency
-    /// lists and never pays the rebuild.
-    kernel: ScheduleKernel,
-    /// `false` after a mutation until the snapshot is rebuilt.
-    kernel_fresh: bool,
     sets: AnchorSets,
     reach: ReachCache,
     /// Worker threads fanned over anchor columns per scheduling run.
@@ -187,11 +179,11 @@ impl Session {
     /// must equal the freshly computed anchor sets and its zero-profile
     /// start times must satisfy every edge (the same feasibility
     /// certificate the cold path computes) — and on success the session
-    /// skips only the fixpoint iteration itself. Every other analysis
-    /// (anchor sets, kernel, reachability, containment) is recomputed, so
-    /// the resulting session state is bit-identical to a cold open. A seed
-    /// that fails verification is silently discarded and the cold path
-    /// runs instead.
+    /// skips the fixpoint iteration and the CSR kernel it would run on.
+    /// Every other analysis (anchor sets, reachability, containment) is
+    /// recomputed, so the resulting session state is bit-identical to a
+    /// cold open. A seed that fails verification is silently discarded
+    /// and the cold path runs instead.
     pub fn open_with_seed(
         mut graph: ConstraintGraph,
         seed: Option<RelativeSchedule>,
@@ -200,12 +192,9 @@ impl Session {
             graph.polarize().map_err(ScheduleError::Graph)?;
         }
         let sets = AnchorSets::compute(&graph)?;
-        let kernel = ScheduleKernel::build(&graph).map_err(ScheduleError::Graph)?;
         let reach = ReachCache::compute(&graph, sets.family().anchors().iter().copied());
         let mut session = Session {
             graph,
-            kernel,
-            kernel_fresh: true,
             sets,
             reach,
             threads: 1,
@@ -390,19 +379,6 @@ impl Session {
         EditOutcome::Rejected { error }
     }
 
-    /// Rebuilds the CSR snapshot if a mutation left it stale. Called on
-    /// the full-fixpoint path only, so a burst of fast-path edits pays
-    /// for at most one rebuild, when a sweep actually needs the
-    /// snapshot. The guarded mutators preserve forward acyclicity, so
-    /// the rebuild cannot fail.
-    fn refresh_kernel(&mut self) {
-        if !self.kernel_fresh {
-            self.kernel = ScheduleKernel::build(&self.graph)
-                .expect("edit mutators preserve forward acyclicity");
-            self.kernel_fresh = true;
-        }
-    }
-
     /// Post-edit path for pure additions: previous offsets remain lower
     /// bounds for every anchor (constraints only push offsets up), so the
     /// dirty set does not grow — and when the edit also leaves every
@@ -411,7 +387,6 @@ impl Session {
     /// instead of a full re-analysis.
     fn after_additive_edit(&mut self, id: EdgeId) -> EditOutcome {
         self.stats.edits += 1;
-        self.kernel_fresh = false;
         let edge = *self.graph.edge(id);
         self.reach
             .notify_add_edge(&self.graph, edge.from(), edge.to());
@@ -462,11 +437,10 @@ impl Session {
         // returns so a fallback edit counts one hit, before the take so a
         // panic leaves the cached schedule intact.
         let _ = rsched_graph::failpoint!("session::reschedule");
-        // Relax in place — cloning the |V| × |A| offset matrix would cost
-        // as much as the relaxation itself on large designs. The
-        // adjacency-walking variant (not `relax_additive_on`): the cone
-        // of one edge is far smaller than the CSR rebuild the kernel
-        // variant would need first.
+        // Relax in place — cloning the offsets would cost as much as the
+        // relaxation itself on large designs. The adjacency-walking
+        // variant (not `relax_additive_on`): the cone of one edge is far
+        // smaller than the CSR build the kernel variant would need first.
         let mut omega = self.current.take().expect("checked above");
         let raised = match relax_additive(&self.graph, self.sets.family(), &mut omega, id, changed)
         {
@@ -553,7 +527,6 @@ impl Session {
     /// cached family.
     fn after_edit(&mut self) -> EditOutcome {
         self.stats.edits += 1;
-        self.kernel_fresh = false;
         let new_sets = match AnchorSets::compute(&self.graph) {
             Ok(s) => s,
             // Unreachable after a guarded edit (mutators preserve forward
@@ -657,8 +630,16 @@ impl Session {
         self.run_schedule()
     }
 
+    /// Runs the full fixpoint (warm where the previous schedule allows)
+    /// on a CSR kernel built for this run. Every edit changes the graph,
+    /// so a kernel kept between runs would never be reused; the additive
+    /// fast path repairs the schedule by a worklist walk of the adjacency
+    /// lists and needs none.
     fn run_schedule(&mut self) -> EditOutcome {
-        self.refresh_kernel();
+        let kernel = match ScheduleKernel::build(&self.graph) {
+            Ok(kernel) => kernel,
+            Err(error) => return self.reject(error),
+        };
         let family = self.sets.family().clone();
         let warm: Vec<VertexId> = match &self.current {
             Some(prev) => family
@@ -671,9 +652,9 @@ impl Session {
         };
         let result = match &self.current {
             Some(prev) if !warm.is_empty() => {
-                reschedule_on(&self.kernel, &family, prev, &warm, self.threads)
+                reschedule_on(&kernel, &family, prev, &warm, self.threads)
             }
-            _ => schedule_with_sets_on(&self.kernel, &family, self.threads),
+            _ => schedule_with_sets_on(&kernel, &family, self.threads),
         };
         let (schedule, warm_used) = match result {
             Ok(schedule) => {
@@ -725,7 +706,7 @@ impl Session {
                         return self.mark_unfeasible(witness);
                     }
                     WellPosedness::WellPosed => {
-                        match schedule_with_sets_on(&self.kernel, &family, self.threads) {
+                        match schedule_with_sets_on(&kernel, &family, self.threads) {
                             Ok(schedule) => {
                                 self.zero_times = None;
                                 (schedule, 0)
