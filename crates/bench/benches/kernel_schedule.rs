@@ -31,8 +31,15 @@
 //! regresses materially against its serial twin (>= 0.9x / >= 0.95x —
 //! the policy falls back to the serial path whenever fanning cannot pay,
 //! so a real regression here means the fallback heuristic broke).
+//!
+//! All three ratios come from interleaved A/B rounds
+//! ([`interleaved_ratio`]), not from two criterion means: those are
+//! taken seconds apart, and on a shared host the drift between them
+//! alone moved a ratio of identical code (`RSCHED_BENCH_THREADS=1`) to
+//! 0.81x.
 
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use criterion::{BenchmarkId, Criterion, SummaryWriter};
 
@@ -229,36 +236,87 @@ fn batch(c: &mut Criterion, threads: usize) {
     group.finish();
 }
 
+/// Median over `pairs` interleaved rounds of `time(a) / time(b)`, where
+/// each round times a batch of `a` calls and a same-sized batch of `b`
+/// calls back to back (alternating which goes first). Host drift hits
+/// both sides of a round alike, so the per-round ratio cancels it; the
+/// median drops the rounds a burst of noise landed in. The batch size
+/// is calibrated so each side runs for about `target`.
+fn interleaved_ratio(
+    pairs: usize,
+    target: Duration,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> f64 {
+    let time = |f: &mut dyn FnMut(), iters: u32| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        start.elapsed().as_secs_f64()
+    };
+    let once = time(&mut a, 1).max(time(&mut b, 1)).max(1e-9);
+    let iters = (target.as_secs_f64() / once).clamp(1.0, 10_000.0) as u32;
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|round| {
+            let (ta, tb) = if round % 2 == 0 {
+                let ta = time(&mut a, iters);
+                (ta, time(&mut b, iters))
+            } else {
+                let tb = time(&mut b, iters);
+                (time(&mut a, iters), tb)
+            };
+            ta / tb.max(1e-12)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[pairs / 2]
+}
+
 fn main() {
     let smoke = smoke();
     let threads = fan_threads();
     let (samples, warm_ms, measure_ms) = if smoke { (2, 5, 20) } else { (10, 100, 400) };
     let mut criterion = Criterion::default()
         .sample_size(samples)
-        .warm_up_time(std::time::Duration::from_millis(warm_ms))
-        .measurement_time(std::time::Duration::from_millis(measure_ms));
+        .warm_up_time(Duration::from_millis(warm_ms))
+        .measurement_time(Duration::from_millis(measure_ms));
     kernel_schedule(&mut criterion, threads);
     warm_seeding(&mut criterion);
     batch(&mut criterion, threads);
     let results = criterion.take_results();
 
-    let mean_of =
-        |id: String| -> Option<f64> { results.iter().find(|r| r.id == id).map(|r| r.mean_ns) };
-    let ratio = |num: Option<f64>, den: Option<f64>| match (num, den) {
-        (Some(n), Some(d)) if d > 0.0 => n / d,
-        _ => 0.0,
+    // Each ratio is the baseline's time over the contender's, from
+    // interleaved rounds.
+    let (pairs, target) = if smoke {
+        (3, Duration::from_millis(2))
+    } else {
+        (21, Duration::from_millis(20))
     };
-    let kernel_speedup = ratio(
-        mean_of(format!("legacy/{LARGEST}")),
-        mean_of(format!("kernel/{LARGEST}")),
+    let largest = designs()
+        .into_iter()
+        .find(|(name, _)| *name == LARGEST)
+        .expect("largest design")
+        .1;
+    let kernel_speedup = interleaved_ratio(
+        pairs,
+        target,
+        || drop(schedule_reference(&largest).expect("feasible")),
+        || drop(schedule(&largest).expect("feasible")),
     );
-    let thread_speedup = ratio(
-        mean_of(format!("kernel/{LARGEST}")),
-        mean_of(format!("kernel_t{threads}/{LARGEST}")),
+    let thread_speedup = interleaved_ratio(
+        pairs,
+        target,
+        || drop(schedule(&largest).expect("feasible")),
+        || drop(schedule_threaded(&largest, threads).expect("feasible")),
     );
-    let batch_speedup = ratio(
-        mean_of(format!("serial/{BATCH_DESIGNS}x200")),
-        mean_of(format!("fanned_t{threads}/{BATCH_DESIGNS}x200")),
+    let fleet = Arc::new(batch_fleet());
+    let (serial_pool, fan_pool) = (WorkPool::new(1), WorkPool::new(threads));
+    let batch_speedup = interleaved_ratio(
+        pairs,
+        target,
+        || drop(schedule_fleet(&fleet, &serial_pool)),
+        || drop(schedule_fleet(&fleet, &fan_pool)),
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernel.json");

@@ -56,6 +56,7 @@ impl Json {
     /// Returns [`JsonError`] on malformed input or trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -213,6 +214,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -334,11 +336,9 @@ impl Parser<'_> {
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                out.push_str(run);
-            }
+            // Both ends sit on ASCII bytes (or the end of input), so the
+            // run is already a valid `str` slice.
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -422,8 +422,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ASCII digits are valid UTF-8");
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -455,6 +454,9 @@ mod tests {
         assert_eq!(v.as_str(), Some("a\n\t\"\\ é 😀"));
         // Rendering escapes what must be escaped and round-trips.
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
+        // Multi-byte runs cut by escapes and at both quotes.
+        let v = Json::parse(r#"{"ü":"ß\"€é\\😀"}"#).unwrap();
+        assert_eq!(v.get("ü").and_then(Json::as_str), Some("ß\"€é\\😀"));
     }
 
     #[test]

@@ -99,7 +99,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
@@ -148,8 +148,9 @@ pub struct ServeConfig {
     /// injection harness can target exactly this service instance.
     pub fault_scope: Option<u64>,
     /// Threads of the router's shared work-stealing pool, through which
-    /// `batch_schedule` fans its designs (one pool per [`Router`],
-    /// shared by every transport and request). `0` (the default) sizes
+    /// `batch_schedule` fans its designs and boot recovery replays its
+    /// WAL files (one pool per [`Router`], shared by every transport and
+    /// request). `0` (the default) sizes
     /// the pool to the host's available parallelism; any value counts
     /// the submitting thread, so `1` means a no-worker inline pool.
     pub threads: usize,
@@ -334,12 +335,19 @@ impl Router {
     /// left by a previous process and rebuild each session by replaying
     /// its journal, pinning it to the same slot its name shards to.
     ///
+    /// Sessions share nothing until they are inserted, so each WAL's read,
+    /// torn-tail truncation, parse and replay ([`replay_wal`]) runs as one
+    /// job on the router's [`WorkPool`] (sized by
+    /// [`ServeConfig::threads`]; `1` replays serially on this thread). The
+    /// results are then inserted one by one in sorted path order, so slot
+    /// assignment, first-name-wins precedence and
+    /// [`RouterStats::boot_recovered`] do not depend on the pool's size or
+    /// on which job finished first.
+    ///
     /// Failure handling is strictly best-effort — this runs before the
     /// service accepts traffic, and a damaged WAL must never prevent
-    /// startup. A torn tail (crash mid-append) is truncated to the last
-    /// parseable line and the file is rewritten to that good prefix, so
-    /// resumed appends extend a clean journal. Files whose base line
-    /// predates session-name journaling (or fails replay) are skipped.
+    /// startup. A WAL whose replay fails or panics is skipped and its file
+    /// is left on disk.
     fn recover_from_wal_dir(&self) {
         let Some(dir) = &self.journal_dir else {
             return;
@@ -353,52 +361,25 @@ impl Router {
             .filter(|p| p.extension().is_some_and(|e| e == "wal"))
             .collect();
         paths.sort(); // Deterministic recovery order regardless of readdir.
-        for path in paths {
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            let mut ops = Vec::new();
-            let mut good = String::new();
-            let mut torn = false;
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                let parsed = Json::parse(line)
-                    .ok()
-                    .and_then(|json| JournalOp::from_json(&json).ok());
-                match parsed {
-                    Some(op) => {
-                        ops.push(op);
-                        good.push_str(line);
-                        good.push('\n');
-                    }
-                    None => {
-                        torn = true;
-                        break; // Keep the good prefix only.
-                    }
-                }
+        let n = paths.len();
+        let paths = Arc::new(paths);
+        let snapshot_every = self.snapshot_every;
+        // Pool workers do not inherit this thread's failpoint scope:
+        // propagate it per job, as `batch_schedule` does.
+        let fault_scope = failpoint::current_scope();
+        let (tx, rx) = mpsc::channel::<(usize, Journal, Session)>();
+        self.pool.run_indexed(n, move |i| {
+            let _scope = fault_scope.map(failpoint::enter_scope);
+            if let Some((journal, session)) = replay_wal(&paths[i], snapshot_every) {
+                let _ = tx.send((i, journal, session));
             }
-            if torn {
-                // Rewrite atomically so the resumed journal appends after
-                // the last good line, not after the torn one.
-                let tmp = path.with_extension("wal.tmp");
-                if std::fs::write(&tmp, good.as_bytes())
-                    .and_then(|()| std::fs::rename(&tmp, &path))
-                    .is_err()
-                {
-                    let _ = std::fs::remove_file(&tmp);
-                    continue;
-                }
-            }
-            let Ok(mut journal) = Journal::resume(ops, Some(path)) else {
-                continue;
-            };
-            journal.set_snapshot_every(self.snapshot_every);
+        });
+        // Every job has finished (a panicked one sent nothing), so the
+        // channel already holds all results.
+        let mut recovered: Vec<_> = rx.try_iter().collect();
+        recovered.sort_unstable_by_key(|&(i, ..)| i);
+        for (_, journal, session) in recovered {
             let name = journal.session_name().to_owned();
-            if name.is_empty() {
-                continue; // Pre-name WAL format: no session to rebuild.
-            }
-            let Ok(session) = journal.replay() else {
-                continue;
-            };
             let slot = shard_of(&name, self.slots.len());
             let mut state = lock_recover(&self.slots[slot]);
             state.sessions.entry(name).or_insert(SessionEntry {
@@ -1156,6 +1137,72 @@ where
 /// stdio, and a client can predict co-location.
 pub fn shard_of(key: &str, n_shards: usize) -> usize {
     (fnv1a(key) % n_shards.max(1) as u64) as usize
+}
+
+/// Rebuilds one session from the WAL file at `path` — one job of boot
+/// recovery ([`Router::recover_from_wal_dir`]). A torn tail (crash
+/// mid-append) is cut at the last parseable line and the file rewritten
+/// to that good prefix, and an unterminated last record gets its newline,
+/// so resumed appends extend a clean journal. `None`
+/// for an unreadable file, a file whose base line predates session-name
+/// journaling, or a journal that fails replay.
+fn replay_wal(path: &Path, snapshot_every: usize) -> Option<(Journal, Session)> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let mut ops = Vec::new();
+    // Bytes up to and including the last line that parsed.
+    let mut good_len = 0;
+    let mut end = 0;
+    let mut torn = false;
+    for line in text.split_inclusive('\n') {
+        end += line.len();
+        if line.trim().is_empty() {
+            continue;
+        }
+        // The parser skips the trailing `\n` / `\r\n` as whitespace.
+        let parsed = Json::parse(line)
+            .ok()
+            .and_then(|json| JournalOp::from_json(&json).ok());
+        match parsed {
+            Some(op) => {
+                ops.push(op);
+                good_len = end;
+            }
+            None => {
+                torn = true;
+                break; // Keep the good prefix only.
+            }
+        }
+    }
+    if torn {
+        // Rewrite atomically so the resumed journal appends after the
+        // last good line, not after the torn one.
+        let tmp = path.with_extension("wal.tmp");
+        if std::fs::write(&tmp, &text.as_bytes()[..good_len])
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .is_err()
+        {
+            let _ = std::fs::remove_file(&tmp);
+            return None;
+        }
+    } else if good_len > 0 && !text[..good_len].ends_with('\n') {
+        // A crash just before a record's newline leaves a last line that
+        // parses. Terminate it, or the resumed journal's first append runs
+        // on from it and the next boot loses both records.
+        let terminated = std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .and_then(|mut file| file.write_all(b"\n"));
+        if terminated.is_err() {
+            return None;
+        }
+    }
+    let mut journal = Journal::resume(ops, Some(path.to_owned())).ok()?;
+    journal.set_snapshot_every(snapshot_every);
+    if journal.session_name().is_empty() {
+        return None; // Pre-name WAL format: no session to rebuild.
+    }
+    let session = journal.replay().ok()?;
+    Some((journal, session))
 }
 
 fn fnv1a(s: &str) -> u64 {
@@ -2592,6 +2639,227 @@ mod tests {
         let response = router.execute(slot, Json::Int(1), &req_json("s", r#""op":"schedule""#));
         assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn boot_recovery_terminates_a_last_record_cut_before_its_newline() {
+        // A crash can cut a record exactly before its `\n`. The line still
+        // parses, so it is not torn; but an edit appended after it must
+        // land on a line of its own, or the next boot finds one unparsable
+        // line and keeps nothing.
+        let dir =
+            std::env::temp_dir().join(format!("rsched_boot_unterminated_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServeConfig {
+            journal_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let design = DESIGN.replace('\n', "\\n");
+        let run1 = vec![req(1, "s", &format!(r#""op":"open","design":"{design}""#))];
+        assert_eq!(run_lines(&run1, &config).1.errors, 0);
+        let wal = dir.join(wal_file_name("s"));
+        let text = std::fs::read_to_string(&wal).unwrap();
+        std::fs::write(&wal, text.trim_end_matches('\n')).unwrap();
+
+        let edit = r#""op":"edit","kind":"add_min","from":"alu","to":"out","value":3"#;
+        let (_, summary2) = run_lines(&[req(2, "s", edit)], &config);
+        assert_eq!(summary2.errors, 0, "the open survived the cut");
+        let (after, summary3) = run_lines(&[req(3, "s", r#""op":"stats""#)], &config);
+        assert_eq!(
+            summary3.errors, 0,
+            "open and edit both survive the next boot"
+        );
+        assert_eq!(
+            by_id(&after, 3).get("journal_len"),
+            Some(&Json::Int(1)),
+            "the edit"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sessions written by [`boot_fixture`]; the pool sizes compared below
+    /// are both smaller than this, so jobs queue and interleave.
+    const BOOT_SESSIONS: usize = 10;
+
+    /// Fills `dir` with the WALs of [`BOOT_SESSIONS`] sessions (varied
+    /// designs and edit counts, some compacted to snapshots), then damages
+    /// it the ways a crash or an old process leaves it: one torn tail, one
+    /// WAL in the pre-name format, and a second WAL naming an existing
+    /// session (first in path order wins). Returns each session's
+    /// `schedule` answer before shutdown, by name.
+    fn boot_fixture(dir: &Path) -> Vec<(String, String)> {
+        let _ = std::fs::remove_dir_all(dir);
+        let config = ServeConfig {
+            journal_dir: Some(dir.to_owned()),
+            snapshot_every: 2,
+            threads: 1,
+            ..ServeConfig::default()
+        };
+        let router = Router::new(3, &config);
+        let mut answers = Vec::new();
+        for k in 0..BOOT_SESSIONS {
+            let name = format!("s{k}");
+            let design = format!(
+                "op sync unbounded\\nop a {}\\nop b 2\\nop out 1\\ndep sync a\\ndep a b\\ndep b out\\nmax a out {}\\n",
+                1 + k % 3,
+                6 + k
+            );
+            let mut lines = vec![format!(r#""op":"open","design":"{design}""#)];
+            for e in 0..k % 4 {
+                lines.push(match e {
+                    0 => format!(
+                        r#""op":"edit","kind":"add_min","from":"a","to":"b","value":{}"#,
+                        k % 3
+                    ),
+                    1 => r#""op":"edit","kind":"set_delay","vertex":"b","delay":1"#.to_owned(),
+                    _ => r#""op":"edit","kind":"add_min","from":"sync","to":"out","value":2"#
+                        .to_owned(),
+                });
+            }
+            let slot = shard_of(&name, router.n_slots());
+            for (id, line) in (0..).zip(&lines) {
+                let response = router.execute(slot, Json::Int(id), &req_json(&name, line));
+                assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response:?}");
+            }
+            router.sync_journals(slot);
+            let answer = router.execute(slot, Json::Int(0), &req_json(&name, r#""op":"schedule""#));
+            answers.push((name, answer.render()));
+        }
+        drop(router);
+        let torn = dir.join(wal_file_name("s3"));
+        let mut text = std::fs::read_to_string(&torn).unwrap();
+        text.push_str("{\"op\":\"add_min\",\"fr");
+        std::fs::write(&torn, text).unwrap();
+        let design = DESIGN.replace('\n', "\\n");
+        std::fs::write(
+            dir.join("legacy.wal"),
+            format!("{{\"op\":\"open\",\"design\":\"{design}\"}}\n"),
+        )
+        .unwrap();
+        let mut dup = std::fs::read_to_string(dir.join(wal_file_name("s5"))).unwrap();
+        dup.push_str("{\"op\":\"set_delay\",\"vertex\":\"b\",\"delay\":5}\n");
+        std::fs::write(dir.join("zz-dup.wal"), dup).unwrap();
+        answers.sort();
+        answers
+    }
+
+    /// A recovered session's name, slot and rendered `schedule` answer.
+    type BootSession = (String, usize, String);
+
+    /// Everything boot recovery leaves behind, rendered for comparison:
+    /// the session → slot map, each session's `schedule` answer, and the
+    /// WAL directory's files by name.
+    fn boot_outcome(router: &Router, dir: &Path) -> (Vec<BootSession>, Vec<(String, Vec<u8>)>) {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        let mut sessions = Vec::new();
+        for slot in 0..router.n_slots() {
+            let names: Vec<String> = lock_recover(&router.slots[slot])
+                .sessions
+                .keys()
+                .cloned()
+                .collect();
+            for name in names {
+                let answer = router
+                    .execute(slot, Json::Int(0), &req_json(&name, r#""op":"schedule""#))
+                    .render();
+                sessions.push((name, slot, answer));
+            }
+        }
+        sessions.sort();
+        (sessions, files)
+    }
+
+    #[test]
+    fn boot_recovery_is_identical_for_every_pool_size() {
+        let root = std::env::temp_dir().join(format!("rsched_boot_pool_{}", std::process::id()));
+        let mut outcomes = Vec::new();
+        for threads in [1, 4] {
+            let dir = root.join(format!("t{threads}"));
+            let before = boot_fixture(&dir);
+            let config = ServeConfig {
+                journal_dir: Some(dir.clone()),
+                snapshot_every: 2,
+                threads,
+                ..ServeConfig::default()
+            };
+            let router = Router::new(3, &config);
+            // Every named WAL, the duplicate included; not the pre-name one.
+            assert_eq!(router.stats().boot_recovered, BOOT_SESSIONS + 1);
+            let (sessions, files) = boot_outcome(&router, &dir);
+            assert_eq!(sessions.len(), BOOT_SESSIONS, "threads={threads}");
+            // Each session answers as it did before shutdown; for `s5`
+            // that is its own WAL's state, not the later duplicate's.
+            let after: Vec<(String, String)> = sessions
+                .iter()
+                .map(|(n, _, a)| (n.clone(), a.clone()))
+                .collect();
+            assert_eq!(after, before, "threads={threads}");
+            let torn = &files
+                .iter()
+                .find(|(f, _)| *f == wal_file_name("s3"))
+                .unwrap()
+                .1;
+            assert!(torn.ends_with(b"}\n"), "torn tail kept");
+            assert!(files.iter().all(|(f, _)| f.ends_with(".wal")), "{files:?}");
+            outcomes.push((router.stats().boot_recovered, sessions, files));
+        }
+        assert!(
+            outcomes[0] == outcomes[1],
+            "boot differs between pool sizes"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn boot_recovery_skips_a_wal_whose_replay_panics() {
+        const SCOPE: u64 = 0xB007;
+        let root = std::env::temp_dir().join(format!("rsched_boot_panic_{}", std::process::id()));
+        let boot = |dir: &Path| {
+            Router::new(
+                3,
+                &ServeConfig {
+                    journal_dir: Some(dir.to_owned()),
+                    snapshot_every: 2,
+                    threads: 4,
+                    fault_scope: Some(SCOPE),
+                    ..ServeConfig::default()
+                },
+            )
+        };
+        let clean_dir = root.join("clean");
+        boot_fixture(&clean_dir);
+        let clean = boot(&clean_dir);
+        let (clean_sessions, clean_files) = boot_outcome(&clean, &clean_dir);
+
+        let dir = root.join("panic");
+        boot_fixture(&dir);
+        let router = {
+            let _scope = failpoint::enter_scope(SCOPE);
+            let _armed =
+                failpoint::arm("kernel::build", Some(SCOPE), FailAction::Panic, 0, Some(1));
+            boot(&dir)
+        };
+        assert_eq!(
+            router.stats().boot_recovered,
+            clean.stats().boot_recovered - 1,
+            "exactly one replay panicked and was skipped"
+        );
+        let (sessions, files) = boot_outcome(&router, &dir);
+        assert!(sessions.len() + 1 >= clean_sessions.len());
+        for session in &sessions {
+            assert!(clean_sessions.contains(session), "{session:?} diverges");
+        }
+        // The skipped WAL stays on disk as the clean boot left it.
+        assert_eq!(files, clean_files);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Parses a request body the way `run_lines` inputs are written.

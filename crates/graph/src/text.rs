@@ -74,19 +74,17 @@ impl ConstraintGraph {
     pub fn from_text(text: &str) -> Result<Self, TextFormatError> {
         let mut g = ConstraintGraph::new();
         // Keys borrow from `text`: only the vertex names themselves are
-        // copied, once each.
-        let mut names: HashMap<&str, VertexId> = HashMap::new();
+        // copied, once each. Sized for one declaration per
+        // `BYTES_PER_OP` bytes, so a typical design never rehashes.
+        let mut names: HashMap<&str, VertexId> =
+            HashMap::with_capacity(2 + text.len() / BYTES_PER_OP);
         names.insert("source", g.source());
         names.insert("sink", g.sink());
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
+        for (line, mut parts) in lines(text) {
             let syntax = |message: String| TextFormatError::Syntax { line, message };
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
-                continue;
-            }
-            let mut parts = content.split_whitespace();
-            let directive = parts.next().expect("non-empty line");
+            let Some(directive) = parts.next() else {
+                continue; // Blank or comment-only.
+            };
             let mut arg = |what: &str| {
                 parts
                     .next()
@@ -211,6 +209,107 @@ impl ConstraintGraph {
             }
         }
         out
+    }
+}
+
+/// Bytes of design text per declared operation that pre-sizing the name
+/// map assumes: an `op` line plus its share of constraint lines.
+const BYTES_PER_OP: usize = 32;
+
+/// How the tokenizer treats an ASCII byte.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Word,
+    /// Separates tokens: exactly the ASCII bytes `char::is_whitespace`
+    /// accepts.
+    Space,
+    /// Starts a comment that runs to the end of the line.
+    Comment,
+}
+
+const ASCII_CLASS: [Class; 128] = {
+    let mut table = [Class::Word; 128];
+    let mut b = 0;
+    while b < 128 {
+        if matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ') {
+            table[b as usize] = Class::Space;
+        }
+        b += 1;
+    }
+    table[b'#' as usize] = Class::Comment;
+    table
+};
+
+/// The lines of `text` with their 1-based numbers, each as an iterator
+/// over its whitespace-separated tokens before any `#`. Yields exactly
+/// the tokens `text.lines()`, then `split('#')`, `trim` and
+/// `split_whitespace` would, but scans a line's bytes once instead of
+/// once per stage: ASCII bytes are classified by table, and a non-ASCII
+/// character splits tokens iff it is Unicode whitespace.
+fn lines(text: &str) -> impl Iterator<Item = (usize, Tokens<'_>)> {
+    let mut rest = text;
+    (1..).map_while(move |line| {
+        if rest.is_empty() {
+            return None;
+        }
+        let (content, tail) = rest.split_once('\n').unwrap_or((rest, ""));
+        rest = tail;
+        Some((
+            line,
+            Tokens {
+                line: content,
+                pos: 0,
+            },
+        ))
+    })
+}
+
+/// The tokens of one line; see [`lines`].
+struct Tokens<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl Tokens<'_> {
+    /// The class of the character at `pos` and its length in bytes.
+    fn class_at(&self, pos: usize) -> (Class, usize) {
+        let b = self.line.as_bytes()[pos];
+        if b.is_ascii() {
+            return (ASCII_CLASS[b as usize], 1);
+        }
+        let c = self.line[pos..].chars().next().expect("in bounds");
+        let class = if c.is_whitespace() {
+            Class::Space
+        } else {
+            Class::Word
+        };
+        (class, c.len_utf8())
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let end = self.line.len();
+        while self.pos < end {
+            match self.class_at(self.pos) {
+                (Class::Space, len) => self.pos += len,
+                (Class::Comment, _) => self.pos = end,
+                (Class::Word, _) => break,
+            }
+        }
+        if self.pos == end {
+            return None;
+        }
+        let start = self.pos;
+        while self.pos < end {
+            match self.class_at(self.pos) {
+                (Class::Word, len) => self.pos += len,
+                _ => break,
+            }
+        }
+        Some(&self.line[start..self.pos])
     }
 }
 
@@ -348,6 +447,105 @@ max alu out 4
                 }
             );
         }
+    }
+
+    /// The tokenization `from_text` used before the byte scanner: the
+    /// reference the scanner must match line for line.
+    fn reference_lines(text: &str) -> Vec<(usize, Vec<&str>)> {
+        text.lines()
+            .enumerate()
+            .map(|(i, raw)| {
+                let content = raw.split('#').next().unwrap_or("").trim();
+                (i + 1, content.split_whitespace().collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ascii_table_matches_char_whitespace() {
+        for b in 0..128u8 {
+            let class = ASCII_CLASS[b as usize];
+            assert_eq!(
+                class == Class::Space,
+                char::from(b).is_whitespace(),
+                "{b:#x}"
+            );
+            assert_eq!(class == Class::Comment, b == b'#', "{b:#x}");
+        }
+    }
+
+    /// Generated lines mix directives, names, numbers, comments (alone,
+    /// trailing, and `#` inside a token), tabs, CRLF, blank lines, and
+    /// Unicode whitespace (U+00A0, U+3000, U+0085) next to non-space
+    /// multi-byte characters. Since the directive code consumes only
+    /// these tokens and line numbers, equal tokenization means equal
+    /// graphs and equal errors.
+    #[test]
+    fn byte_scanner_matches_reference_tokenization() {
+        const PIECES: [&str; 24] = [
+            "op",
+            "dep",
+            "min",
+            "max",
+            "a",
+            "b7",
+            "unbounded",
+            "3",
+            " ",
+            "   ",
+            "\t",
+            "#",
+            "# note",
+            "x#y",
+            "\r\n",
+            "\n",
+            "\n\n",
+            "\r",
+            "\u{a0}",
+            "\u{3000}",
+            "\u{85}",
+            "é",
+            "名",
+            "\u{b}\u{c}",
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for _ in 0..5000 {
+            let len = next(40);
+            let text: String = (0..len).map(|_| PIECES[next(PIECES.len())]).collect();
+            let scanned: Vec<(usize, Vec<&str>)> = lines(&text)
+                .map(|(line, tokens)| (line, tokens.collect()))
+                .collect();
+            assert_eq!(scanned, reference_lines(&text), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn missing_arguments_report_their_line_under_any_whitespace() {
+        let cases = [
+            ("op\u{a0}a\n", 1, "missing delay"),
+            ("op a 1\r\n\r\ndep a\u{3000}# b\r\n", 3, "missing head name"),
+            ("op a 1\nop b 1\n\tmin a b#3\n", 3, "missing cycle count"),
+            ("# only\n\nop\t\n", 3, "missing operation name"),
+        ];
+        for (text, line, message) in cases {
+            assert_eq!(
+                ConstraintGraph::from_text(text).unwrap_err(),
+                TextFormatError::Syntax {
+                    line,
+                    message: message.into()
+                },
+                "{text:?}"
+            );
+        }
+        let crlf =
+            ConstraintGraph::from_text("op\u{3000}a 1\r\nop b\u{a0}2\r\ndep a b\r\n").unwrap();
+        assert_eq!(crlf.n_vertices(), 4);
     }
 
     #[test]
