@@ -13,7 +13,7 @@
 //!   a shuffled insertion order — so each hit pays the entire
 //!   canonicalize → probe → remap path, never a shortcut;
 //! - interleaved cold reference runs: every eighth request also times a
-//!   plain `schedule_threaded` on the *same relabeled graph*, so the
+//!   plain `schedule` on the *same relabeled graph*, so the
 //!   hit/cold comparison sees identical machine conditions.
 //!
 //! A custom `main` exports hit rate, p50 hit latency, p50 cold latency
@@ -26,7 +26,7 @@ use criterion::{BenchmarkId, Criterion, SummaryWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsched_cache::{schedule_cached, ScheduleCache};
-use rsched_core::schedule_threaded;
+use rsched_core::schedule;
 use rsched_designs::cascade::{build_cascade as build, Cascade};
 use rsched_designs::random::{random_constraint_graph, RandomGraphConfig};
 
@@ -74,14 +74,14 @@ fn run_stream(universe: &[Cascade], requests: usize, capacity: usize) -> StreamR
         let design = universe[zipf_sample(&mut rng, &cumulative)];
         let graph = build(design, req as u64 + 1);
         let start = std::time::Instant::now();
-        let (result, hit) = schedule_cached(&cache, &graph, 1).expect("cascade designs schedule");
+        let (result, hit) = schedule_cached(&cache, &graph).expect("cascade designs schedule");
         let elapsed = start.elapsed().as_nanos();
         if hit { &mut hit_ns } else { &mut miss_ns }.push(elapsed);
         std::hint::black_box(&result);
         // Interleaved cold reference on the very same relabeled graph.
         if req % 8 == 0 {
             let start = std::time::Instant::now();
-            let cold = schedule_threaded(&graph, 1).expect("cascade designs schedule");
+            let cold = schedule(&graph).expect("cascade designs schedule");
             cold_ns.push(start.elapsed().as_nanos());
             assert_eq!(cold, result, "cache transparency broken in bench");
         }
@@ -103,16 +103,16 @@ fn reference_points(c: &mut Criterion, design: Cascade) {
     let graph = build(design, 0);
     let relabeled = build(design, 7);
     let warm = ScheduleCache::new(64);
-    schedule_cached(&warm, &graph, 1).expect("cascade design schedules");
+    schedule_cached(&warm, &graph).expect("cascade design schedules");
     let mut group = c.benchmark_group("cache");
     group.bench_with_input(
         BenchmarkId::new("cold_schedule", design.n),
         &graph,
-        |b, g| b.iter(|| schedule_threaded(g, 1).expect("cascade design schedules")),
+        |b, g| b.iter(|| schedule(g).expect("cascade design schedules")),
     );
     group.bench_with_input(BenchmarkId::new("hit", design.n), &relabeled, |b, g| {
         b.iter(|| {
-            let (result, hit) = schedule_cached(&warm, g, 1).expect("cascade design schedules");
+            let (result, hit) = schedule_cached(&warm, g).expect("cascade design schedules");
             assert!(hit, "warmed cache must hit");
             result
         })
@@ -133,7 +133,7 @@ fn reference_points(c: &mut Criterion, design: Cascade) {
     group.bench_with_input(
         BenchmarkId::new("cold_schedule_random", ops),
         &random,
-        |b, g| b.iter(|| schedule_threaded(g, 1).expect("random graphs schedule")),
+        |b, g| b.iter(|| schedule(g).expect("random graphs schedule")),
     );
     group.bench_with_input(
         BenchmarkId::new("canonical_key_random", ops),

@@ -42,9 +42,9 @@
 //! g.polarize().unwrap();
 //!
 //! let cache = ScheduleCache::new(64);
-//! let (cold, hit) = schedule_cached(&cache, &g, 1)?;
+//! let (cold, hit) = schedule_cached(&cache, &g)?;
 //! assert!(!hit);
-//! let (warm, hit) = schedule_cached(&cache, &g, 1)?;
+//! let (warm, hit) = schedule_cached(&cache, &g)?;
 //! assert!(hit);
 //! assert_eq!(cold, warm);
 //! # Ok(())
@@ -59,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use rsched_core::{schedule_threaded, RelativeSchedule, ScheduleError};
+use rsched_core::{schedule, RelativeSchedule, ScheduleError};
 use rsched_graph::{CanonicalKey, ConstraintGraph};
 
 /// Number of independently locked shards. Power of two so the hash can be
@@ -301,28 +301,25 @@ impl ScheduleCache {
 /// Returns the schedule in `graph`'s own labeling plus whether it was
 /// served from cache. A hit is bit-identical (offsets, anchor sets, and
 /// iteration count) to what the cold path would have produced. Errors are
-/// never cached; a disabled cache degrades to plain
-/// [`schedule_threaded`].
+/// never cached; a disabled cache degrades to plain [`schedule`].
 pub fn schedule_cached(
     cache: &ScheduleCache,
     graph: &ConstraintGraph,
-    threads: usize,
 ) -> Result<(RelativeSchedule, bool), ScheduleError> {
     match cache.probe(graph) {
         Probe::Hit(out) => Ok((out, true)),
         Probe::Miss(form) => {
-            let cold = schedule_threaded(graph, threads)?;
+            let cold = schedule(graph)?;
             cache.insert(&form, cold.remapped(&form.perm));
             Ok((cold, false))
         }
-        Probe::Off => Ok((schedule_threaded(graph, threads)?, false)),
+        Probe::Off => Ok((schedule(graph)?, false)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsched_core::schedule;
     use rsched_graph::ExecDelay;
 
     /// The Fig. 5-style fixture used across crates: a chain with an
@@ -354,9 +351,9 @@ mod tests {
     fn cold_then_hit_is_bit_identical() {
         let g = fixture(&[0, 1, 2, 3], &["a", "b", "c", "d"]);
         let cache = ScheduleCache::new(16);
-        let (cold, hit) = schedule_cached(&cache, &g, 1).unwrap();
+        let (cold, hit) = schedule_cached(&cache, &g).unwrap();
         assert!(!hit);
-        let (warm, hit) = schedule_cached(&cache, &g, 1).unwrap();
+        let (warm, hit) = schedule_cached(&cache, &g).unwrap();
         assert!(hit);
         assert_eq!(cold, warm);
         let stats = cache.stats();
@@ -369,11 +366,11 @@ mod tests {
         let g1 = fixture(&[0, 1, 2, 3], &["a", "b", "c", "d"]);
         let g2 = fixture(&[3, 1, 0, 2], &["x", "q", "m", "z"]);
         let cache = ScheduleCache::new(16);
-        let (_, hit) = schedule_cached(&cache, &g1, 1).unwrap();
+        let (_, hit) = schedule_cached(&cache, &g1).unwrap();
         assert!(!hit);
         // Same structure, different labels and insertion order: must hit,
         // and must equal what a cold run on g2 itself computes.
-        let (warm, hit) = schedule_cached(&cache, &g2, 1).unwrap();
+        let (warm, hit) = schedule_cached(&cache, &g2).unwrap();
         assert!(hit);
         assert_eq!(warm, schedule(&g2).unwrap());
     }
@@ -387,9 +384,9 @@ mod tests {
         g2.add_dependency(a, b).unwrap();
         g2.polarize().unwrap();
         let cache = ScheduleCache::new(16);
-        let (_, hit) = schedule_cached(&cache, &g1, 1).unwrap();
+        let (_, hit) = schedule_cached(&cache, &g1).unwrap();
         assert!(!hit);
-        let (s2, hit) = schedule_cached(&cache, &g2, 1).unwrap();
+        let (s2, hit) = schedule_cached(&cache, &g2).unwrap();
         assert!(!hit);
         assert_eq!(s2, schedule(&g2).unwrap());
         assert_eq!(cache.stats().entries, 2);
@@ -407,7 +404,7 @@ mod tests {
                 prev = next;
             }
             g.polarize().unwrap();
-            let (_, hit) = schedule_cached(&cache, &g, 1).unwrap();
+            let (_, hit) = schedule_cached(&cache, &g).unwrap();
             assert!(!hit);
         }
         let stats = cache.stats();
@@ -425,9 +422,9 @@ mod tests {
         let g = fixture(&[0, 1, 2, 3], &["a", "b", "c", "d"]);
         let cache = ScheduleCache::new(0);
         assert!(!cache.enabled());
-        let (s1, hit) = schedule_cached(&cache, &g, 1).unwrap();
+        let (s1, hit) = schedule_cached(&cache, &g).unwrap();
         assert!(!hit);
-        let (_, hit) = schedule_cached(&cache, &g, 1).unwrap();
+        let (_, hit) = schedule_cached(&cache, &g).unwrap();
         assert!(!hit);
         assert_eq!(s1, schedule(&g).unwrap());
         assert_eq!(cache.stats(), CacheStats::default());
@@ -442,8 +439,8 @@ mod tests {
         g.add_max_constraint(a, b, 2).unwrap(); // needs >= 5, allows <= 2
         g.polarize().unwrap();
         let cache = ScheduleCache::new(16);
-        assert!(schedule_cached(&cache, &g, 1).is_err());
-        assert!(schedule_cached(&cache, &g, 1).is_err());
+        assert!(schedule_cached(&cache, &g).is_err());
+        assert!(schedule_cached(&cache, &g).is_err());
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.inserts, 0);
@@ -465,7 +462,7 @@ mod tests {
         g.add_min_constraint(a, b, 9).unwrap(); // min 9 > max 5
         g.polarize().unwrap();
         let cache = ScheduleCache::new(16);
-        assert!(schedule_cached(&cache, &g, 1).is_err());
+        assert!(schedule_cached(&cache, &g).is_err());
         // Remove the offending min edge (and the dep, for sparser ids).
         let doomed: Vec<_> = g
             .edges()
@@ -476,7 +473,7 @@ mod tests {
         for id in doomed {
             g.remove_edge(id).unwrap();
         }
-        let (result, hit) = schedule_cached(&cache, &g, 1).unwrap();
+        let (result, hit) = schedule_cached(&cache, &g).unwrap();
         assert!(!hit);
         assert_eq!(result, schedule(&g).unwrap());
         cache.put(&g, &result);

@@ -150,10 +150,10 @@ proptest! {
         let original = identity(&spec);
         let twin = relabeled(&spec, seed);
         let cache = ScheduleCache::new(16);
-        match schedule_cached(&cache, &original, 1) {
+        match schedule_cached(&cache, &original) {
             Ok((_, hit)) => {
                 prop_assert!(!hit, "first probe of an empty cache cannot hit");
-                let (warm, hit) = schedule_cached(&cache, &twin, 1).expect(
+                let (warm, hit) = schedule_cached(&cache, &twin).expect(
                     "schedulability is structural: the twin must schedule too",
                 );
                 prop_assert!(hit, "relabeled twin must hit the cached entry");

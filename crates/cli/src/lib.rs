@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! rsched check     <graph.rsg>                 feasibility + well-posedness
-//! rsched schedule  <graph.rsg> [--ir] [--trace] [--threads N]  minimum relative schedule
+//! rsched schedule  <graph.rsg> [--ir] [--trace]              minimum relative schedule
 //! rsched slack     <graph.rsg>                 ASAP/ALAP offsets + mobility
 //! rsched explain   <graph.rsg>                 binding path behind every offset
 //! rsched control   <graph.rsg> [--style counter|shift] [--ir]
@@ -39,7 +39,7 @@ use std::fs;
 
 use rsched_core::{
     check_well_posed, explain_offset, iteration_bound, make_well_posed, relative_slack, schedule,
-    schedule_threaded, schedule_traced, IrredundantAnchors, WellPosedness,
+    schedule_traced, IrredundantAnchors, WellPosedness,
 };
 use rsched_ctrl::{generate, ControlStyle, Fsm};
 use rsched_graph::{ConstraintGraph, DotOptions};
@@ -72,7 +72,7 @@ impl CliError {
 
 const USAGE: &str = "usage:
   rsched check     <graph.rsg>
-  rsched schedule  <graph.rsg> [--ir] [--trace] [--threads N]
+  rsched schedule  <graph.rsg> [--ir] [--trace]
   rsched slack     <graph.rsg>
   rsched optimize  <graph.rsg> [--max-rounds N] [--slack-threshold N]
                    [--budget N] [--style counter|shift] [--max-edges N]
@@ -586,17 +586,16 @@ fn check_cmd(source: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The usage error for `rsched schedule --threads`: the fixpoint has one
+/// serial implementation, so there is nothing left to fan out.
+const SCHEDULE_THREADS_REMOVED: &str =
+    "schedule has no --threads: the fixpoint runs on one thread (serve --threads sizes the batch pool)";
+
 fn schedule_cmd(source: &str, flags: &[&String]) -> Result<String, CliError> {
+    if has_flag(flags, "--threads") {
+        return Err(CliError::usage(SCHEDULE_THREADS_REMOVED));
+    }
     let g = load_graph(source)?;
-    // Worker threads fanned over anchor columns; any count yields
-    // bit-identical offsets, iteration counts, and verdicts.
-    let threads: usize = flag_value(flags, "--threads")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| CliError::usage("--threads expects a number"))
-        })
-        .transpose()?
-        .unwrap_or(1);
     let mut out = String::new();
     if has_flag(flags, "--trace") {
         let trace = schedule_traced(&g).map_err(CliError::failure)?;
@@ -609,7 +608,7 @@ fn schedule_cmd(source: &str, flags: &[&String]) -> Result<String, CliError> {
             );
         }
     }
-    let omega = schedule_threaded(&g, threads.max(1)).map_err(CliError::failure)?;
+    let omega = schedule(&g).map_err(CliError::failure)?;
     let omega = if has_flag(flags, "--ir") {
         let analysis = IrredundantAnchors::analyze(&g).map_err(CliError::failure)?;
         omega.restrict(analysis.irredundant.family())
@@ -1040,13 +1039,19 @@ max vi vj 4
     }
 
     #[test]
-    fn schedule_threads_flag_is_bit_identical() {
+    fn schedule_threads_flag_is_rejected() {
         let p = write_temp("sched_threads", GRAPH);
-        let single = run_args(&["schedule", p.to_str().unwrap()]).unwrap();
-        let fanned = run_args(&["schedule", p.to_str().unwrap(), "--threads", "4"]).unwrap();
-        assert_eq!(single, fanned);
-        let err = run_args(&["schedule", p.to_str().unwrap(), "--threads", "x"]).unwrap_err();
-        assert_eq!(err.code, 2);
+        for count in ["4", "1", "x"] {
+            let err = run_args(&["schedule", p.to_str().unwrap(), "--threads", count]).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert_eq!(
+                err.message,
+                format!("{SCHEDULE_THREADS_REMOVED}\n\n{USAGE}"),
+                "--threads {count}"
+            );
+        }
+        // Without the flag the command still schedules.
+        assert!(run_args(&["schedule", p.to_str().unwrap()]).is_ok());
     }
 
     #[test]

@@ -77,11 +77,9 @@ pub use error::ScheduleError;
 pub use explain::{explain_offset, OffsetExplanation};
 pub use pool::WorkPool;
 pub use schedule::{
-    effective_workers, kernel_counters, relax_additive, relax_additive_on, reschedule,
-    reschedule_on, reschedule_reference, reschedule_tuned, schedule, schedule_reference,
-    schedule_threaded, schedule_traced, schedule_with_sets, schedule_with_sets_on,
-    schedule_with_sets_tuned, FixpointTuning, IterationTrace, KernelCounters, RelativeSchedule,
-    ScheduleTrace, MIN_COLUMNS_PER_WORKER,
+    relax_additive, reschedule, reschedule_on, reschedule_reference, schedule, schedule_reference,
+    schedule_traced, schedule_with_sets, schedule_with_sets_on, IterationTrace, RelativeSchedule,
+    ScheduleTrace,
 };
 pub use slack::{relative_slack, SlackAnalysis};
 pub use start_time::{

@@ -1,112 +1,14 @@
-//! Work-stealing primitives for the parallel fixpoint and batch serving.
-//!
-//! Two pieces live here, both hand-rolled on `std` atomics (the repo's
-//! shim policy: no external crates):
-//!
-//! - [`StealDeque`], a fixed-capacity Chase–Lev work-stealing deque over
-//!   `u32` task ids. The owner pushes and pops at the bottom; thieves
-//!   CAS-claim from the top. Capacity is fixed at construction — callers
-//!   bound outstanding items by the task-list length, so the unsafe
-//!   buffer-resize dance of the original algorithm is never needed and
-//!   the whole structure stays within `#![forbid(unsafe_code)]`.
-//! - [`WorkPool`], a persistent scatter-gather pool of OS threads for
-//!   coarse jobs (one cold schedule per batch-request design). The
-//!   calling thread participates in draining the queue, so a pool sized
-//!   `threads <= 1` degenerates to an inline serial loop with zero
-//!   synchronization beyond one uncontended mutex per job.
-//!
-//! The fine-grained tile executor built on [`StealDeque`] lives in
-//! `schedule.rs` next to the fixpoint it drives.
+//! A persistent scatter-gather pool of OS threads for coarse jobs (one
+//! cold schedule per batch-request design, one WAL replay at boot),
+//! hand-rolled on `std` (the repo's shim policy: no external crates). The
+//! calling thread participates in draining the queue, so a pool sized
+//! `threads <= 1` degenerates to an inline serial loop with zero
+//! synchronization beyond one uncontended mutex per job.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicIsize, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-/// A fixed-capacity Chase–Lev deque of `u32` task ids.
-///
-/// Single owner, many thieves. The owner calls [`push`](Self::push) and
-/// [`pop`](Self::pop); any other thread calls [`steal`](Self::steal).
-/// The caller must guarantee at most `capacity` items are outstanding at
-/// once (`push` panics on overflow in debug builds and silently wraps in
-/// release — the fixpoint executor bounds pushes by the per-phase task
-/// count, which is also the construction capacity).
-pub(crate) struct StealDeque {
-    /// Next position a thief claims. Monotonic.
-    top: AtomicIsize,
-    /// Next position the owner pushes. Monotonic while items are added.
-    bottom: AtomicIsize,
-    slots: Box<[AtomicU32]>,
-    mask: usize,
-}
-
-impl StealDeque {
-    pub(crate) fn with_capacity(capacity: usize) -> StealDeque {
-        let cap = capacity.max(1).next_power_of_two();
-        StealDeque {
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(0),
-            slots: (0..cap).map(|_| AtomicU32::new(0)).collect(),
-            mask: cap - 1,
-        }
-    }
-
-    /// Owner-only: append a task at the bottom.
-    pub(crate) fn push(&self, task: u32) {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        debug_assert!(
-            (b - t) < self.slots.len() as isize,
-            "StealDeque overflow: capacity must cover the task list"
-        );
-        self.slots[b as usize & self.mask].store(task, Ordering::Relaxed);
-        // Release: a thief that observes the new bottom also observes the
-        // slot write above.
-        self.bottom.store(b + 1, Ordering::Release);
-    }
-
-    /// Owner-only: take the most recently pushed task, racing thieves for
-    /// the last one.
-    pub(crate) fn pop(&self) -> Option<u32> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        // SeqCst handshake with `steal`: publish the lowered bottom before
-        // reading top, so owner and thief cannot both claim the last item.
-        self.bottom.store(b, Ordering::SeqCst);
-        let t = self.top.load(Ordering::SeqCst);
-        if t > b {
-            // Empty: restore and bail.
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return None;
-        }
-        let task = self.slots[b as usize & self.mask].load(Ordering::Relaxed);
-        if t == b {
-            // Last item: win it against thieves by advancing top.
-            let won = self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok();
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return won.then_some(task);
-        }
-        Some(task)
-    }
-
-    /// Thief: claim the oldest task, or `None` when empty or when another
-    /// thief won the race (callers simply move on to the next victim).
-    pub(crate) fn steal(&self) -> Option<u32> {
-        let t = self.top.load(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::SeqCst);
-        if t >= b {
-            return None;
-        }
-        let task = self.slots[t as usize & self.mask].load(Ordering::Relaxed);
-        self.top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .ok()
-            .map(|_| task)
-    }
-}
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -322,60 +224,7 @@ impl Drop for WorkPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn deque_lifo_for_owner_fifo_for_thief() {
-        let d = StealDeque::with_capacity(8);
-        d.push(1);
-        d.push(2);
-        d.push(3);
-        assert_eq!(d.steal(), Some(1));
-        assert_eq!(d.pop(), Some(3));
-        assert_eq!(d.pop(), Some(2));
-        assert_eq!(d.pop(), None);
-        assert_eq!(d.steal(), None);
-    }
-
-    /// Owner pops and four thieves steal concurrently; every pushed id is
-    /// claimed exactly once.
-    #[test]
-    fn deque_claims_each_task_once_under_contention() {
-        const N: u32 = 4096;
-        let deque = StealDeque::with_capacity(N as usize);
-        let claimed: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
-        let drained = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| loop {
-                    match deque.steal() {
-                        Some(t) => {
-                            claimed[t as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                        // Once the owner has drained, an empty steal is
-                        // definitive — nothing can be pushed again.
-                        None if drained.load(Ordering::SeqCst) => break,
-                        None => std::hint::spin_loop(),
-                    }
-                });
-            }
-            for t in 0..N {
-                deque.push(t);
-                if t % 3 == 0 {
-                    if let Some(got) = deque.pop() {
-                        claimed[got as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            while let Some(got) = deque.pop() {
-                claimed[got as usize].fetch_add(1, Ordering::Relaxed);
-            }
-            drained.store(true, Ordering::SeqCst);
-        });
-        for (t, c) in claimed.iter().enumerate() {
-            assert_eq!(c.load(Ordering::Relaxed), 1, "task {t} claimed once");
-        }
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn pool_runs_every_job_and_serial_pool_is_inline() {

@@ -1,14 +1,14 @@
-//! Differential property tests pinning the CSR kernel to the reference
-//! scheduler.
+//! Differential property tests pinning the packed-row kernel fixpoint to
+//! the reference scheduler.
 //!
-//! The kernel path ([`schedule`], [`schedule_threaded`], [`reschedule`],
-//! [`relax_additive_on`]) must be **bit-identical** to the retained
-//! pre-kernel implementations ([`schedule_reference`],
-//! [`reschedule_reference`], [`relax_additive`]) on arbitrary designs:
-//! identical offsets, anchor sets, iteration counts, and identical error
-//! values (unfeasibility witnesses, ill-posedness violations,
-//! inconsistency budgets). Thread fan-out must not change a single bit
-//! either — `threads = 1` and `threads = 8` run the exact same iterates.
+//! The kernel path ([`schedule`], [`schedule_with_sets`], [`reschedule`])
+//! must be **bit-identical** to the retained pre-kernel implementations
+//! ([`schedule_reference`], [`reschedule_reference`]) on arbitrary
+//! designs: identical offsets, anchor sets, iteration counts, and
+//! identical error values (unfeasibility witnesses, ill-posedness
+//! violations, inconsistency budgets). The kernel skips columns and
+//! vertices that cannot move (its two frontiers), so matching iteration
+//! counts pins every round, not just the fixpoint.
 //!
 //! On top of the mutual pinning, every cold result is judged by the
 //! independent first-principles oracle (`rsched_oracle::check_result`),
@@ -18,12 +18,11 @@
 use proptest::prelude::*;
 
 use rsched_core::{
-    effective_workers, kernel_counters, relax_additive, relax_additive_on, reschedule,
-    reschedule_on, reschedule_reference, schedule, schedule_reference, schedule_threaded,
-    schedule_with_sets, schedule_with_sets_tuned, AnchorSets, FixpointTuning,
-    MIN_COLUMNS_PER_WORKER,
+    check_well_posed_with, iteration_bound, reschedule, reschedule_reference, schedule,
+    schedule_reference, schedule_with_sets, AnchorSetFamily, AnchorSets, IrredundantAnchors,
+    RelativeSchedule, WellPosedness,
 };
-use rsched_graph::{ConstraintGraph, ExecDelay, ScheduleKernel, VertexId};
+use rsched_graph::{ConstraintGraph, ExecDelay, VertexId};
 
 #[derive(Debug, Clone)]
 struct GraphSpec {
@@ -121,45 +120,46 @@ fn build_cascade(n: usize, links: usize, salt: u64) -> ConstraintGraph {
     g
 }
 
-/// The forced-tuning matrix: exactly `w` stealing workers for
-/// `w ∈ {1, 2, 4, 8}` (no hardware or column-count fallback), crossed
-/// with frontier compaction on and off. Every cell must reproduce
-/// `reference` bit for bit — offsets, anchor sets, iteration counts, and
-/// error variants alike.
-fn assert_tuning_matrix(
-    g: &ConstraintGraph,
-    reference: &Result<rsched_core::RelativeSchedule, rsched_core::ScheduleError>,
-) {
+/// A schedule over `family` with every tracked offset at zero.
+fn zeros(g: &ConstraintGraph, family: &AnchorSetFamily) -> RelativeSchedule {
+    let triples: Vec<_> = g
+        .vertex_ids()
+        .flat_map(|v| family.set(v).map(move |a| (v, a, 0)))
+        .collect();
+    RelativeSchedule::from_offsets(family.clone(), g.n_vertices(), &triples, 0)
+        .expect("every tracked pair once")
+}
+
+/// The kernel fixpoint and the reference agree at the fixpoint level
+/// (after anchor-set computation, without the well-posedness pre-check),
+/// over the full `A(v)` family and over the irredundant restriction —
+/// where a tail may track anchors its forward head does not — so
+/// fixpoint-detected errors (inconsistency budgets) must agree too, and
+/// iteration counts match round for round.
+fn assert_fixpoint_matches_reference(g: &ConstraintGraph) {
     let Ok(sets) = AnchorSets::compute(g) else {
-        // Structural errors surface before the fixpoint entry points
-        // exercised here; the plain kernel/reference differential
-        // already pins that parity.
+        // Structural errors surface before the fixpoint; the plain
+        // kernel/reference differential already pins that parity.
         return;
     };
-    // The matrix is pinned to the same pipeline level (post anchor-set
-    // computation), so fixpoint-detected errors — unfeasibility budgets
-    // and their witnesses — must also agree cell by cell. Upstream
-    // structural errors (ill-posedness) are the reference's business:
-    // where it errors before the fixpoint, only the Ok case is skipped.
-    let baseline = schedule_with_sets(g, sets.family());
-    if reference.is_ok() {
-        assert_eq!(&baseline, reference, "kernel baseline diverged");
+    let mut families = vec![sets.family().clone()];
+    if let Ok(ir) = IrredundantAnchors::analyze(g) {
+        families.push(ir.irredundant.family().clone());
     }
-    let kernel = ScheduleKernel::build(g).expect("forward subgraph stays acyclic");
-    for workers in [1usize, 2, 4, 8] {
-        for full in [false, true] {
-            let mut tuning = FixpointTuning::forced(workers);
-            if full {
-                tuning = tuning.full_iteration();
-            }
-            let tuned = schedule_with_sets_tuned(&kernel, sets.family(), tuning);
-            assert_eq!(
-                &tuned, &baseline,
-                "forced workers={workers} full_iteration={full} diverged"
-            );
-            if let (Ok(t), Ok(b)) = (&tuned, &baseline) {
-                assert_eq!(t.iterations(), b.iterations());
-            }
+    for family in &families {
+        // With no warm anchors the reference walker runs cold, without
+        // pre-checks, exactly like `schedule_with_sets`.
+        let seed = zeros(g, family);
+        let reference = reschedule_reference(g, family, &seed, &[]);
+        let kernel = schedule_with_sets(g, family);
+        assert_eq!(kernel, reference, "kernel fixpoint diverged");
+        // An all-zero seed on every column is a cold start too, through
+        // the kernel's seeding path.
+        let seeded = reschedule(g, family, &seed, family.anchors());
+        assert_eq!(seeded, reference, "zero-seeded kernel fixpoint diverged");
+        if let (Ok(k), Ok(s), Ok(r)) = (&kernel, &seeded, &reference) {
+            assert_eq!(k.iterations(), r.iterations());
+            assert_eq!(s.iterations(), r.iterations());
         }
     }
 }
@@ -167,7 +167,7 @@ fn assert_tuning_matrix(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Cold scheduling: the CSR kernel and the adjacency-walking
+    /// Cold scheduling: the kernel fixpoint and the adjacency-walking
     /// reference return the same `Result` — offsets, iteration counts,
     /// and every error variant included.
     #[test]
@@ -185,23 +185,8 @@ proptest! {
         prop_assert!(report.is_ok(), "oracle disagrees with both implementations:\n{}", report);
     }
 
-    /// Fanning anchor columns over worker threads changes nothing:
-    /// `threads = 1` and any larger count produce the same bits.
-    #[test]
-    fn thread_counts_are_bit_identical(spec in graph_spec(20), threads in 2usize..9) {
-        let (g, _) = build(&spec);
-        let serial = schedule_threaded(&g, 1);
-        let fanned = schedule_threaded(&g, threads);
-        let wide = schedule_threaded(&g, 8);
-        prop_assert_eq!(&serial, &fanned);
-        prop_assert_eq!(&serial, &wide);
-        if let (Ok(s), Ok(f)) = (&serial, &fanned) {
-            prop_assert_eq!(s.iterations(), f.iterations());
-        }
-    }
-
-    /// Warm restarts after an additive edit: the kernel reschedule (at
-    /// several thread counts) agrees with the reference reschedule.
+    /// Warm restarts after an additive edit: every anchor is seeded, and
+    /// the kernel reschedule agrees with the reference reschedule.
     #[test]
     fn warm_reschedule_matches_reference(
         spec in graph_spec(16),
@@ -220,58 +205,70 @@ proptest! {
         let reference = reschedule_reference(&g, sets.family(), &prev, &warm);
         let kernel = reschedule(&g, sets.family(), &prev, &warm);
         prop_assert_eq!(&kernel, &reference);
-        let snapshot = ScheduleKernel::build(&g).expect("forward subgraph stays acyclic");
-        let fanned = reschedule_on(&snapshot, sets.family(), &prev, &warm, 4);
-        prop_assert_eq!(&fanned, &reference);
         if let (Ok(k), Ok(r)) = (&kernel, &reference) {
             prop_assert_eq!(k.iterations(), r.iterations());
         }
     }
 
-    /// The single-edge relaxation fast path: the kernel variant raises
-    /// the same vertices in the same order and leaves the same offsets as
-    /// the adjacency-walking one.
+    /// Warm restarts whose anchor roster changed: an operation's delay
+    /// flips between fixed and unbounded, so the roster grows or shrinks
+    /// and the rows are re-matched by anchor vertex. Anchors that cannot
+    /// reach the edited operation stay warm, the rest start cold. The
+    /// kernel reschedule agrees with the reference and with a cold run.
     #[test]
-    fn relax_additive_matches_kernel(
+    fn roster_change_reschedule_matches_reference(
         spec in graph_spec(16),
-        extra in (0usize..64, 0usize..64, 0u64..5),
+        pick in 0usize..64,
     ) {
         let (mut g, vs) = build(&spec);
-        let Ok(mut sets) = AnchorSets::compute(&g) else { return Ok(()) };
-        let Ok(prev) = schedule_with_sets(&g, sets.family()) else { return Ok(()) };
-        let (i, j, l) = extra;
-        let (from, to) = (vs[i % vs.len()], vs[j % vs.len()]);
-        let Ok(edge) = g.add_min_constraint(from, to, l) else { return Ok(()) };
-        let changed = sets.notify_add_edge(&g, edge);
-        let mut walked = prev.clone();
-        let mut kerneled = prev;
-        let reference = relax_additive(&g, sets.family(), &mut walked, edge, &changed);
-        let snapshot = ScheduleKernel::build(&g).expect("forward subgraph stays acyclic");
-        let fast = relax_additive_on(&snapshot, sets.family(), &mut kerneled, edge, &changed);
-        prop_assert_eq!(&fast, &reference);
-        if reference.is_ok() {
-            prop_assert_eq!(&kerneled, &walked);
+        let Ok(prev) = schedule(&g) else { return Ok(()) };
+        let v = vs[pick % vs.len()];
+        let warm: Vec<VertexId> = prev
+            .anchors()
+            .iter()
+            .copied()
+            .filter(|&a| {
+                a != v && g.longest_paths_from(a).is_ok_and(|lp| lp.length_to(v).is_none())
+            })
+            .collect();
+        let delay = if g.vertex(v).delay().is_unbounded() {
+            ExecDelay::Fixed(2)
+        } else {
+            ExecDelay::Unbounded
+        };
+        if g.set_delay(v, delay).is_err() {
+            return Ok(());
+        }
+        let Ok(sets) = AnchorSets::compute(&g) else { return Ok(()) };
+        prop_assert_ne!(sets.anchors(), prev.anchors(), "the roster changed");
+        let reference = reschedule_reference(&g, sets.family(), &prev, &warm);
+        let kernel = reschedule(&g, sets.family(), &prev, &warm);
+        prop_assert_eq!(&kernel, &reference);
+        if matches!(check_well_posed_with(&g, &sets), WellPosedness::WellPosed) {
+            let cold = schedule_with_sets(&g, sets.family()).expect("well-posed graphs schedule");
+            let warmed = kernel.expect("a sound seed converges");
+            for u in g.vertex_ids() {
+                prop_assert!(warmed.offsets_of(u).eq(cold.offsets_of(u)), "offsets of {}", u);
+            }
         }
     }
 
-    /// The work-stealing fixpoint across the full tuning matrix — forced
-    /// worker counts {1, 2, 4, 8} × frontier compaction {on, off} — is
-    /// bit-identical to the reference on arbitrary designs, and the
-    /// reference itself passes the independent oracle.
+    /// The fixpoint level on arbitrary designs, over the full and the
+    /// irredundant families; the reference itself passes the oracle.
     #[test]
-    fn forced_workers_and_compaction_match_reference(spec in graph_spec(20)) {
+    fn fixpoint_matches_reference(spec in graph_spec(20)) {
         let (g, _) = build(&spec);
         let reference = schedule_reference(&g);
         let report = rsched_oracle::check_result(&g, &reference);
         prop_assert!(report.is_ok(), "oracle disagrees with the reference:\n{}", report);
-        assert_tuning_matrix(&g, &reference);
+        assert_fixpoint_matches_reference(&g);
     }
 
     /// Cascade designs force `links + 1` readjust rounds (readjustment can
-    /// only raise one link per round), so frontier compaction actually
-    /// retires columns across surviving rounds instead of degenerating to
-    /// the one-round case. The whole tuning matrix must still agree with
-    /// the reference bit for bit, at the full iteration count.
+    /// only raise one link per round), so both frontiers actually retire
+    /// columns and skip vertices across surviving rounds instead of
+    /// degenerating to the one-round case. The kernel must still agree
+    /// with the reference bit for bit, at the full iteration count.
     #[test]
     fn cascade_multi_round_matches_reference(
         n in 10usize..40,
@@ -284,48 +281,97 @@ proptest! {
         prop_assert_eq!(omega.iterations(), links + 1);
         let report = rsched_oracle::check_result(&g, &reference);
         prop_assert!(report.is_ok(), "oracle disagrees with the reference:\n{}", report);
-        assert_tuning_matrix(&g, &reference);
+        prop_assert_eq!(&schedule(&g), &reference);
+        assert_fixpoint_matches_reference(&g);
+    }
+
+    /// Theorem 8: a well-posed design converges within `L + 1 ≤ |E_b| + 1`
+    /// iterations, cold and after a warm additive edit alike.
+    #[test]
+    fn iterations_stay_within_theorem_8(
+        spec in graph_spec(20),
+        extra in (0usize..64, 0usize..64, 0u64..5),
+    ) {
+        let (mut g, vs) = build(&spec);
+        let Ok(omega) = schedule(&g) else { return Ok(()) };
+        let bound = iteration_bound(&g).expect("feasible graphs have a bound");
+        prop_assert!(omega.iterations() <= bound.max_iterations());
+        prop_assert!(omega.iterations() <= g.n_backward_edges() + 1);
+
+        let (i, j, l) = extra;
+        let (from, to) = (vs[i % vs.len()], vs[j % vs.len()]);
+        if g.add_min_constraint(from, to, l).is_err() {
+            return Ok(());
+        }
+        let sets = AnchorSets::compute(&g).expect("additive edit keeps structure sound");
+        if !matches!(check_well_posed_with(&g, &sets), WellPosedness::WellPosed) {
+            return Ok(());
+        }
+        let warmed = reschedule(&g, sets.family(), &omega, sets.anchors())
+            .expect("well-posed graphs schedule");
+        prop_assert!(warmed.iterations() <= g.n_backward_edges() + 1);
     }
 }
 
-/// The fallback policy: below [`MIN_COLUMNS_PER_WORKER`] anchor columns
-/// per worker the crew is not worth waking, and a small design must take
-/// the serial path even when threads were requested.
+/// A cascade whose readjusted heads sit at the end of the chain, beside a
+/// side branch off the chain's start that no backward edge reaches: from
+/// round 2 on the forward cone of the readjusted heads is a strict subset
+/// of `G_f`, so the vertex frontier skips the branch. Offsets and the
+/// `links + 1` iteration count must equal the reference's.
 #[test]
-fn small_designs_fall_back_to_serial() {
-    // Policy function: too few columns clamps any request down to 1.
-    assert_eq!(effective_workers(8, MIN_COLUMNS_PER_WORKER - 1), 1);
-    assert_eq!(effective_workers(2, 4), 1);
-    assert_eq!(effective_workers(1, 10 * MIN_COLUMNS_PER_WORKER), 1);
-    // Two workers only once each has MIN_COLUMNS_PER_WORKER columns to
-    // itself (hardware permitting — a single-core host still clamps to 1).
-    let two = effective_workers(2, 2 * MIN_COLUMNS_PER_WORKER);
-    assert!(two == 1 || two == 2);
-    assert_eq!(effective_workers(8, 2 * MIN_COLUMNS_PER_WORKER - 1), 1);
+fn readjusted_cone_is_a_strict_subset_of_the_forward_graph() {
+    let (n, links) = (24, 5);
+    let mut g = build_cascade(n, links, 3);
+    let ops: Vec<VertexId> = g.operation_ids().collect();
+    let mut prev = ops[0];
+    for i in 0..12 {
+        // The branch opens with an anchor whose column no backward edge
+        // reaches, so the column frontier retires it after round 1.
+        let delay = if i == 0 {
+            ExecDelay::Unbounded
+        } else {
+            ExecDelay::Fixed(i % 4 + 1)
+        };
+        let side = g.add_operation(format!("side{i}"), delay);
+        g.add_dependency(prev, side).unwrap();
+        prev = side;
+    }
+    g.polarize().unwrap();
+    let reference = schedule_reference(&g).expect("the design is feasible");
+    assert_eq!(reference.iterations(), links + 1);
+    let kernel = schedule(&g).expect("the design is feasible");
+    assert_eq!(kernel, reference);
+    assert_eq!(kernel.iterations(), links + 1);
+    assert_fixpoint_matches_reference(&g);
+    let report = rsched_oracle::check_result(&g, &Ok(kernel));
+    assert!(report.is_ok(), "{report}");
+}
 
-    // End to end: a 6-op cascade has far fewer anchor columns than the
-    // threshold, so an 8-thread request must fall back — observable as a
-    // serial_fallbacks bump and bit-identical output. Counters are
-    // process-global and monotonic, so deltas are `>=` even with other
-    // tests running concurrently.
-    let g = build_cascade(6, 2, 1);
-    let before = kernel_counters();
-    let fanned = schedule_threaded(&g, 8);
-    let after = kernel_counters();
-    assert_eq!(&fanned, &schedule_threaded(&g, 1));
-    assert!(after.runs > before.runs);
-    assert!(
-        after.serial_fallbacks > before.serial_fallbacks,
-        "8-thread request on a tiny design must take the serial path \
-         (before {before:?}, after {after:?})"
-    );
-
-    // Forcing bypasses the policy: the same design through the crew path
-    // bumps parallel_runs and still produces the same bits.
-    let sets = AnchorSets::compute(&g).expect("cascade is well-posed");
-    let kernel = ScheduleKernel::build(&g).expect("forward subgraph stays acyclic");
-    let forced = schedule_with_sets_tuned(&kernel, sets.family(), FixpointTuning::forced(2));
-    assert_eq!(&forced, &fanned);
-    let end = kernel_counters();
-    assert!(end.parallel_runs > after.parallel_runs);
+/// Designs with more than 64 anchors spread every row over several
+/// bitset words; the packed walks must carry their positions across
+/// word boundaries.
+#[test]
+fn anchors_spanning_several_row_words_match_reference() {
+    let mut g = ConstraintGraph::new();
+    let mut prev: Option<VertexId> = None;
+    for i in 0..150 {
+        let delay = if i % 2 == 0 {
+            ExecDelay::Unbounded
+        } else {
+            ExecDelay::Fixed(i as u64 % 5 + 1)
+        };
+        let v = g.add_operation(format!("v{i}"), delay);
+        if let Some(p) = prev {
+            g.add_dependency(p, v).unwrap();
+            if i % 7 == 0 {
+                g.add_min_constraint(p, v, 3).unwrap();
+            }
+        }
+        prev = Some(v);
+    }
+    g.polarize().unwrap();
+    assert!(g.n_anchors() > 64);
+    let reference = schedule_reference(&g).expect("the chain is well-posed");
+    assert_eq!(schedule(&g).expect("the chain is well-posed"), reference);
+    assert_fixpoint_matches_reference(&g);
 }

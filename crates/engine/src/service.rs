@@ -106,7 +106,7 @@ use std::thread;
 use std::time::Duration;
 
 use rsched_cache::{schedule_cached, CacheStats, Probe, ScheduleCache};
-use rsched_core::{KernelCounters, ScheduleError, WellPosedness, WorkPool};
+use rsched_core::{ScheduleError, WellPosedness, WorkPool};
 use rsched_graph::{failpoint, ConstraintGraph, ExecDelay};
 
 use crate::journal::{Journal, JournalOp};
@@ -738,7 +738,6 @@ impl Router {
                     ("compactions", Json::from(entry.journal.compactions())),
                     ("recoveries", Json::from(entry.recoveries)),
                     ("cache", cache_json(&self.cache.stats())),
-                    ("kernel", kernel_json(&rsched_core::kernel_counters())),
                 ]);
                 object(pairs)
             }
@@ -1289,21 +1288,6 @@ fn cache_json(stats: &CacheStats) -> Json {
     ])
 }
 
-/// The `"kernel"` block of the `stats` op: process-wide fixpoint
-/// counters (runs, frontier retirements, steals — see
-/// [`KernelCounters`]), monotonic across every session and transport.
-fn kernel_json(counters: &KernelCounters) -> Json {
-    let int = |v: u64| Json::Int(i64::try_from(v).unwrap_or(i64::MAX));
-    object([
-        ("runs", int(counters.runs)),
-        ("parallel_runs", int(counters.parallel_runs)),
-        ("serial_fallbacks", int(counters.serial_fallbacks)),
-        ("rounds", int(counters.rounds)),
-        ("columns_retired", int(counters.columns_retired)),
-        ("steals", int(counters.steals)),
-    ])
-}
-
 /// The standard `{"id":…,"ok":false,"error":…}` response. Public so
 /// every transport shapes errors identically.
 pub fn error_response(id: Json, message: impl Into<String>) -> Json {
@@ -1401,7 +1385,7 @@ fn batch_entry(cache: &ScheduleCache, entry: &Json) -> Json {
         Err(e) => return bad(name, format!("bad design: {e}")),
     };
     debug_assert!(graph.is_polar(), "from_text polarizes");
-    match schedule_cached(cache, &graph, 1) {
+    match schedule_cached(cache, &graph) {
         Ok((omega, _)) => object([
             ("name", name),
             ("ok", Json::Bool(true)),

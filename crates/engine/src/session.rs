@@ -143,8 +143,6 @@ pub struct Session {
     graph: ConstraintGraph,
     sets: AnchorSets,
     reach: ReachCache,
-    /// Worker threads fanned over anchor columns per scheduling run.
-    threads: usize,
     /// Most recent successful schedule; stale while ill-posed/unfeasible.
     current: Option<RelativeSchedule>,
     /// Zero-profile start times of `current` (refreshed on every accept).
@@ -197,7 +195,6 @@ impl Session {
             graph,
             sets,
             reach,
-            threads: 1,
             current: None,
             zero_times: None,
             dirty: BTreeSet::new(),
@@ -275,20 +272,6 @@ impl Session {
     /// Work counters.
     pub fn stats(&self) -> &SessionStats {
         &self.stats
-    }
-
-    /// Worker threads fanned over anchor columns per scheduling run.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the worker-thread count for subsequent scheduling runs.
-    /// Anchor columns are independent within each fixpoint phase and
-    /// violation flags are joined by a commutative OR, so every offset,
-    /// iteration count, and verdict is identical for any count; values
-    /// below 1 are clamped to 1.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Finds an operation by name.
@@ -438,9 +421,8 @@ impl Session {
         // panic leaves the cached schedule intact.
         let _ = rsched_graph::failpoint!("session::reschedule");
         // Relax in place — cloning the offsets would cost as much as the
-        // relaxation itself on large designs. The adjacency-walking
-        // variant (not `relax_additive_on`): the cone of one edge is far
-        // smaller than the CSR build the kernel variant would need first.
+        // relaxation itself on large designs. It walks the adjacency
+        // lists: the cone of one edge is far smaller than a CSR build.
         let mut omega = self.current.take().expect("checked above");
         let raised = match relax_additive(&self.graph, self.sets.family(), &mut omega, id, changed)
         {
@@ -651,10 +633,8 @@ impl Session {
             None => Vec::new(),
         };
         let result = match &self.current {
-            Some(prev) if !warm.is_empty() => {
-                reschedule_on(&kernel, &family, prev, &warm, self.threads)
-            }
-            _ => schedule_with_sets_on(&kernel, &family, self.threads),
+            Some(prev) if !warm.is_empty() => reschedule_on(&kernel, &family, prev, &warm),
+            _ => schedule_with_sets_on(&kernel, &family, 1),
         };
         let (schedule, warm_used) = match result {
             Ok(schedule) => {
@@ -705,19 +685,15 @@ impl Session {
                     WellPosedness::Unfeasible { witness } => {
                         return self.mark_unfeasible(witness);
                     }
-                    WellPosedness::WellPosed => {
-                        match schedule_with_sets_on(&kernel, &family, self.threads) {
-                            Ok(schedule) => {
-                                self.zero_times = None;
-                                (schedule, 0)
-                            }
-                            Err(e) => {
-                                unreachable!(
-                                    "cold run failed on a feasible, well-posed graph: {e:?}"
-                                )
-                            }
+                    WellPosedness::WellPosed => match schedule_with_sets_on(&kernel, &family, 1) {
+                        Ok(schedule) => {
+                            self.zero_times = None;
+                            (schedule, 0)
                         }
-                    }
+                        Err(e) => {
+                            unreachable!("cold run failed on a feasible, well-posed graph: {e:?}")
+                        }
+                    },
                     verdict @ WellPosedness::IllPosed { .. } => {
                         unreachable!("containment cache disagrees: {verdict:?}")
                     }
@@ -925,25 +901,6 @@ mod tests {
         assert_eq!(session.schedule().cloned(), before);
         assert_eq!(session.stats().rejected, 2);
         assert_eq!(session.stats().edits, 0);
-    }
-
-    #[test]
-    fn threaded_session_is_bit_identical() {
-        let run = |threads: usize| {
-            let (g, sync, alu, out) = demo();
-            let mut session = Session::open(g).unwrap();
-            session.set_threads(threads);
-            session.add_min_constraint(sync, alu, 1);
-            session.add_max_constraint(alu, out, 9);
-            session.set_delay(out, ExecDelay::Unbounded);
-            session.set_delay(out, ExecDelay::Fixed(2));
-            session
-        };
-        let one = run(1);
-        let eight = run(8);
-        assert_eq!(one.schedule().cloned(), eight.schedule().cloned());
-        assert_eq!(one.stats(), eight.stats());
-        assert_eq!(one.posedness(), eight.posedness());
     }
 
     #[test]

@@ -15,20 +15,18 @@
 //! - forward in-edges in CSR form, row per head vertex, so a sweep reads
 //!   `(tail, weight)` pairs from two contiguous arrays;
 //! - backward edges as parallel arrays in live [`EdgeId`] order — the
-//!   exact order the violation scan and `ReadjustOffsets` visit them;
-//! - all out-edges in CSR form, row per tail vertex in adjacency order,
-//!   for worklist-style local relaxation after incremental edits;
-//! - per-edge endpoint/weight lookup tables indexed by raw [`EdgeId`];
-//! - the anchor roster and a per-vertex anchor-index table.
+//!   exact order the violation scan and `ReadjustOffsets` visit them.
 //!
 //! Weights are stored **zeroed** (`Weight::zeroed`), the paper's
 //! convention for every static path computation, so consumers do plain
 //! integer arithmetic with no `enum` dispatch. A kernel describes the
 //! graph revision it was built from and must be rebuilt after any
 //! mutation; the build is a single `O(|V| + |E|)` pass.
+//!
+//! [`EdgeId`]: crate::EdgeId
 
 use crate::error::GraphError;
-use crate::graph::{ConstraintGraph, EdgeId, VertexId};
+use crate::graph::ConstraintGraph;
 
 /// A frozen, data-oriented view of one [`ConstraintGraph`] revision.
 ///
@@ -38,7 +36,6 @@ use crate::graph::{ConstraintGraph, EdgeId, VertexId};
 #[derive(Debug, Clone)]
 pub struct ScheduleKernel {
     n_vertices: usize,
-    n_backward: usize,
     /// Vertex ids in forward topological order.
     topo: Vec<u32>,
     /// CSR row offsets into `fin_tail` / `fin_weight`, one row per head
@@ -48,41 +45,12 @@ pub struct ScheduleKernel {
     fin_tail: Vec<u32>,
     /// Zeroed weights parallel to `fin_tail`.
     fin_weight: Vec<i64>,
-    /// Backward-edge ids in live [`EdgeId`] order.
-    back_id: Vec<EdgeId>,
-    /// Tails parallel to `back_id`.
+    /// Tails of the backward edges, in live `EdgeId` order.
     back_tail: Vec<u32>,
-    /// Heads parallel to `back_id`.
+    /// Heads parallel to `back_tail`.
     back_head: Vec<u32>,
-    /// Zeroed weights parallel to `back_id`.
+    /// Zeroed weights parallel to `back_tail`.
     back_weight: Vec<i64>,
-    /// CSR row offsets into `bin_idx`, one row per head vertex; length
-    /// `n_vertices + 1`.
-    bin_off: Vec<u32>,
-    /// Positions into the `back_*` arrays of the backward edges whose
-    /// head is the row's vertex, ascending within each row (live
-    /// [`EdgeId`] order).
-    bin_idx: Vec<u32>,
-    /// CSR row offsets into the `out_*` arrays, one row per tail vertex;
-    /// length `n_vertices + 1`.
-    out_off: Vec<u32>,
-    /// Heads of each row's out-edges, adjacency order (forward and
-    /// backward interleaved exactly as the graph stores them).
-    out_head: Vec<u32>,
-    /// Zeroed weights parallel to `out_head`.
-    out_weight: Vec<i64>,
-    /// Forward flags parallel to `out_head`.
-    out_forward: Vec<bool>,
-    /// Endpoints/weights indexed by raw [`EdgeId`]; meaningful for live
-    /// edges only (tombstoned slots hold their last value).
-    edge_from: Vec<u32>,
-    edge_to: Vec<u32>,
-    edge_weight: Vec<i64>,
-    edge_forward: Vec<bool>,
-    /// The anchor roster in id order (source first).
-    anchors: Vec<VertexId>,
-    /// Per-vertex index into `anchors`, or `u32::MAX` for non-anchors.
-    anchor_index: Vec<u32>,
 }
 
 impl ScheduleKernel {
@@ -105,10 +73,6 @@ impl ScheduleKernel {
         let mut fin_off = Vec::with_capacity(n + 1);
         let mut fin_tail = Vec::new();
         let mut fin_weight = Vec::new();
-        let mut out_off = Vec::with_capacity(n + 1);
-        let mut out_head = Vec::new();
-        let mut out_weight = Vec::new();
-        let mut out_forward = Vec::new();
         for v in graph.vertex_ids() {
             fin_off.push(fin_tail.len() as u32);
             for (_, e) in graph.in_edges(v) {
@@ -117,87 +81,27 @@ impl ScheduleKernel {
                     fin_weight.push(e.weight().zeroed());
                 }
             }
-            out_off.push(out_head.len() as u32);
-            for (_, e) in graph.out_edges(v) {
-                out_head.push(e.to().0);
-                out_weight.push(e.weight().zeroed());
-                out_forward.push(e.is_forward());
-            }
         }
         fin_off.push(fin_tail.len() as u32);
-        out_off.push(out_head.len() as u32);
 
-        let mut back_id = Vec::new();
         let mut back_tail = Vec::new();
         let mut back_head = Vec::new();
         let mut back_weight = Vec::new();
-        for (id, e) in graph.backward_edges() {
-            back_id.push(id);
+        for (_, e) in graph.backward_edges() {
             back_tail.push(e.from().0);
             back_head.push(e.to().0);
             back_weight.push(e.weight().zeroed());
         }
 
-        // Backward in-edge CSR (group the `back_*` positions by head).
-        // Two counting passes keep each row ascending — i.e. live EdgeId
-        // order, which warm-seeding relies on for deterministic
-        // discovery order.
-        let mut bin_off = vec![0u32; n + 1];
-        for &h in &back_head {
-            bin_off[h as usize + 1] += 1;
-        }
-        for v in 0..n {
-            bin_off[v + 1] += bin_off[v];
-        }
-        let mut bin_idx = vec![0u32; back_head.len()];
-        let mut bin_next = bin_off.clone();
-        for (i, &h) in back_head.iter().enumerate() {
-            let slot = &mut bin_next[h as usize];
-            bin_idx[*slot as usize] = i as u32;
-            *slot += 1;
-        }
-
-        let n_all_edges = graph.n_all_edge_slots();
-        let mut edge_from = vec![0u32; n_all_edges];
-        let mut edge_to = vec![0u32; n_all_edges];
-        let mut edge_weight = vec![0i64; n_all_edges];
-        let mut edge_forward = vec![false; n_all_edges];
-        for (id, e) in graph.edges() {
-            edge_from[id.index()] = e.from().0;
-            edge_to[id.index()] = e.to().0;
-            edge_weight[id.index()] = e.weight().zeroed();
-            edge_forward[id.index()] = e.is_forward();
-        }
-
-        let anchors = graph.anchors().to_vec();
-        let mut anchor_index = vec![u32::MAX; n];
-        for (i, a) in anchors.iter().enumerate() {
-            anchor_index[a.index()] = i as u32;
-        }
-
         Ok(ScheduleKernel {
             n_vertices: n,
-            n_backward: back_id.len(),
             topo,
             fin_off,
             fin_tail,
             fin_weight,
-            back_id,
             back_tail,
             back_head,
             back_weight,
-            bin_off,
-            bin_idx,
-            out_off,
-            out_head,
-            out_weight,
-            out_forward,
-            edge_from,
-            edge_to,
-            edge_weight,
-            edge_forward,
-            anchors,
-            anchor_index,
         })
     }
 
@@ -208,7 +112,7 @@ impl ScheduleKernel {
 
     /// Number of live backward edges `|E_b|` in the snapshot.
     pub fn n_backward_edges(&self) -> usize {
-        self.n_backward
+        self.back_tail.len()
     }
 
     /// Vertex ids (as raw `u32` indices) in forward topological order.
@@ -224,84 +128,28 @@ impl ScheduleKernel {
         (&self.fin_tail[lo..hi], &self.fin_weight[lo..hi])
     }
 
-    /// Backward-edge ids in live [`EdgeId`] order.
-    pub fn backward_ids(&self) -> &[EdgeId] {
-        &self.back_id
-    }
-
-    /// Backward-edge tails (vertex indices), parallel to
-    /// [`ScheduleKernel::backward_ids`].
+    /// Backward-edge tails (vertex indices), in live `EdgeId` order.
     pub fn backward_tails(&self) -> &[u32] {
         &self.back_tail
     }
 
     /// Backward-edge heads (vertex indices), parallel to
-    /// [`ScheduleKernel::backward_ids`].
+    /// [`ScheduleKernel::backward_tails`].
     pub fn backward_heads(&self) -> &[u32] {
         &self.back_head
     }
 
     /// Backward-edge zeroed weights, parallel to
-    /// [`ScheduleKernel::backward_ids`].
+    /// [`ScheduleKernel::backward_tails`].
     pub fn backward_weights(&self) -> &[i64] {
         &self.back_weight
-    }
-
-    /// Positions (into the `backward_*` slices) of the backward edges
-    /// whose *head* is vertex index `v`, in ascending live [`EdgeId`]
-    /// order. Lets per-vertex consumers (e.g. additive warm-relaxation
-    /// seeding) skip the full backward scan.
-    pub fn backward_in_edges(&self, v: usize) -> &[u32] {
-        let lo = self.bin_off[v] as usize;
-        let hi = self.bin_off[v + 1] as usize;
-        &self.bin_idx[lo..hi]
-    }
-
-    /// All out-edges of vertex index `v` as parallel
-    /// `(heads, weights, forward-flags)` slices, in adjacency order.
-    pub fn out_edges(&self, v: usize) -> (&[u32], &[i64], &[bool]) {
-        let lo = self.out_off[v] as usize;
-        let hi = self.out_off[v + 1] as usize;
-        (
-            &self.out_head[lo..hi],
-            &self.out_weight[lo..hi],
-            &self.out_forward[lo..hi],
-        )
-    }
-
-    /// Endpoints, zeroed weight and forward flag of a live edge:
-    /// `(from, to, weight, is_forward)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range for the snapshotted graph. Passing a
-    /// tombstoned id returns that slot's last live value.
-    pub fn edge(&self, e: EdgeId) -> (u32, u32, i64, bool) {
-        let i = e.index();
-        (
-            self.edge_from[i],
-            self.edge_to[i],
-            self.edge_weight[i],
-            self.edge_forward[i],
-        )
-    }
-
-    /// The anchor roster of the snapshot, in id order (source first).
-    pub fn anchors(&self) -> &[VertexId] {
-        &self.anchors
-    }
-
-    /// Index of `v` in the anchor roster, or `None` for non-anchors.
-    pub fn anchor_index(&self, v: VertexId) -> Option<usize> {
-        let i = self.anchor_index[v.index()];
-        (i != u32::MAX).then_some(i as usize)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::ExecDelay;
+    use crate::graph::{ExecDelay, VertexId};
 
     fn sample() -> (ConstraintGraph, [VertexId; 3]) {
         let mut g = ConstraintGraph::new();
@@ -317,13 +165,10 @@ mod tests {
 
     #[test]
     fn snapshot_matches_graph_iteration() {
-        let (g, [a, b, c]) = sample();
+        let (g, _) = sample();
         let k = ScheduleKernel::build(&g).unwrap();
         assert_eq!(k.n_vertices(), g.n_vertices());
         assert_eq!(k.n_backward_edges(), g.n_backward_edges());
-        assert_eq!(k.anchors(), g.anchors());
-        assert_eq!(k.anchor_index(a), Some(1));
-        assert_eq!(k.anchor_index(b), None);
 
         // Topological order matches the graph's.
         let topo = g.forward_topological_order().unwrap();
@@ -340,43 +185,14 @@ mod tests {
                 .collect();
             let got: Vec<(u32, i64)> = tails.iter().copied().zip(weights.iter().copied()).collect();
             assert_eq!(got, expect, "forward in-edges of {v}");
-
-            let (heads, ws, fwd) = k.out_edges(v.index());
-            let expect: Vec<(u32, i64, bool)> = g
-                .out_edges(v)
-                .map(|(_, e)| (e.to().index() as u32, e.weight().zeroed(), e.is_forward()))
-                .collect();
-            let got: Vec<(u32, i64, bool)> = heads
-                .iter()
-                .zip(ws)
-                .zip(fwd)
-                .map(|((&h, &w), &f)| (h, w, f))
-                .collect();
-            assert_eq!(got, expect, "out-edges of {v}");
         }
 
         // Backward arrays in EdgeId order.
-        let expect: Vec<EdgeId> = g.backward_edges().map(|(id, _)| id).collect();
-        assert_eq!(k.backward_ids(), expect.as_slice());
         for (i, (_, e)) in g.backward_edges().enumerate() {
             assert_eq!(k.backward_tails()[i], e.from().index() as u32);
             assert_eq!(k.backward_heads()[i], e.to().index() as u32);
             assert_eq!(k.backward_weights()[i], e.weight().zeroed());
         }
-
-        // Per-edge lookup agrees with the graph.
-        for (id, e) in g.edges() {
-            assert_eq!(
-                k.edge(id),
-                (
-                    e.from().index() as u32,
-                    e.to().index() as u32,
-                    e.weight().zeroed(),
-                    e.is_forward()
-                )
-            );
-        }
-        let _ = c;
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn kernel_phase(config: &CacheFuzzConfig, report: &mut CacheFuzzReport) {
             report.labelings += 1;
             let cold = schedule(&graph);
             let before = cache.stats().hits;
-            let cached = schedule_cached(&cache, &graph, 1);
+            let cached = schedule_cached(&cache, &graph);
             let hit = cache.stats().hits > before;
             if hit {
                 report.hits += 1;
@@ -442,17 +442,15 @@ fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) {
     }
 }
 
-/// Removes the `"cache"` and `"kernel"` members (global, latency- and
-/// history-bearing counters — the kernel block is process-wide, so it
-/// counts work done by *previous* runs in the same process) from a
-/// `stats` response so the cold/cached differential compares everything
-/// else byte-for-byte.
+/// Removes the `"cache"` member (latency- and history-bearing counters)
+/// from a `stats` response so the cold/cached differential compares
+/// everything else byte-for-byte.
 fn strip_cache(response: &Json) -> Json {
     match response {
         Json::Object(pairs) => Json::Object(
             pairs
                 .iter()
-                .filter(|(k, _)| k != "cache" && k != "kernel")
+                .filter(|(k, _)| k != "cache")
                 .cloned()
                 .collect(),
         ),

@@ -8,9 +8,10 @@
 //! every intermediate edit state through all three scheduler
 //! implementations:
 //!
-//! - cold [`rsched_core::schedule`] (the CSR kernel),
-//! - [`rsched_core::schedule_threaded`] at several thread counts, which
-//!   must be bit-identical to the cold run,
+//! - cold [`rsched_core::schedule`] (the packed-row fixpoint on the CSR
+//!   kernel),
+//! - [`rsched_core::schedule_reference`], the adjacency-walking reference
+//!   fixpoint, which must be bit-identical to the cold run,
 //! - a warm incremental [`rsched_engine::Session`] carried across the
 //!   edit script, whose verdicts and offsets must match the cold run,
 //!
@@ -29,7 +30,7 @@ use std::path::{Path, PathBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rsched_core::{schedule, schedule_threaded, RelativeSchedule, ScheduleError, WellPosedness};
+use rsched_core::{schedule, schedule_reference, RelativeSchedule, ScheduleError, WellPosedness};
 use rsched_engine::Session;
 use rsched_graph::{ConstraintGraph, EdgeId, ExecDelay, VertexId};
 
@@ -47,9 +48,6 @@ pub struct FuzzConfig {
     /// Where to write `.sched` repro files for failures; `None` keeps
     /// failures in-memory only.
     pub repro_dir: Option<PathBuf>,
-    /// Thread counts every cold schedule is fanned over; each must be
-    /// bit-identical to the single-thread run.
-    pub thread_counts: Vec<usize>,
     /// Largest number of operations a generated graph may have.
     pub max_ops: usize,
     /// Largest number of edits replayed against each graph.
@@ -66,7 +64,6 @@ impl Default for FuzzConfig {
             iters: 100,
             minimize: true,
             repro_dir: None,
-            thread_counts: vec![1, 4, 8],
             max_ops: 12,
             max_edits: 6,
             max_failures: 5,
@@ -81,7 +78,7 @@ pub struct FuzzFailure {
     pub case: usize,
     /// Edit step within the case; 0 is the freshly grown graph.
     pub step: usize,
-    /// Which comparison failed (`oracle`, `threaded`, `session`, …).
+    /// Which comparison failed (`oracle`, `reference`, `session`, …).
     pub phase: String,
     /// Rendered explanation (oracle witness or differential diff).
     pub detail: String,
@@ -363,8 +360,8 @@ fn apply_edit(
     true
 }
 
-/// Cross-checks one graph state: oracle on the cold result, thread-count
-/// bit-identity, and (when given) warm-session agreement. Returns `false`
+/// Cross-checks one graph state: oracle on the cold result, bit-identity
+/// with the reference fixpoint, and (when given) warm-session agreement. Returns `false`
 /// on failure.
 fn check_state(
     config: &FuzzConfig,
@@ -397,20 +394,17 @@ fn check_state(
         return false;
     }
 
-    for &t in &config.thread_counts {
-        let fanned = schedule_threaded(graph, t);
-        if fanned != cold {
-            record_failure(
-                config,
-                report,
-                case,
-                step,
-                "threaded",
-                format!("schedule_threaded(_, {t}) diverges from the cold schedule"),
-                graph,
-            );
-            return false;
-        }
+    if schedule_reference(graph) != cold {
+        record_failure(
+            config,
+            report,
+            case,
+            step,
+            "reference",
+            "schedule_reference diverges from the cold schedule".to_owned(),
+            graph,
+        );
+        return false;
     }
 
     if let Some(session) = session {
@@ -500,13 +494,13 @@ fn record_failure(
     graph: &ConstraintGraph,
 ) {
     let shrunk = if config.minimize {
-        shrink(config, graph)
+        shrink(graph)
     } else {
         graph.clone()
     };
     // Re-judge the shrunk graph so the reported detail describes the
     // graph actually written out, not the pre-shrink one.
-    let detail = static_failure(config, &shrunk).unwrap_or(detail);
+    let detail = static_failure(&shrunk).unwrap_or(detail);
     let graph_text = shrunk.to_text();
     let repro_path = config
         .repro_dir
@@ -522,18 +516,16 @@ fn record_failure(
     });
 }
 
-/// `Some(detail)` when the static cross-check (oracle + thread fan-out +
+/// `Some(detail)` when the static cross-check (oracle + reference +
 /// fresh session) fails on `graph` — the predicate driving shrinking.
-fn static_failure(config: &FuzzConfig, graph: &ConstraintGraph) -> Option<String> {
+fn static_failure(graph: &ConstraintGraph) -> Option<String> {
     let cold = schedule(graph);
     let oracle_report = check_result(graph, &cold);
     if let Some((label, witness)) = oracle_report.first_violation() {
         return Some(format!("{label}: {witness}"));
     }
-    for &t in &config.thread_counts {
-        if schedule_threaded(graph, t) != cold {
-            return Some(format!("schedule_threaded(_, {t}) diverges"));
-        }
+    if schedule_reference(graph) != cold {
+        return Some("schedule_reference diverges".to_owned());
     }
     if let Ok(session) = Session::open(graph.clone()) {
         if let Some(d) = session_divergence(graph, &session, &cold) {
@@ -548,8 +540,8 @@ fn static_failure(config: &FuzzConfig, graph: &ConstraintGraph) -> Option<String
 /// deletion does. Edits and warm state cannot be shrunk this way, so a
 /// failure only reachable through a specific edit script is reported
 /// unshrunk (the predicate never fires on the static graph).
-fn shrink(config: &FuzzConfig, graph: &ConstraintGraph) -> ConstraintGraph {
-    if static_failure(config, graph).is_none() {
+fn shrink(graph: &ConstraintGraph) -> ConstraintGraph {
+    if static_failure(graph).is_none() {
         return graph.clone(); // failure needs warm history; keep as-is
     }
     let mut current = graph.clone();
@@ -561,7 +553,7 @@ fn shrink(config: &FuzzConfig, graph: &ConstraintGraph) -> ConstraintGraph {
             if candidate.remove_edge(e).is_err() {
                 continue;
             }
-            if static_failure(config, &candidate).is_some() {
+            if static_failure(&candidate).is_some() {
                 current = candidate;
                 shrunk_this_round = true;
             }

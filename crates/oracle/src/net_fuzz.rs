@@ -242,12 +242,9 @@ pub fn fuzz_net(config: &NetFuzzConfig) -> NetFuzzReport {
                 let mut stdio_lines: Vec<String> = String::from_utf8_lossy(&output)
                     .lines()
                     .filter(|l| !l.trim().is_empty())
-                    .map(strip_process_counters)
+                    .map(str::to_owned)
                     .collect();
-                let mut socket_sorted: Vec<String> = all_socket
-                    .iter()
-                    .map(|l| strip_process_counters(l))
-                    .collect();
+                let mut socket_sorted = all_socket;
                 stdio_lines.sort();
                 socket_sorted.sort();
                 if stdio_lines != socket_sorted {
@@ -277,21 +274,6 @@ pub fn fuzz_net(config: &NetFuzzConfig) -> NetFuzzReport {
         }
     }
     report
-}
-
-/// Drops the `"kernel"` member from a `stats` response line before the
-/// parity comparison. Those counters are *process*-global (they count
-/// fixpoint work across every server the process ever ran), so the stdio
-/// mirror run necessarily sees larger values than the socket run it
-/// replays — everything else must still match byte-for-byte. Lines that
-/// do not parse as objects (garbage echoes) pass through untouched.
-fn strip_process_counters(line: &str) -> String {
-    match Json::parse(line) {
-        Ok(Json::Object(pairs)) if pairs.iter().any(|(k, _)| k == "kernel") => {
-            Json::Object(pairs.into_iter().filter(|(k, _)| k != "kernel").collect()).render()
-        }
-        _ => line.to_owned(),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -693,12 +675,10 @@ pub fn fuzz_chaos(config: &ChaosFuzzConfig) -> ChaosFuzzReport {
 
         if let (Some(disturbed), Some(control)) = (disturbed, control) {
             for (vi, (a, b)) in disturbed.iter().zip(&control).enumerate() {
-                let a: Vec<String> = a.iter().map(|l| strip_process_counters(l)).collect();
-                let b: Vec<String> = b.iter().map(|l| strip_process_counters(l)).collect();
                 if a != b {
                     let diff = a
                         .iter()
-                        .zip(&b)
+                        .zip(b)
                         .find(|(x, y)| x != y)
                         .map(|(x, y)| format!("disturbed {x} vs control {y}"))
                         .unwrap_or_else(|| format!("{} vs {} lines", a.len(), b.len()));

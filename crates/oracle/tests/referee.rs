@@ -1,7 +1,7 @@
 //! The oracle refereeing real schedules: paper designs, random designs,
 //! deliberately broken schedules, and the fuzz harnesses end to end.
 
-use rsched_core::{schedule, schedule_threaded, ScheduleError};
+use rsched_core::{schedule, schedule_reference, ScheduleError};
 use rsched_designs::paper;
 use rsched_designs::random::{random_constraint_graph, RandomGraphConfig};
 use rsched_graph::{ConstraintGraph, ExecDelay};
@@ -116,7 +116,7 @@ fn schedule_against_the_wrong_graph_is_caught() {
 }
 
 #[test]
-fn oracle_accepts_random_designs_cold_and_threaded() {
+fn oracle_accepts_random_designs_cold_and_reference() {
     let config = RandomGraphConfig {
         n_ops: 24,
         ..RandomGraphConfig::default()
@@ -126,13 +126,11 @@ fn oracle_accepts_random_designs_cold_and_threaded() {
         let cold = schedule(&graph);
         let report = check_result(&graph, &cold);
         assert!(report.is_ok(), "seed {seed}:\n{report}");
-        for threads in [1, 3, 8] {
-            assert_eq!(
-                schedule_threaded(&graph, threads),
-                cold,
-                "seed {seed}: thread fan-out must be bit-identical"
-            );
-        }
+        assert_eq!(
+            schedule_reference(&graph),
+            cold,
+            "seed {seed}: the reference fixpoint must be bit-identical"
+        );
     }
 }
 
