@@ -77,8 +77,8 @@ pub use error::ScheduleError;
 pub use explain::{explain_offset, OffsetExplanation};
 pub use pool::WorkPool;
 pub use schedule::{
-    relax_additive, reschedule, reschedule_on, reschedule_reference, schedule, schedule_reference,
-    schedule_traced, schedule_with_sets, schedule_with_sets_on, IterationTrace, RelativeSchedule,
+    relax_additive, schedule, schedule_reference, schedule_traced, schedule_with_sets,
+    schedule_with_sets_on, schedule_with_sets_reference, IterationTrace, RelativeSchedule,
     ScheduleTrace,
 };
 pub use slack::{relative_slack, SlackAnalysis};

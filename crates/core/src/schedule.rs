@@ -344,87 +344,52 @@ impl RelativeSchedule {
     }
 }
 
-/// Seeding and the additive fast path's in-place updates.
+/// The additive fast path's in-place updates.
 impl RelativeSchedule {
-    /// A schedule over `sets` seeded from `prev`: the offset of every
-    /// pair whose anchor is in `warm_anchors` and which both families
-    /// track is copied, and every other pair starts at 0.
-    ///
-    /// A row that is the same in both families over the same roster, and
-    /// whose anchors are all warm, is copied whole. Any other row of
-    /// `prev` is gathered into an `|A|`-wide buffer by column and the new
-    /// row written in its own bit order, taking a pair's offset where the
-    /// new row, the old row and the warm mask all hold its anchor; the
-    /// rosters may differ (columns are matched by anchor vertex). Either
-    /// way a row costs one step per pair, with no bit counting.
-    fn seeded(sets: AnchorSetFamily, prev: &RelativeSchedule, warm_anchors: &[VertexId]) -> Self {
-        let n = sets.n_vertices();
-        // Column in `prev` of each warm column (`u32::MAX` when cold),
-        // and the warm columns as a bitset.
-        let mut old_column = vec![u32::MAX; sets.n_anchors()];
-        let mut warm = vec![0u64; sets.n_anchors().div_ceil(64).max(1)];
-        for &a in warm_anchors {
-            if let (Some(i), Some(oi)) = (sets.anchor_index(a), prev.sets.anchor_index(a)) {
-                old_column[i] = oi as u32;
-                warm[i >> 6] |= 1 << (i & 63);
-            }
-        }
-        if warm.iter().all(|&w| w == 0) {
-            return RelativeSchedule::zeroed(sets);
-        }
-        let same_roster = sets.anchors() == prev.anchors();
-        let mut by_column = vec![0; prev.sets.n_anchors()];
-        let mut row_start = Vec::with_capacity(n + 1);
-        let mut offsets = Vec::with_capacity(sets.total_bits());
-        row_start.push(0);
-        for vi in 0..n {
-            let v = VertexId::from_index(vi);
-            let new_row = sets.row_words(v);
-            if vi >= prev.n_vertices() {
-                for_each_member(new_row, |_| offsets.push(0));
-            } else if same_roster
-                && new_row == prev.sets.row_words(v)
-                && new_row.iter().zip(&warm).all(|(r, w)| r & !w == 0)
-            {
-                offsets.extend_from_slice(prev.row(vi));
-            } else {
-                let old_row = prev.sets.row_words(v);
-                let mut src = prev.row(vi).iter();
-                for_each_member(old_row, |oi| {
-                    by_column[oi] = *src.next().expect("one offset per member");
-                });
-                for_each_member(new_row, |i| {
-                    let oi = old_column[i] as usize;
-                    let kept = oi != u32::MAX as usize && old_row[oi >> 6] >> (oi & 63) & 1 != 0;
-                    offsets.push(if kept { by_column[oi] } else { 0 });
-                });
-            }
-            row_start.push(u32::try_from(offsets.len()).expect("fewer than 2^32 tracked pairs"));
-        }
-        RelativeSchedule {
-            sets,
-            row_start,
-            offsets,
-            iterations: 0,
-        }
-    }
-
     /// Readies the previous fixpoint for a relaxation over `sets`, the
-    /// family after an additive edit: re-seeded once when `changed_sets`
+    /// family after an additive edit: re-packed once when `changed_sets`
     /// grew it (surviving pairs keep their offsets, new pairs start at
     /// 0), and marked as one iteration.
+    ///
+    /// Additive edits keep the roster, so columns match one to one. A row
+    /// the edit left alone is copied whole; a grown row is gathered into
+    /// an `|A|`-wide buffer by column and rewritten in its own bit order.
     fn regrow(&mut self, sets: &AnchorSetFamily, changed_sets: &[VertexId]) {
         debug_assert_eq!(
             sets.anchors(),
             self.sets.anchors(),
             "additive edits keep the anchor roster"
         );
+        self.iterations = 1;
         if changed_sets.is_empty() {
             debug_assert!(self.sets == *sets, "no set change means identical families");
-        } else {
-            *self = RelativeSchedule::seeded(sets.clone(), self, sets.anchors());
+            return;
         }
-        self.iterations = 1;
+        let n = sets.n_vertices();
+        let mut by_column = vec![0; sets.n_anchors()];
+        let mut row_start = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(sets.total_bits());
+        row_start.push(0);
+        for vi in 0..n {
+            let v = VertexId::from_index(vi);
+            let (new_row, old_row) = (sets.row_words(v), self.sets.row_words(v));
+            if new_row == old_row {
+                offsets.extend_from_slice(self.row(vi));
+            } else {
+                let mut src = self.row(vi).iter();
+                for_each_member(old_row, |i| {
+                    by_column[i] = *src.next().expect("one offset per member");
+                });
+                for_each_member(new_row, |i| {
+                    let kept = old_row[i >> 6] >> (i & 63) & 1 != 0;
+                    offsets.push(if kept { by_column[i] } else { 0 });
+                });
+            }
+            row_start.push(u32::try_from(offsets.len()).expect("fewer than 2^32 tracked pairs"));
+        }
+        self.sets = sets.clone();
+        self.row_start = row_start;
+        self.offsets = offsets;
     }
 
     /// One relaxation of the edge `(t, h)` of zeroed weight `w`: every
@@ -581,8 +546,9 @@ pub fn schedule_with_sets(
     schedule_with_sets_on(&kernel, sets, 1)
 }
 
-/// [`schedule_with_sets`] over a prebuilt [`ScheduleKernel`] snapshot —
-/// the zero-rebuild entry point for long-lived sessions.
+/// [`schedule_with_sets`] over a prebuilt [`ScheduleKernel`] snapshot,
+/// from zeroed rows — the entry point of every full fixpoint run,
+/// including a session's after a non-additive edit.
 ///
 /// `kernel` must snapshot the same graph revision `sets` was computed for.
 /// The fixpoint runs serially on the calling thread; `threads` is ignored
@@ -596,7 +562,21 @@ pub fn schedule_with_sets_on(
     sets: &AnchorSetFamily,
     _threads: usize,
 ) -> Result<RelativeSchedule, ScheduleError> {
-    fixpoint(kernel, RelativeSchedule::zeroed(sets.clone()))
+    fixpoint(kernel, sets)
+}
+
+/// The pre-kernel adjacency-walking implementation of
+/// [`schedule_with_sets`], retained as the differential-test reference
+/// (see [`schedule_reference`]): no pre-checks, any family.
+///
+/// # Errors
+///
+/// Same conditions as [`schedule_with_sets`].
+pub fn schedule_with_sets_reference(
+    graph: &ConstraintGraph,
+    sets: &AnchorSetFamily,
+) -> Result<RelativeSchedule, ScheduleError> {
+    run(graph, sets.clone(), None)
 }
 
 /// [`schedule`] with per-iteration snapshots (used to reproduce Fig. 10).
@@ -617,101 +597,6 @@ pub fn schedule_traced(graph: &ConstraintGraph) -> Result<ScheduleTrace, Schedul
     })
 }
 
-/// Warm-started iterative scheduling — the incremental engine's entry
-/// point.
-///
-/// `sets` must be the up-to-date anchor-set family of `graph`; `prev` is a
-/// previously computed fixpoint of a *related* graph. The offset column of
-/// every anchor in `warm_anchors` is seeded from `prev` (where both
-/// families track the `(vertex, anchor)` pair); all other columns start
-/// from zero, and the usual `IncrementalOffset` / `ReadjustOffsets`
-/// iteration runs to the fixpoint.
-///
-/// Seeding is sound whenever the seed is a pointwise *lower bound* on the
-/// new minimum offsets: both sweeps are monotone and only ever raise
-/// offsets, so iterates stay sandwiched between the seed and the minimum
-/// schedule and converge to the same fixpoint as a cold run, within the
-/// same `|E_b| + 1` budget (Theorem 8 / Corollary 2). Callers therefore
-/// pass as `warm_anchors`:
-///
-/// - anchors untouched by an edit (their columns are already exact), and
-/// - after a purely *additive* edit (new edge/constraint), every anchor —
-///   added constraints can only raise minimum offsets;
-///
-/// and must *exclude* anchors whose paths lost an edge or weight
-/// (removals, delay reductions), whose old offsets may overshoot.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError::Inconsistent`] when the budget is exhausted —
-/// for a graph that passed the anchor-containment check this implies a
-/// positive cycle (unfeasible constraints), which callers classify via
-/// [`check_well_posed_with`].
-pub fn reschedule(
-    graph: &ConstraintGraph,
-    sets: &AnchorSetFamily,
-    prev: &RelativeSchedule,
-    warm_anchors: &[VertexId],
-) -> Result<RelativeSchedule, ScheduleError> {
-    let kernel = ScheduleKernel::build(graph)?;
-    reschedule_on(&kernel, sets, prev, warm_anchors)
-}
-
-/// [`reschedule`] over a prebuilt [`ScheduleKernel`] snapshot.
-///
-/// `kernel` must snapshot the same graph revision `sets` describes.
-/// Warm-seeded columns that are already at their fixpoint retire from
-/// the dirty frontier after the first round, and only vertices whose
-/// in-tails rose are swept again, so a mostly-warm reschedule pays for
-/// what moves.
-///
-/// # Errors
-///
-/// Same conditions as [`reschedule`].
-pub fn reschedule_on(
-    kernel: &ScheduleKernel,
-    sets: &AnchorSetFamily,
-    prev: &RelativeSchedule,
-    warm_anchors: &[VertexId],
-) -> Result<RelativeSchedule, ScheduleError> {
-    fixpoint(
-        kernel,
-        RelativeSchedule::seeded(sets.clone(), prev, warm_anchors),
-    )
-}
-
-/// The pre-kernel adjacency-walking implementation of [`reschedule`],
-/// retained as the differential-test reference (see
-/// [`schedule_reference`]).
-///
-/// # Errors
-///
-/// Same conditions as [`reschedule`].
-pub fn reschedule_reference(
-    graph: &ConstraintGraph,
-    sets: &AnchorSetFamily,
-    prev: &RelativeSchedule,
-    warm_anchors: &[VertexId],
-) -> Result<RelativeSchedule, ScheduleError> {
-    // Seeded pair by pair through the public accessors, independently of
-    // the kernel path's row-wise seeding.
-    let k = sets.n_anchors();
-    let mut dense = vec![0; graph.n_vertices() * k];
-    for &a in warm_anchors {
-        let Some(ai) = sets.anchor_index(a) else {
-            continue;
-        };
-        for vi in 0..graph.n_vertices().min(prev.n_vertices()) {
-            let v = VertexId::from_index(vi);
-            match prev.offset(v, a) {
-                Some(o) if sets.contains(v, a) => dense[vi * k + ai] = o,
-                _ => {}
-            }
-        }
-    }
-    run_from(graph, sets.clone(), dense, None)
-}
-
 /// Local re-relaxation after one *additive* edit — the incremental
 /// engine's fast path.
 ///
@@ -727,7 +612,7 @@ pub fn reschedule_reference(
 /// (once, and only when `changed_sets` is non-empty), are a pointwise
 /// lower bound on the new minimum: surviving `(vertex, anchor)` pairs
 /// keep offsets that constraints can only push up, and newly tracked
-/// pairs start from zero. The seed also satisfies every
+/// pairs start from zero. They also satisfy every
 /// constraint except those headed at a `changed_sets` vertex or at the
 /// new edge's head — so relaxing exactly those and worklist-propagating
 /// the raises along out-edges converges to the minimum schedule of
@@ -746,10 +631,10 @@ pub fn reschedule_reference(
 /// settle within a Bellman–Ford-style per-vertex pop budget. On a graph
 /// whose backward edges pass the Theorem 2 containment check this
 /// indicates a positive cycle; callers classify authoritatively via
-/// [`check_well_posed_with`], exactly as for a [`reschedule`] budget
-/// exhaustion. **On error `prev` is damaged** — offsets have been raised
-/// along the divergent cycle past any meaningful minimum — and must not
-/// be reused as a warm-start seed.
+/// [`check_well_posed_with`], exactly as for a [`schedule_with_sets`]
+/// budget exhaustion. **On error `prev` is damaged** — offsets have been
+/// raised along the divergent cycle past any meaningful minimum — and
+/// must not be reused.
 pub fn relax_additive(
     graph: &ConstraintGraph,
     sets: &AnchorSetFamily,
@@ -836,24 +721,15 @@ pub fn relax_additive(
     Ok(raised_list)
 }
 
+/// The reference fixpoint over a run-local dense `|V| × |A|` scratch
+/// (`data[v * |A| + i]`, starting at zero; untracked slots are never
+/// read), packed into the result — and into each traced snapshot.
 fn run(
     graph: &ConstraintGraph,
     sets: AnchorSetFamily,
-    trace: Option<&mut Vec<IterationTrace>>,
-) -> Result<RelativeSchedule, ScheduleError> {
-    let dense = vec![0; graph.n_vertices() * sets.n_anchors()];
-    run_from(graph, sets, dense, trace)
-}
-
-/// The reference fixpoint over the run-local dense scratch `data`
-/// (`data[v * |A| + i]`, seeded by the caller; untracked slots are never
-/// read), packed into the result — and into each traced snapshot.
-fn run_from(
-    graph: &ConstraintGraph,
-    sets: AnchorSetFamily,
-    mut data: Vec<i64>,
     mut trace: Option<&mut Vec<IterationTrace>>,
 ) -> Result<RelativeSchedule, ScheduleError> {
+    let mut data = vec![0; graph.n_vertices() * sets.n_anchors()];
     let topo = graph.forward_topological_order()?;
     let budget = graph.n_backward_edges() + 1;
     let snapshot = |data: &[i64]| RelativeSchedule::from_dense(sets.clone(), data, 0);
@@ -984,9 +860,8 @@ fn readjust_offsets(
 // `|V| × |A|` scratch. `fixpoint` runs the *same* iteration — identical
 // per-round states, hence identical offsets, iteration counts and error
 // values — in place on a `RelativeSchedule`'s packed rows, as linear
-// passes over a [`ScheduleKernel`] snapshot. Cold runs start from zeroed
-// rows, warm runs from rows seeded by `RelativeSchedule::seeded`. Per
-// round:
+// passes over a [`ScheduleKernel`] snapshot, starting from zeroed rows.
+// Per round:
 //
 // 1. `IncrementalOffset`: for each head vertex in topological order, its
 //    packed row is gathered into one reused `|A|`-wide buffer by column;
@@ -1108,13 +983,14 @@ fn walk_shared(
     false
 }
 
-/// The iterative fixpoint in place on `omega`'s packed rows (see the
-/// section comment): `omega` holds the seed on entry and the minimum
-/// schedule, with its iteration count, on success.
+/// The iterative fixpoint in place on zeroed packed rows over `sets` (see
+/// the section comment): the minimum schedule, with its iteration count,
+/// on success.
 fn fixpoint(
     kernel: &ScheduleKernel,
-    mut omega: RelativeSchedule,
+    sets: &AnchorSetFamily,
 ) -> Result<RelativeSchedule, ScheduleError> {
+    let mut omega = RelativeSchedule::zeroed(sets.clone());
     let n = kernel.n_vertices();
     let width = omega.sets.n_anchors();
     let budget = kernel.n_backward_edges() + 1;
@@ -1422,83 +1298,6 @@ mod tests {
             .is_empty());
     }
 
-    /// Warm-started rescheduling converges to the same fixpoint as a cold
-    /// run — for additive edits seeding every anchor, for subtractive edits
-    /// seeding only the untouched ones.
-    #[test]
-    fn reschedule_matches_cold_run() {
-        let (mut g, a, [_, _, _, _, _, _]) = fig10();
-        let before = schedule(&g).unwrap();
-
-        // Additive edit: a new max constraint. All anchors may warm-start.
-        let v2 = g
-            .vertex_ids()
-            .find(|&v| g.vertex(v).name() == "v2")
-            .unwrap();
-        let e = g.add_max_constraint(v2, g.sink(), 11).unwrap();
-        let sets = AnchorSets::compute(&g).unwrap();
-        let warm: Vec<VertexId> = sets.family().anchors().to_vec();
-        let fast = reschedule(&g, sets.family(), &before, &warm).unwrap();
-        let cold = schedule(&g).unwrap();
-        for v in g.vertex_ids() {
-            for &anchor in cold.anchors() {
-                assert_eq!(
-                    fast.offset(v, anchor),
-                    cold.offset(v, anchor),
-                    "σ_{anchor}({v})"
-                );
-            }
-        }
-
-        // Subtractive edit: remove it again. The dirtied anchors (those
-        // reaching the edge tail — here all of them) must start cold; an
-        // empty warm set is always sound.
-        g.remove_edge(e).unwrap();
-        let sets = AnchorSets::compute(&g).unwrap();
-        let fast = reschedule(&g, sets.family(), &fast, &[]).unwrap();
-        let cold = schedule(&g).unwrap();
-        for v in g.vertex_ids() {
-            for &anchor in cold.anchors() {
-                assert_eq!(
-                    fast.offset(v, anchor),
-                    cold.offset(v, anchor),
-                    "σ_{anchor}({v})"
-                );
-            }
-        }
-        // Seeding from the exact previous fixpoint (no-op edit) also lands
-        // on the same schedule, in one iteration.
-        let warm: Vec<VertexId> = sets.family().anchors().to_vec();
-        let noop = reschedule(&g, sets.family(), &fast, &warm).unwrap();
-        assert_eq!(noop.iterations(), 1);
-        for v in g.vertex_ids() {
-            for &anchor in cold.anchors() {
-                assert_eq!(noop.offset(v, anchor), cold.offset(v, anchor));
-            }
-        }
-        let _ = a;
-    }
-
-    /// An unfeasible graph exhausts the warm budget too (the engine's
-    /// fallback trigger for re-classification).
-    #[test]
-    fn reschedule_reports_inconsistent_on_positive_cycle() {
-        let mut g = ConstraintGraph::new();
-        let x = g.add_operation("x", ExecDelay::Fixed(1));
-        let y = g.add_operation("y", ExecDelay::Fixed(1));
-        g.add_dependency(x, y).unwrap();
-        g.polarize().unwrap();
-        let before = schedule(&g).unwrap();
-        g.add_min_constraint(x, y, 9).unwrap();
-        g.add_max_constraint(x, y, 2).unwrap();
-        let sets = AnchorSets::compute(&g).unwrap();
-        let warm: Vec<VertexId> = sets.family().anchors().to_vec();
-        assert!(matches!(
-            reschedule(&g, sets.family(), &before, &warm),
-            Err(ScheduleError::Inconsistent { .. })
-        ));
-    }
-
     #[test]
     fn debug_output_is_nonempty() {
         let (g, _, _) = fig2();
@@ -1669,51 +1468,6 @@ mod tests {
             assert_packed(&back, &dense);
             assert_eq!(back, omega);
         }
-    }
-
-    /// A changed roster with a mixed warm list (anchors that cannot reach
-    /// the edited operation stay warm, the rest and the new anchor start
-    /// cold), then an additive edit with every anchor warm.
-    #[test]
-    fn packed_layout_after_warm_reschedule() {
-        let mut mixed = 0;
-        for mut g in designs() {
-            let prev = schedule(&g).unwrap();
-            let Some(v) = g
-                .operation_ids()
-                .filter(|&v| !g.vertex(v).delay().is_unbounded())
-                .nth(3)
-            else {
-                continue;
-            };
-            let warm: Vec<VertexId> = prev
-                .anchors()
-                .iter()
-                .copied()
-                .filter(|&a| g.longest_paths_from(a).unwrap().length_to(v).is_none())
-                .collect();
-            mixed += usize::from(!warm.is_empty());
-            g.set_delay(v, ExecDelay::Unbounded).unwrap();
-            let sets = AnchorSets::compute(&g).unwrap();
-            if !matches!(check_well_posed_with(&g, &sets), WellPosedness::WellPosed) {
-                continue;
-            }
-            assert_ne!(sets.anchors(), prev.anchors(), "the roster grew");
-            let kernel = ScheduleKernel::build(&g).unwrap();
-            let warmed = reschedule_on(&kernel, sets.family(), &prev, &warm).unwrap();
-            assert_packed(&warmed, &dense_reference(&g, sets.family()));
-            assert_eq!(warmed, schedule_with_sets(&g, sets.family()).unwrap());
-
-            // Same roster, every anchor warm.
-            let (s, last) = (g.source(), g.operation_ids().last().unwrap());
-            g.add_min_constraint(s, last, 7).unwrap();
-            let sets = AnchorSets::compute(&g).unwrap();
-            let kernel = ScheduleKernel::build(&g).unwrap();
-            let all = sets.anchors().to_vec();
-            let rewarmed = reschedule_on(&kernel, sets.family(), &warmed, &all).unwrap();
-            assert_packed(&rewarmed, &dense_reference(&g, sets.family()));
-        }
-        assert!(mixed > 5, "most designs warm some anchors");
     }
 
     /// An additive edit that grows anchor sets re-packs the rows once;

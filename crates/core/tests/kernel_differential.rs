@@ -1,9 +1,9 @@
 //! Differential property tests pinning the packed-row kernel fixpoint to
 //! the reference scheduler.
 //!
-//! The kernel path ([`schedule`], [`schedule_with_sets`], [`reschedule`])
-//! must be **bit-identical** to the retained pre-kernel implementations
-//! ([`schedule_reference`], [`reschedule_reference`]) on arbitrary
+//! The kernel path ([`schedule`], [`schedule_with_sets`]) must be
+//! **bit-identical** to the retained pre-kernel implementations
+//! ([`schedule_reference`], [`schedule_with_sets_reference`]) on arbitrary
 //! designs: identical offsets, anchor sets, iteration counts, and
 //! identical error values (unfeasibility witnesses, ill-posedness
 //! violations, inconsistency budgets). The kernel skips columns and
@@ -18,9 +18,8 @@
 use proptest::prelude::*;
 
 use rsched_core::{
-    check_well_posed_with, iteration_bound, reschedule, reschedule_reference, schedule,
-    schedule_reference, schedule_with_sets, AnchorSetFamily, AnchorSets, IrredundantAnchors,
-    RelativeSchedule, WellPosedness,
+    iteration_bound, schedule, schedule_reference, schedule_with_sets,
+    schedule_with_sets_reference, AnchorSets, IrredundantAnchors,
 };
 use rsched_graph::{ConstraintGraph, ExecDelay, VertexId};
 
@@ -120,16 +119,6 @@ fn build_cascade(n: usize, links: usize, salt: u64) -> ConstraintGraph {
     g
 }
 
-/// A schedule over `family` with every tracked offset at zero.
-fn zeros(g: &ConstraintGraph, family: &AnchorSetFamily) -> RelativeSchedule {
-    let triples: Vec<_> = g
-        .vertex_ids()
-        .flat_map(|v| family.set(v).map(move |a| (v, a, 0)))
-        .collect();
-    RelativeSchedule::from_offsets(family.clone(), g.n_vertices(), &triples, 0)
-        .expect("every tracked pair once")
-}
-
 /// The kernel fixpoint and the reference agree at the fixpoint level
 /// (after anchor-set computation, without the well-posedness pre-check),
 /// over the full `A(v)` family and over the irredundant restriction —
@@ -147,19 +136,11 @@ fn assert_fixpoint_matches_reference(g: &ConstraintGraph) {
         families.push(ir.irredundant.family().clone());
     }
     for family in &families {
-        // With no warm anchors the reference walker runs cold, without
-        // pre-checks, exactly like `schedule_with_sets`.
-        let seed = zeros(g, family);
-        let reference = reschedule_reference(g, family, &seed, &[]);
+        let reference = schedule_with_sets_reference(g, family);
         let kernel = schedule_with_sets(g, family);
         assert_eq!(kernel, reference, "kernel fixpoint diverged");
-        // An all-zero seed on every column is a cold start too, through
-        // the kernel's seeding path.
-        let seeded = reschedule(g, family, &seed, family.anchors());
-        assert_eq!(seeded, reference, "zero-seeded kernel fixpoint diverged");
-        if let (Ok(k), Ok(s), Ok(r)) = (&kernel, &seeded, &reference) {
+        if let (Ok(k), Ok(r)) = (&kernel, &reference) {
             assert_eq!(k.iterations(), r.iterations());
-            assert_eq!(s.iterations(), r.iterations());
         }
     }
 }
@@ -183,74 +164,6 @@ proptest! {
         // the graph alone and must agree with whatever both returned.
         let report = rsched_oracle::check_result(&g, &kernel);
         prop_assert!(report.is_ok(), "oracle disagrees with both implementations:\n{}", report);
-    }
-
-    /// Warm restarts after an additive edit: every anchor is seeded, and
-    /// the kernel reschedule agrees with the reference reschedule.
-    #[test]
-    fn warm_reschedule_matches_reference(
-        spec in graph_spec(16),
-        extra in (0usize..64, 0usize..64, 0u64..5),
-    ) {
-        let (mut g, vs) = build(&spec);
-        let Ok(prev) = schedule(&g) else { return Ok(()) };
-        let (i, j, l) = extra;
-        let (from, to) = (vs[i % vs.len()], vs[j % vs.len()]);
-        if g.add_min_constraint(from, to, l).is_err() {
-            return Ok(());
-        }
-        let sets = AnchorSets::compute(&g).expect("additive edit keeps structure sound");
-        // Additive edits only raise minimum offsets: every anchor stays warm.
-        let warm: Vec<VertexId> = sets.anchors().to_vec();
-        let reference = reschedule_reference(&g, sets.family(), &prev, &warm);
-        let kernel = reschedule(&g, sets.family(), &prev, &warm);
-        prop_assert_eq!(&kernel, &reference);
-        if let (Ok(k), Ok(r)) = (&kernel, &reference) {
-            prop_assert_eq!(k.iterations(), r.iterations());
-        }
-    }
-
-    /// Warm restarts whose anchor roster changed: an operation's delay
-    /// flips between fixed and unbounded, so the roster grows or shrinks
-    /// and the rows are re-matched by anchor vertex. Anchors that cannot
-    /// reach the edited operation stay warm, the rest start cold. The
-    /// kernel reschedule agrees with the reference and with a cold run.
-    #[test]
-    fn roster_change_reschedule_matches_reference(
-        spec in graph_spec(16),
-        pick in 0usize..64,
-    ) {
-        let (mut g, vs) = build(&spec);
-        let Ok(prev) = schedule(&g) else { return Ok(()) };
-        let v = vs[pick % vs.len()];
-        let warm: Vec<VertexId> = prev
-            .anchors()
-            .iter()
-            .copied()
-            .filter(|&a| {
-                a != v && g.longest_paths_from(a).is_ok_and(|lp| lp.length_to(v).is_none())
-            })
-            .collect();
-        let delay = if g.vertex(v).delay().is_unbounded() {
-            ExecDelay::Fixed(2)
-        } else {
-            ExecDelay::Unbounded
-        };
-        if g.set_delay(v, delay).is_err() {
-            return Ok(());
-        }
-        let Ok(sets) = AnchorSets::compute(&g) else { return Ok(()) };
-        prop_assert_ne!(sets.anchors(), prev.anchors(), "the roster changed");
-        let reference = reschedule_reference(&g, sets.family(), &prev, &warm);
-        let kernel = reschedule(&g, sets.family(), &prev, &warm);
-        prop_assert_eq!(&kernel, &reference);
-        if matches!(check_well_posed_with(&g, &sets), WellPosedness::WellPosed) {
-            let cold = schedule_with_sets(&g, sets.family()).expect("well-posed graphs schedule");
-            let warmed = kernel.expect("a sound seed converges");
-            for u in g.vertex_ids() {
-                prop_assert!(warmed.offsets_of(u).eq(cold.offsets_of(u)), "offsets of {}", u);
-            }
-        }
     }
 
     /// The fixpoint level on arbitrary designs, over the full and the
@@ -286,30 +199,14 @@ proptest! {
     }
 
     /// Theorem 8: a well-posed design converges within `L + 1 ≤ |E_b| + 1`
-    /// iterations, cold and after a warm additive edit alike.
+    /// iterations.
     #[test]
-    fn iterations_stay_within_theorem_8(
-        spec in graph_spec(20),
-        extra in (0usize..64, 0usize..64, 0u64..5),
-    ) {
-        let (mut g, vs) = build(&spec);
+    fn iterations_stay_within_theorem_8(spec in graph_spec(20)) {
+        let (g, _) = build(&spec);
         let Ok(omega) = schedule(&g) else { return Ok(()) };
         let bound = iteration_bound(&g).expect("feasible graphs have a bound");
         prop_assert!(omega.iterations() <= bound.max_iterations());
         prop_assert!(omega.iterations() <= g.n_backward_edges() + 1);
-
-        let (i, j, l) = extra;
-        let (from, to) = (vs[i % vs.len()], vs[j % vs.len()]);
-        if g.add_min_constraint(from, to, l).is_err() {
-            return Ok(());
-        }
-        let sets = AnchorSets::compute(&g).expect("additive edit keeps structure sound");
-        if !matches!(check_well_posed_with(&g, &sets), WellPosedness::WellPosed) {
-            return Ok(());
-        }
-        let warmed = reschedule(&g, sets.family(), &omega, sets.anchors())
-            .expect("well-posed graphs schedule");
-        prop_assert!(warmed.iterations() <= g.n_backward_edges() + 1);
     }
 }
 

@@ -9,11 +9,11 @@
 //!
 //! - [`Session`] — owns a constraint graph plus cached analyses and
 //!   applies edits (`add_dependency`, `add_min_constraint`,
-//!   `add_max_constraint`, `remove_edge`, `set_delay`) by warm-starting
-//!   the fixpoint iteration from the previous offsets, restarting only
-//!   the anchor columns an edit can actually change. Every edit returns a
-//!   structured [`EditOutcome`] whose verdicts (including ill-posedness
-//!   witnesses) are bit-identical to a cold [`rsched_core::schedule`].
+//!   `add_max_constraint`, `remove_edge`, `set_delay`): an added edge or
+//!   constraint repairs the previous offsets in place, any other edit
+//!   reruns the fixpoint cold. Every edit returns a structured
+//!   [`EditOutcome`] whose verdicts (including ill-posedness witnesses)
+//!   are bit-identical to a cold [`rsched_core::schedule`].
 //! - [`serve`] — a batched JSON-lines service over any `BufRead`/`Write`
 //!   pair (stdin/stdout in the CLI): `open`/`edit`/`schedule`/`stats`/
 //!   `close` requests with id correlation, per-session ordering,

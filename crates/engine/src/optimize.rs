@@ -20,7 +20,8 @@
 //!    cost from `rsched-ctrl`'s gate-equivalent model on the
 //!    irredundant-anchor-restricted schedule); a round is kept only when
 //!    the scalarized score does not worsen, otherwise every applied edge
-//!    is removed again (warm path both ways) and the loop converges.
+//!    is removed again (each removal a cold rerun) and the loop
+//!    converges.
 //!
 //! The loop terminates: every accepted round orders at least one
 //! previously unordered pair (proposals are irredundant by construction),

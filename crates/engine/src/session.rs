@@ -1,34 +1,32 @@
 //! The incremental re-scheduling session.
 //!
 //! A [`Session`] owns a polar [`ConstraintGraph`] together with every
-//! analysis the scheduler needs — the anchor-set family, a per-anchor
-//! [`ReachCache`] over the full graph, and the current minimum
-//! [`RelativeSchedule`] — and keeps them consistent across **edits**:
+//! analysis the scheduler needs — the anchor-set family, the cached
+//! Theorem 2 verdicts, and the current minimum [`RelativeSchedule`] —
+//! and keeps them consistent across **edits**:
 //! adding a sequencing dependency or timing constraint, removing an edge,
 //! or switching an operation between fixed and unbounded delay.
 //!
 //! # How incrementality works
 //!
-//! The iterative scheduler (`IncrementalOffset` + `ReadjustOffsets`,
-//! §IV-E of the paper) is monotone: offsets only ever increase, and from
-//! any pointwise *lower bound* of the new minimum schedule it converges to
-//! the same unique fixpoint as a cold run, within the same `|E_b| + 1`
-//! budget. The session exploits this by re-seeding
-//! [`rsched_core::reschedule`] with the previous offsets wherever they are
-//! still known to be lower bounds:
+//! **Additive edits** (new edge or constraint) only raise minimum
+//! offsets, so the previous schedule is a pointwise lower bound of the
+//! new one. When it is fresh (the graph was well-posed before the edit)
+//! and the edit leaves every containment verdict clean, the session
+//! repairs it in place with [`rsched_core::relax_additive`]: a worklist
+//! walk of the new edge's cone, certified feasible by incrementally
+//! updated zero-profile start times.
 //!
-//! - **Additive edits** (new edge or constraint) only raise minimum
-//!   offsets, so *every* previously scheduled anchor column stays a valid
-//!   seed.
-//! - **Subtractive edits** (edge removal, delay change) can lower
-//!   offsets, but only for anchors whose longest paths cross the edited
-//!   element. The [`ReachCache`] answers exactly that question — an
-//!   anchor that does not reach the edited vertex keeps verbatim offsets
-//!   — so only the *dirty* anchors (those reaching it) restart from zero.
+//! **Every other edit** — edge removal, a delay change, or an additive
+//! edit the fast path cannot take — reruns the fixpoint cold with
+//! [`rsched_core::schedule_with_sets_on`] from zeroed rows. Seeding that
+//! run with the previous offsets of the anchors an edit cannot reach
+//! saves nothing measurable: the source reaches every edit, so its
+//! column always restarts from zero and decides the round count.
 //!
-//! Dirty anchors accumulate across edits while the graph is ill-posed or
-//! unfeasible (no schedule exists to refresh the cache) and are cleared
-//! whenever a reschedule succeeds.
+//! The previous schedule is fresh exactly while the verdict is
+//! `WellPosed`: an edit that leaves the graph ill-posed or unfeasible
+//! keeps it but marks it stale, and the next successful run replaces it.
 //!
 //! # Verdict fidelity
 //!
@@ -38,19 +36,17 @@
 //! check is re-evaluated *only* on backward edges whose endpoint anchor
 //! sets changed, and the expensive positive-cycle check runs only when a
 //! violation was found (to order `Unfeasible` before `IllPosed` like the
-//! cold path) or when the warm iteration exhausts its budget (which, for
+//! cold path) or when the fixpoint exhausts its budget (which, for
 //! a containment-clean graph, implies a positive cycle).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rsched_core::{
-    check_well_posed_with, relax_additive, reschedule_on, schedule_with_sets_on, start_times,
-    update_start_times, verify_start_times, AnchorSets, DelayProfile, IllPosedEdge,
-    RelativeSchedule, ScheduleError, StartTimes, WellPosedness,
+    check_well_posed_with, relax_additive, schedule_with_sets_on, start_times, update_start_times,
+    verify_start_times, AnchorSets, DelayProfile, IllPosedEdge, RelativeSchedule, ScheduleError,
+    StartTimes, WellPosedness,
 };
-use rsched_graph::{
-    ConstraintGraph, EdgeId, ExecDelay, GraphError, ReachCache, ScheduleKernel, VertexId,
-};
+use rsched_graph::{ConstraintGraph, EdgeId, ExecDelay, GraphError, ScheduleKernel, VertexId};
 
 /// Structured result of one session edit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,9 +56,11 @@ pub enum EditOutcome {
     Unchanged,
     /// The graph is well-posed and was rescheduled.
     Rescheduled {
-        /// Fixpoint iterations the warm run needed.
+        /// Fixpoint iterations the run needed (1 on the additive fast
+        /// path).
         iterations: usize,
-        /// Anchor columns seeded from the previous schedule.
+        /// Anchor columns carried over from the previous schedule: every
+        /// column on the additive fast path, 0 on a full (cold) run.
         warm_anchors: usize,
         /// Total anchors in the new schedule.
         total_anchors: usize,
@@ -109,11 +107,14 @@ pub struct SessionStats {
     pub rejected: usize,
     /// Edits that were no-ops.
     pub noops: usize,
-    /// Successful (warm or cold) scheduling runs.
+    /// Successful scheduling runs (fast-path repairs, full runs and
+    /// verified seeds).
     pub reschedules: usize,
-    /// Anchor columns seeded from a previous schedule, summed over runs.
+    /// Anchor columns carried over from a previous schedule, summed over
+    /// runs: all of them on each additive fast-path repair.
     pub warm_anchor_columns: usize,
-    /// Anchor columns that started cold, summed over runs.
+    /// Anchor columns computed from zero, summed over runs: all of them
+    /// on each full fixpoint run.
     pub cold_anchor_columns: usize,
     /// Fixpoint iterations, summed over successful runs.
     pub iterations: usize,
@@ -142,13 +143,10 @@ struct ZeroCertificate {
 pub struct Session {
     graph: ConstraintGraph,
     sets: AnchorSets,
-    reach: ReachCache,
     /// Most recent successful schedule; stale while ill-posed/unfeasible.
     current: Option<RelativeSchedule>,
     /// Zero-profile start times of `current` (refreshed on every accept).
     zero_times: Option<ZeroCertificate>,
-    /// Anchors whose column in `current` may exceed the new minimum.
-    dirty: BTreeSet<VertexId>,
     /// Cached Theorem 2 violations, keyed by backward edge.
     violations: BTreeMap<EdgeId, IllPosedEdge>,
     posedness: WellPosedness,
@@ -178,7 +176,7 @@ impl Session {
     /// start times must satisfy every edge (the same feasibility
     /// certificate the cold path computes) — and on success the session
     /// skips the fixpoint iteration and the CSR kernel it would run on.
-    /// Every other analysis (anchor sets, reachability, containment) is
+    /// Every other analysis (anchor sets, containment) is
     /// recomputed, so the resulting session state is bit-identical to a
     /// cold open. A seed that fails verification is silently discarded
     /// and the cold path runs instead.
@@ -190,14 +188,11 @@ impl Session {
             graph.polarize().map_err(ScheduleError::Graph)?;
         }
         let sets = AnchorSets::compute(&graph)?;
-        let reach = ReachCache::compute(&graph, sets.family().anchors().iter().copied());
         let mut session = Session {
             graph,
             sets,
-            reach,
             current: None,
             zero_times: None,
-            dirty: BTreeSet::new(),
             violations: BTreeMap::new(),
             posedness: WellPosedness::WellPosed,
             stats: SessionStats::default(),
@@ -319,40 +314,27 @@ impl Session {
         }
     }
 
-    /// Removes an edge (dependency or constraint) and reschedules.
-    /// Anchors whose longest paths crossed the edge restart cold; all
-    /// others keep their offsets verbatim.
+    /// Removes an edge (dependency or constraint) and reschedules with a
+    /// cold fixpoint run.
     pub fn remove_edge(&mut self, id: EdgeId) -> EditOutcome {
-        let edge = match self.graph.remove_edge(id) {
-            Ok(e) => e,
-            Err(error) => return self.reject(error),
-        };
-        // Rows that reached the tail are recomputed (the edge is gone from
-        // the adjacency lists already); exactly those anchors are dirty.
-        let touched = self.reach.notify_removal(&self.graph, edge.from());
-        self.dirty.extend(touched);
+        if let Err(error) = self.graph.remove_edge(id) {
+            return self.reject(error);
+        }
         self.violations.remove(&id);
         self.after_edit()
     }
 
     /// Switches an operation between fixed and unbounded execution delay,
-    /// re-weighting its outgoing edges, and reschedules. Returns
-    /// [`EditOutcome::Unchanged`] when the delay is already `delay`.
+    /// re-weighting its outgoing edges, and reschedules with a cold
+    /// fixpoint run. Returns [`EditOutcome::Unchanged`] when the delay is
+    /// already `delay`.
     pub fn set_delay(&mut self, v: VertexId, delay: ExecDelay) -> EditOutcome {
         match self.graph.set_delay(v, delay) {
             Ok(false) => {
                 self.stats.noops += 1;
                 EditOutcome::Unchanged
             }
-            Ok(true) => {
-                // Out-edge weights changed and v's anchor-hood may have
-                // flipped; every anchor reaching v is dirty (reachability
-                // itself is untouched — no edges were added or removed).
-                let touched = self.reach.sources_reaching(v);
-                self.dirty.extend(touched);
-                self.dirty.insert(v);
-                self.after_edit()
-            }
+            Ok(true) => self.after_edit(),
             Err(error) => self.reject(error),
         }
     }
@@ -363,16 +345,13 @@ impl Session {
     }
 
     /// Post-edit path for pure additions: previous offsets remain lower
-    /// bounds for every anchor (constraints only push offsets up), so the
-    /// dirty set does not grow — and when the edit also leaves every
-    /// anchor set untouched (the common case), the previous fixpoint is
-    /// repaired in place by a worklist relaxation of the new edge alone
-    /// instead of a full re-analysis.
+    /// bounds for every anchor (constraints only push offsets up), so
+    /// when containment stays clean the previous fixpoint is repaired in
+    /// place by a worklist relaxation of the new edge's cone instead of a
+    /// full re-analysis.
     fn after_additive_edit(&mut self, id: EdgeId) -> EditOutcome {
         self.stats.edits += 1;
         let edge = *self.graph.edge(id);
-        self.reach
-            .notify_add_edge(&self.graph, edge.from(), edge.to());
 
         // Incremental set maintenance: an addition never changes the
         // anchor roster, it can only grow per-vertex sets downstream of
@@ -401,11 +380,11 @@ impl Session {
 
     /// The additive fast path: repair the current fixpoint by relaxing
     /// only the new edge's cone (plus any vertices whose anchor sets
-    /// grew). Applicable when the previous schedule is fresh (well-posed,
-    /// no dirty anchors); returns `None` to fall back to the general
-    /// (warm full-sweep) path.
+    /// grew). Applicable when the previous schedule is fresh (the graph
+    /// was well-posed before the edit); returns `None` to fall back to the
+    /// general (cold full-run) path.
     fn try_fast_additive(&mut self, id: EdgeId, changed: &[VertexId]) -> Option<EditOutcome> {
-        if !self.dirty.is_empty() || !matches!(self.posedness, WellPosedness::WellPosed) {
+        if !matches!(self.posedness, WellPosedness::WellPosed) {
             return None;
         }
         let prev = self.current.as_ref()?;
@@ -429,8 +408,8 @@ impl Session {
             Ok(raised) => raised,
             // Relaxation diverged: positive cycle (or an adversarial
             // schedule order exhausting the pop budget). The in-place
-            // offsets were over-raised past any minimum, so the warm
-            // caches are unusable — drop them and classify through the
+            // offsets were over-raised past any minimum, so the cached
+            // certificate is unusable — drop it and classify through the
             // authoritative (cold) path.
             Err(_) => {
                 self.zero_times = None;
@@ -485,8 +464,8 @@ impl Session {
                 WellPosedness::Unfeasible { witness } => {
                     // `omega` converged, so it is still the exact minimum
                     // of the (per-anchor) tracked system — keep it (and
-                    // its exact times) as the stale warm cache, like the
-                    // general path keeps its previous schedule.
+                    // its exact times) as the stale schedule, like the
+                    // general path keeps its previous one.
                     self.current = Some(omega);
                     self.zero_times = certificate;
                     Some(self.mark_unfeasible(witness))
@@ -520,16 +499,8 @@ impl Session {
         // Which vertices' anchor sets actually changed? Containment
         // verdicts of backward edges not touching them are reusable.
         let mut changed = vec![false; self.graph.n_vertices()];
-        let mut roster_changed = new_sets.family().anchors() != self.sets.family().anchors();
         for v in self.graph.vertex_ids() {
-            if !self.sets.set(v).eq(new_sets.set(v)) {
-                changed[v.index()] = true;
-                roster_changed = true;
-            }
-        }
-        if roster_changed {
-            let roster = new_sets.family().anchors().to_vec();
-            self.reach.sync_sources(&self.graph, &roster);
+            changed[v.index()] = !self.sets.set(v).eq(new_sets.set(v));
         }
         self.sets = new_sets;
 
@@ -572,7 +543,7 @@ impl Session {
     }
 
     /// Classifies the (already re-analyzed) graph and, when well-posed,
-    /// runs a warm reschedule. Mirrors the cold `schedule()` pipeline
+    /// runs the full fixpoint. Mirrors the cold `schedule()` pipeline
     /// verdict-for-verdict.
     fn classify_and_run(&mut self) -> EditOutcome {
         // Fault-injection site: fires before any cached scheduling state
@@ -612,99 +583,63 @@ impl Session {
         self.run_schedule()
     }
 
-    /// Runs the full fixpoint (warm where the previous schedule allows)
-    /// on a CSR kernel built for this run. Every edit changes the graph,
-    /// so a kernel kept between runs would never be reused; the additive
-    /// fast path repairs the schedule by a worklist walk of the adjacency
-    /// lists and needs none.
+    /// Runs the full fixpoint from zeroed rows on a CSR kernel built for
+    /// this run. Every edit changes the graph, so a kernel kept between
+    /// runs would never be reused; the additive fast path repairs the
+    /// schedule by a worklist walk of the adjacency lists and needs none.
     fn run_schedule(&mut self) -> EditOutcome {
         let kernel = match ScheduleKernel::build(&self.graph) {
             Ok(kernel) => kernel,
             Err(error) => return self.reject(error),
         };
-        let family = self.sets.family().clone();
-        let warm: Vec<VertexId> = match &self.current {
-            Some(prev) => family
-                .anchors()
-                .iter()
-                .copied()
-                .filter(|a| !self.dirty.contains(a) && prev.sets_anchor(*a))
-                .collect(),
-            None => Vec::new(),
-        };
-        let result = match &self.current {
-            Some(prev) if !warm.is_empty() => reschedule_on(&kernel, &family, prev, &warm),
-            _ => schedule_with_sets_on(&kernel, &family, 1),
-        };
-        let (schedule, warm_used) = match result {
-            Ok(schedule) => {
-                // Containment passed and the iteration converged, but a
-                // positive cycle can hide from the per-anchor relaxation
-                // (it only sees columns both endpoints track). Feasibility
-                // certificate: if the schedule's start times under the
-                // all-zero delay profile satisfy every edge, no positive
-                // cycle can exist — summing `T(head) ≥ T(tail) + w` around
-                // one would bound its weight by zero. One O(|V|·|A| + |E|)
-                // sweep, against the cold pipeline's Bellman–Ford.
-                let zeros = DelayProfile::zeros(&self.graph);
-                let certificate = start_times(&self.graph, &schedule, &zeros)
-                    .ok()
-                    .map(|times| ZeroCertificate {
-                        valid: verify_start_times(&self.graph, &times, &zeros).is_empty(),
-                        times,
-                    });
-                if certificate.as_ref().is_some_and(|c| c.valid) {
-                    self.zero_times = certificate;
-                    (schedule, warm.len())
-                } else {
-                    // The certificate can also fail on *feasible* graphs
-                    // that lost polarity (an edit disconnected the source,
-                    // so some vertex tracks no anchor at all); only the
-                    // authoritative check can tell the two apart.
-                    match check_well_posed_with(&self.graph, &self.sets) {
-                        WellPosedness::Unfeasible { witness } => {
-                            return self.mark_unfeasible(witness);
-                        }
-                        WellPosedness::WellPosed => {
-                            self.zero_times = certificate;
-                            (schedule, warm.len())
-                        }
-                        // Containment over the same sets was clean above, so
-                        // the authoritative check cannot see a violation.
-                        verdict @ WellPosedness::IllPosed { .. } => {
-                            unreachable!("containment cache disagrees: {verdict:?}")
-                        }
-                    }
-                }
-            }
+        let schedule = match schedule_with_sets_on(&kernel, self.sets.family(), 1) {
+            Ok(schedule) => schedule,
+            // Budget exhausted: containment was clean, so this proves a
+            // positive cycle (Theorem 8); the authoritative check names
+            // the cold pipeline's witness.
             Err(ScheduleError::Inconsistent { .. }) => {
-                // Budget exhausted: on a well-posed polar graph this proves
-                // a positive cycle (Theorem 8), but classify authoritatively
-                // so degenerate non-polar graphs fall back to a cold run.
-                match check_well_posed_with(&self.graph, &self.sets) {
-                    WellPosedness::Unfeasible { witness } => {
-                        return self.mark_unfeasible(witness);
-                    }
-                    WellPosedness::WellPosed => match schedule_with_sets_on(&kernel, &family, 1) {
-                        Ok(schedule) => {
-                            self.zero_times = None;
-                            (schedule, 0)
-                        }
-                        Err(e) => {
-                            unreachable!("cold run failed on a feasible, well-posed graph: {e:?}")
-                        }
-                    },
-                    verdict @ WellPosedness::IllPosed { .. } => {
-                        unreachable!("containment cache disagrees: {verdict:?}")
-                    }
-                }
+                return match check_well_posed_with(&self.graph, &self.sets) {
+                    WellPosedness::Unfeasible { witness } => self.mark_unfeasible(witness),
+                    verdict => unreachable!("fixpoint diverged on a {verdict:?} graph"),
+                };
             }
             Err(ScheduleError::Graph(error)) => return self.reject(error),
             Err(e) => {
                 unreachable!("unexpected scheduling error after containment check: {e:?}")
             }
         };
-        self.accept(schedule, warm_used)
+        // Containment passed and the iteration converged, but a positive
+        // cycle can hide from the per-anchor relaxation (it only sees
+        // columns both endpoints track). Feasibility certificate: if the
+        // schedule's start times under the all-zero delay profile satisfy
+        // every edge, no positive cycle can exist — summing
+        // `T(head) ≥ T(tail) + w` around one would bound its weight by
+        // zero. One O(|V|·|A| + |E|) sweep, against the cold pipeline's
+        // Bellman–Ford.
+        let zeros = DelayProfile::zeros(&self.graph);
+        let certificate = start_times(&self.graph, &schedule, &zeros)
+            .ok()
+            .map(|times| ZeroCertificate {
+                valid: verify_start_times(&self.graph, &times, &zeros).is_empty(),
+                times,
+            });
+        if !certificate.as_ref().is_some_and(|c| c.valid) {
+            // The certificate can also fail on *feasible* graphs that lost
+            // polarity (an edit disconnected the source, so some vertex
+            // tracks no anchor at all); only the authoritative check can
+            // tell the two apart.
+            match check_well_posed_with(&self.graph, &self.sets) {
+                WellPosedness::Unfeasible { witness } => return self.mark_unfeasible(witness),
+                WellPosedness::WellPosed => {}
+                // Containment over the same sets was clean above, so the
+                // authoritative check cannot see a violation.
+                verdict @ WellPosedness::IllPosed { .. } => {
+                    unreachable!("containment cache disagrees: {verdict:?}")
+                }
+            }
+        }
+        self.zero_times = certificate;
+        self.accept(schedule, 0)
     }
 
     /// Installs a freshly computed minimum schedule and reports the edit.
@@ -716,7 +651,6 @@ impl Session {
         self.stats.warm_anchor_columns += warm_used;
         self.stats.cold_anchor_columns += total_anchors - warm_used;
         self.current = Some(schedule);
-        self.dirty.clear();
         self.posedness = WellPosedness::WellPosed;
         EditOutcome::Rescheduled {
             iterations,
@@ -729,18 +663,6 @@ impl Session {
         self.stats.unfeasible += 1;
         self.posedness = WellPosedness::Unfeasible { witness };
         EditOutcome::Unfeasible { witness }
-    }
-}
-
-/// Extension used by [`Session`] to test membership in a previous
-/// schedule's anchor roster without exposing internals.
-trait SetsAnchor {
-    fn sets_anchor(&self, a: VertexId) -> bool;
-}
-
-impl SetsAnchor for RelativeSchedule {
-    fn sets_anchor(&self, a: VertexId) -> bool {
-        self.tracked_sets().anchor_index(a).is_some()
     }
 }
 
@@ -819,35 +741,46 @@ mod tests {
         assert_matches_cold(&session);
     }
 
+    /// Removals and delay changes rerun the fixpoint cold: no column is
+    /// carried over, and the result equals a cold schedule.
     #[test]
-    fn removal_restarts_only_reaching_anchors() {
+    fn subtractive_edits_run_cold() {
         let (mut g, _, alu, out) = demo();
-        // A second, independent synchronization branch: its anchor cannot
-        // reach the edited edge, so it must stay warm across the removal.
+        // A second, independent synchronization branch that cannot reach
+        // the edited elements: it still restarts from zero.
         let side = g.add_operation("side_sync", ExecDelay::Unbounded);
-        let sink_op = g.add_operation("side_op", ExecDelay::Fixed(1));
-        g.add_dependency(side, sink_op).unwrap();
+        let side_op = g.add_operation("side_op", ExecDelay::Fixed(1));
+        g.add_dependency(side, side_op).unwrap();
         g.polarize().unwrap();
         let mut session = Session::open(g).unwrap();
-        assert!(session.edge_between(alu, out).is_some());
         let constraint = session
             .graph()
             .backward_edges()
             .map(|(id, _)| id)
             .next()
             .unwrap();
-        let outcome = session.remove_edge(constraint);
-        let EditOutcome::Rescheduled {
-            warm_anchors,
-            total_anchors,
-            ..
-        } = outcome
-        else {
-            panic!("expected reschedule, got {outcome:?}");
-        };
-        assert!(warm_anchors >= 1, "side_sync's column must stay warm");
-        assert!(warm_anchors < total_anchors, "alu-reaching anchors restart");
+        let removed = session.remove_edge(constraint);
         assert_matches_cold(&session);
+        let delayed = session.set_delay(alu, ExecDelay::Fixed(5));
+        assert_matches_cold(&session);
+        let dependency = session.edge_between(alu, out).unwrap();
+        let cut = session.remove_edge(dependency);
+        assert_matches_cold(&session);
+        for outcome in [removed, delayed, cut] {
+            let EditOutcome::Rescheduled {
+                warm_anchors,
+                total_anchors,
+                ..
+            } = outcome
+            else {
+                panic!("expected reschedule, got {outcome:?}");
+            };
+            assert_eq!(warm_anchors, 0);
+            assert!(total_anchors >= 3, "source, sync and side_sync");
+        }
+        let stats = session.stats();
+        assert_eq!(stats.warm_anchor_columns, 0);
+        assert_eq!(stats.reschedules, 4);
     }
 
     #[test]

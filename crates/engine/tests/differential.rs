@@ -48,8 +48,13 @@ fn pick(list: &[VertexId], i: usize) -> VertexId {
 }
 
 /// Applies `spec` to both sides and checks that acceptance matches;
-/// returns `true` when the graph actually changed.
-fn apply(spec: &EditSpec, session: &mut Session, mirror: &mut ConstraintGraph) -> bool {
+/// returns the session's outcome (`None` when there was no edge to
+/// remove).
+fn apply(
+    spec: &EditSpec,
+    session: &mut Session,
+    mirror: &mut ConstraintGraph,
+) -> Option<EditOutcome> {
     let ops: Vec<VertexId> = mirror.operation_ids().collect();
     match *spec {
         EditSpec::AddDep(a, b) => {
@@ -57,26 +62,26 @@ fn apply(spec: &EditSpec, session: &mut Session, mirror: &mut ConstraintGraph) -
             let cold = mirror.add_dependency(f, t);
             let warm = session.add_dependency(f, t);
             assert_accepts_match(&warm, &cold.map(|_| ()));
-            cold_is_ok(&warm)
+            Some(warm)
         }
         EditSpec::AddMin(a, b, l) => {
             let (f, t) = (pick(&ops, a), pick(&ops, b));
             let cold = mirror.add_min_constraint(f, t, l);
             let warm = session.add_min_constraint(f, t, l);
             assert_accepts_match(&warm, &cold.map(|_| ()));
-            cold_is_ok(&warm)
+            Some(warm)
         }
         EditSpec::AddMax(a, b, u) => {
             let (f, t) = (pick(&ops, a), pick(&ops, b));
             let cold = mirror.add_max_constraint(f, t, u);
             let warm = session.add_max_constraint(f, t, u);
             assert_accepts_match(&warm, &cold.map(|_| ()));
-            cold_is_ok(&warm)
+            Some(warm)
         }
         EditSpec::RemoveEdge(k) => {
             let edges: Vec<EdgeId> = mirror.edges().map(|(id, _)| id).collect();
             if edges.is_empty() {
-                return false;
+                return None;
             }
             let e = edges[k % edges.len()];
             mirror.remove_edge(e).expect("picked a live edge");
@@ -85,7 +90,7 @@ fn apply(spec: &EditSpec, session: &mut Session, mirror: &mut ConstraintGraph) -
                 !matches!(warm, EditOutcome::Rejected { .. }),
                 "session rejected a live edge removal: {warm:?}"
             );
-            true
+            Some(warm)
         }
         EditSpec::SetDelay(v, d) => {
             let v = pick(&ops, v);
@@ -97,18 +102,13 @@ fn apply(spec: &EditSpec, session: &mut Session, mirror: &mut ConstraintGraph) -
             let cold = mirror.set_delay(v, delay);
             let warm = session.set_delay(v, delay);
             match (&warm, &cold) {
-                (EditOutcome::Unchanged, Ok(false)) => false,
-                (EditOutcome::Rejected { error }, Err(e)) => {
-                    assert_eq!(error, e);
-                    false
-                }
+                (EditOutcome::Unchanged, Ok(false)) => {}
+                (EditOutcome::Rejected { error }, Err(e)) => assert_eq!(error, e),
                 (w, Ok(true))
-                    if !matches!(w, EditOutcome::Rejected { .. } | EditOutcome::Unchanged) =>
-                {
-                    true
-                }
+                    if !matches!(w, EditOutcome::Rejected { .. } | EditOutcome::Unchanged) => {}
                 (w, c) => panic!("set_delay divergence: session={w:?}, mirror={c:?}"),
             }
+            Some(warm)
         }
     }
 }
@@ -122,10 +122,6 @@ fn assert_accepts_match(warm: &EditOutcome, cold: &Result<(), rsched_graph::Grap
         (w, Err(e)) => panic!("session accepted an edit the graph rejects ({e}): {w:?}"),
         _ => {}
     }
-}
-
-fn cold_is_ok(warm: &EditOutcome) -> bool {
-    !matches!(warm, EditOutcome::Rejected { .. })
 }
 
 /// The core comparison: session state vs a from-scratch analysis of the
@@ -200,7 +196,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random designs, random edit chains: the incremental engine is
-    /// indistinguishable from cold re-analysis at every step.
+    /// indistinguishable from cold re-analysis at every step, and every
+    /// full run (no column carried over) takes exactly the cold
+    /// iteration count.
     #[test]
     fn incremental_equals_cold(
         seed in 0u64..10_000,
@@ -215,8 +213,12 @@ proptest! {
         let mut session = Session::open(g).expect("random designs are structurally sound");
         assert_matches_cold(&session, &mirror, 0);
         for (i, spec) in edits.iter().enumerate() {
-            apply(spec, &mut session, &mut mirror);
+            let outcome = apply(spec, &mut session, &mut mirror);
             assert_matches_cold(&session, &mirror, i + 1);
+            if let Some(EditOutcome::Rescheduled { iterations, warm_anchors: 0, .. }) = outcome {
+                let cold = schedule(&mirror).expect("a rescheduled graph schedules cold");
+                prop_assert_eq!(iterations, cold.iterations(), "step {}", i + 1);
+            }
         }
     }
 

@@ -1,38 +1,33 @@
 //! Immutable compressed-sparse-row snapshot of a constraint graph for the
-//! scheduling fixpoint.
-//!
-//! The mutable [`ConstraintGraph`] is built for editing: per-vertex
-//! `Vec<EdgeId>` adjacency, tombstoned edges, symbolic weights. Every
-//! iteration of the scheduler, however, is a linear pass — a topological
-//! longest-path sweep over the forward edges followed by a batched scan of
-//! the backward edges — and pays for that flexibility with pointer-chasing
-//! and scattered loads on each step. A [`ScheduleKernel`] freezes one
-//! graph revision into flat `u32`/`i64` arrays laid out in exactly the
-//! orders the fixpoint consumes them:
-//!
-//! - the forward topological order, precomputed once per snapshot rather
-//!   than once per scheduling call;
-//! - forward in-edges in CSR form, row per head vertex, so a sweep reads
-//!   `(tail, weight)` pairs from two contiguous arrays;
-//! - backward edges as parallel arrays in live [`EdgeId`] order — the
-//!   exact order the violation scan and `ReadjustOffsets` visit them.
-//!
-//! Weights are stored **zeroed** (`Weight::zeroed`), the paper's
-//! convention for every static path computation, so consumers do plain
-//! integer arithmetic with no `enum` dispatch. A kernel describes the
-//! graph revision it was built from and must be rebuilt after any
-//! mutation; the build is a single `O(|V| + |E|)` pass.
-//!
-//! [`EdgeId`]: crate::EdgeId
+//! scheduling fixpoint: [`ScheduleKernel`].
 
 use crate::error::GraphError;
 use crate::graph::ConstraintGraph;
 
 /// A frozen, data-oriented view of one [`ConstraintGraph`] revision.
 ///
-/// See the [module documentation](self) for the layout rationale. Build
-/// one with [`ScheduleKernel::build`]; every accessor is a cheap slice
-/// borrow.
+/// The mutable [`ConstraintGraph`] is built for editing: per-vertex
+/// `Vec<EdgeId>` adjacency, tombstoned edges, symbolic weights. Every
+/// iteration of the scheduler, however, is a linear pass — a topological
+/// longest-path sweep over the forward edges followed by a batched scan of
+/// the backward edges — and pays for that flexibility with pointer-chasing
+/// and scattered loads on each step. A kernel freezes one graph revision
+/// into flat `u32`/`i64` arrays laid out in exactly the orders the
+/// fixpoint consumes them:
+///
+/// - the forward topological order, precomputed once per snapshot rather
+///   than once per scheduling call;
+/// - forward in-edges in CSR form, row per head vertex, so a sweep reads
+///   `(tail, weight)` pairs from two contiguous arrays;
+/// - backward edges as parallel arrays in live [`EdgeId`](crate::EdgeId) order — the
+///   exact order the violation scan and `ReadjustOffsets` visit them.
+///
+/// Weights are stored **zeroed** (`Weight::zeroed`), the paper's
+/// convention for every static path computation, so consumers do plain
+/// integer arithmetic with no `enum` dispatch. A kernel describes the
+/// graph revision it was built from and must be rebuilt after any
+/// mutation; the build is a single `O(|V| + |E|)` pass. Build one with
+/// [`ScheduleKernel::build`]; every accessor is a cheap slice borrow.
 #[derive(Debug, Clone)]
 pub struct ScheduleKernel {
     n_vertices: usize,

@@ -62,7 +62,7 @@ pub use dot::DotOptions;
 pub use error::GraphError;
 pub use graph::{ConstraintGraph, Edge, EdgeId, EdgeKind, ExecDelay, Vertex, VertexId, Weight};
 pub use kernel::ScheduleKernel;
-pub use paths::{LongestPaths, PathMatrix, ReachCache};
+pub use paths::{LongestPaths, PathMatrix};
 pub use reduce::ReductionReport;
 pub use text::TextFormatError;
 pub use topo::ForwardTopo;

@@ -125,147 +125,6 @@ impl PathMatrix {
     }
 }
 
-/// Per-source reachability bitsets over the *full* graph (forward and
-/// backward edges alike), maintained incrementally across edits.
-///
-/// This is the cache-invalidation oracle behind the incremental engine: an
-/// edit touching vertex `u` can only perturb `length(a, ·)` — and hence the
-/// offsets row — of a source `a` that reaches `u`, because every longest
-/// path that crosses the edited edge passes through `u`. Rows for sources
-/// that do not reach `u` stay verbatim.
-#[derive(Debug, Clone)]
-pub struct ReachCache {
-    n_vertices: usize,
-    words: usize,
-    rows: Vec<(VertexId, Vec<u64>)>,
-}
-
-impl ReachCache {
-    /// Computes reachability rows for every vertex in `sources`.
-    pub fn compute(graph: &ConstraintGraph, sources: impl IntoIterator<Item = VertexId>) -> Self {
-        let n = graph.n_vertices();
-        let words = n.div_ceil(64);
-        let rows = sources
-            .into_iter()
-            .map(|s| (s, Self::full_row(graph, s, words)))
-            .collect();
-        ReachCache {
-            n_vertices: n,
-            words,
-            rows,
-        }
-    }
-
-    fn full_row(graph: &ConstraintGraph, s: VertexId, words: usize) -> Vec<u64> {
-        let mut bits = vec![0u64; words];
-        let mut stack = vec![s];
-        set_bit(&mut bits, s.index());
-        while let Some(u) = stack.pop() {
-            for (_, e) in graph.out_edges(u) {
-                let t = e.to();
-                if !get_bit(&bits, t.index()) {
-                    set_bit(&mut bits, t.index());
-                    stack.push(t);
-                }
-            }
-        }
-        bits
-    }
-
-    /// The sources this cache holds rows for, in insertion order.
-    pub fn sources(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.rows.iter().map(|(s, _)| *s)
-    }
-
-    /// `true` if `v` is reachable from `source` (every vertex reaches
-    /// itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no row was computed for `source`.
-    pub fn reaches(&self, source: VertexId, v: VertexId) -> bool {
-        let row = &self
-            .rows
-            .iter()
-            .find(|(s, _)| *s == source)
-            .unwrap_or_else(|| panic!("{source} is not a source of this ReachCache"))
-            .1;
-        get_bit(row, v.index())
-    }
-
-    /// All cached sources that reach `v`.
-    pub fn sources_reaching(&self, v: VertexId) -> Vec<VertexId> {
-        self.rows
-            .iter()
-            .filter(|(_, row)| get_bit(row, v.index()))
-            .map(|(s, _)| *s)
-            .collect()
-    }
-
-    /// Updates every row for a newly added edge `from -> to`.
-    ///
-    /// Reachability only grows on insertion, so rows already reaching `from`
-    /// are extended with a traversal from `to`; all other rows are provably
-    /// unaffected and left untouched.
-    pub fn notify_add_edge(&mut self, graph: &ConstraintGraph, from: VertexId, to: VertexId) {
-        debug_assert_eq!(graph.n_vertices(), self.n_vertices);
-        for (_, row) in &mut self.rows {
-            if get_bit(row, from.index()) && !get_bit(row, to.index()) {
-                let mut stack = vec![to];
-                set_bit(row, to.index());
-                while let Some(u) = stack.pop() {
-                    for (_, e) in graph.out_edges(u) {
-                        let t = e.to();
-                        if !get_bit(row, t.index()) {
-                            set_bit(row, t.index());
-                            stack.push(t);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Recomputes the rows whose reachability may have *shrunk* after the
-    /// removal of an edge that left vertex `from` (call after the edge is
-    /// gone from `graph`). Returns the sources that were recomputed — the
-    /// only rows an ex-edge out of `from` could have served.
-    pub fn notify_removal(&mut self, graph: &ConstraintGraph, from: VertexId) -> Vec<VertexId> {
-        let words = self.words;
-        let mut touched = Vec::new();
-        for (s, row) in &mut self.rows {
-            if get_bit(row, from.index()) {
-                *row = Self::full_row(graph, *s, words);
-                touched.push(*s);
-            }
-        }
-        touched
-    }
-
-    /// Reconciles the row set with `sources`: rows for new sources are
-    /// computed from scratch, rows for dropped sources are discarded, and
-    /// surviving rows are kept as-is. Order follows `sources`.
-    pub fn sync_sources(&mut self, graph: &ConstraintGraph, sources: &[VertexId]) {
-        let words = self.words;
-        let mut old = std::mem::take(&mut self.rows);
-        for &s in sources {
-            let row = match old.iter().position(|(v, _)| *v == s) {
-                Some(i) => old.swap_remove(i).1,
-                None => Self::full_row(graph, s, words),
-            };
-            self.rows.push((s, row));
-        }
-    }
-}
-
-fn set_bit(bits: &mut [u64], i: usize) {
-    bits[i / 64] |= 1 << (i % 64);
-}
-
-fn get_bit(bits: &[u64], i: usize) -> bool {
-    bits[i / 64] & (1 << (i % 64)) != 0
-}
-
 impl ConstraintGraph {
     /// Checks for a positive cycle anywhere in the graph, with unbounded
     /// delays set to 0 — the negation of Theorem 1's feasibility condition.
@@ -427,51 +286,6 @@ mod tests {
         let (g, vs) = chain(&[1]);
         let m = PathMatrix::for_sources(&g, [g.source()]).unwrap();
         let _ = m.length(vs[0], g.sink());
-    }
-
-    #[test]
-    fn reach_cache_incremental_matches_recompute() {
-        let (mut g, vs) = chain(&[1, 2, 3, 4]);
-        let sources: Vec<VertexId> = vec![g.source(), vs[0], vs[2]];
-        let mut cache = ReachCache::compute(&g, sources.iter().copied());
-        assert!(cache.reaches(vs[0], vs[3]));
-        assert!(!cache.reaches(vs[2], vs[0]));
-        assert_eq!(cache.sources_reaching(vs[3]), sources);
-
-        // A backward edge makes vs[0] reachable from vs[2]; the incremental
-        // update must agree with a cold recompute.
-        let e = g.add_max_constraint(vs[0], vs[3], 9).unwrap();
-        let (from, to) = (g.edge(e).from(), g.edge(e).to());
-        cache.notify_add_edge(&g, from, to);
-        let cold = ReachCache::compute(&g, sources.iter().copied());
-        for &s in &sources {
-            for v in g.vertex_ids() {
-                assert_eq!(cache.reaches(s, v), cold.reaches(s, v), "{s} -> {v}");
-            }
-        }
-        assert!(cache.reaches(vs[2], vs[0]));
-
-        // Removing it again shrinks reachability; affected rows recompute.
-        g.remove_edge(e).unwrap();
-        let touched = cache.notify_removal(&g, from);
-        assert!(touched.contains(&vs[2]));
-        let cold = ReachCache::compute(&g, sources.iter().copied());
-        for &s in &sources {
-            for v in g.vertex_ids() {
-                assert_eq!(cache.reaches(s, v), cold.reaches(s, v), "{s} -> {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn reach_cache_sync_sources_keeps_and_adds_rows() {
-        let (g, vs) = chain(&[1, 2]);
-        let mut cache = ReachCache::compute(&g, [g.source(), vs[0]]);
-        cache.sync_sources(&g, &[g.source(), vs[1]]);
-        let got: Vec<VertexId> = cache.sources().collect();
-        assert_eq!(got, vec![g.source(), vs[1]]);
-        assert!(cache.reaches(vs[1], g.sink()));
-        assert!(!cache.reaches(vs[1], vs[0]));
     }
 
     #[test]

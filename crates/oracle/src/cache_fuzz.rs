@@ -11,9 +11,10 @@
 //! ids, edge ids, and iteration orders all differ — and schedules each
 //! labeling twice: cold ([`rsched_core::schedule`]) and through a shared
 //! [`ScheduleCache`] ([`schedule_cached`]). The two results must be
-//! equal under full [`RelativeSchedule`] equality, and every well-posed
-//! cache *hit* is additionally refereed by the first-principles oracle
-//! ([`crate::verify`]) against the querying labeling — so a wrong
+//! equal under full [`RelativeSchedule`](rsched_core::RelativeSchedule)
+//! equality, and every well-posed cache *hit* is additionally refereed
+//! by the first-principles oracle ([`crate::verify`]) against the
+//! querying labeling — so a wrong
 //! permutation mapping cannot hide behind a correct canonical result.
 //!
 //! **Serve phase.** The same request script (opens with relabeled

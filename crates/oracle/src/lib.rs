@@ -16,10 +16,10 @@
 //!   minimality, Thm 8/Cor 2 minimum-offset optimality, Thm 3 start-time
 //!   semantics) and return a structured [`OracleReport`] with witness
 //!   paths and a per-offset minimality certificate.
-//! - [`fuzz`] — [`GraphMutator`] grows seeded random graphs (well-posed
-//!   and deliberately hostile) and edit scripts; [`fuzz::fuzz`] replays
-//!   them through cold, threaded, and warm-session schedulers and feeds
-//!   every state to the oracle.
+//! - [`fuzz`](mod@fuzz) — [`GraphMutator`] grows seeded random graphs
+//!   (well-posed and deliberately hostile) and edit scripts;
+//!   [`fuzz::fuzz`] replays them through cold, reference, and
+//!   incremental-session schedulers and feeds every state to the oracle.
 //! - [`serve_fuzz`] — [`fuzz_serve`] attacks the JSON-lines service with
 //!   malformed and adversarial frames, asserting it never panics and
 //!   always echoes the request id.

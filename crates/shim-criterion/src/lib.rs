@@ -304,7 +304,10 @@ enum Field {
 /// thread count, so artifacts checked into the repository say exactly
 /// what produced them. The commit is resolved from `RSCHED_COMMIT`, then
 /// `GITHUB_SHA` (CI), then `git rev-parse --short HEAD`, falling back to
-/// `"unknown"` outside a checkout.
+/// `"unknown"` outside a checkout. A hash from git gains a `-dirty`
+/// suffix when a tracked file other than a `BENCH_*.json` summary
+/// differs from `HEAD`, so numbers from uncommitted code are never
+/// stamped with their parent's hash.
 ///
 /// ```no_run
 /// # use criterion::SummaryWriter;
@@ -410,15 +413,40 @@ fn commit_hash() -> String {
             }
         }
     }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(hash) = git(&["rev-parse", "--short", "HEAD"])
         .map(|s| s.trim().to_owned())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+    else {
+        return "unknown".to_owned();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(status) if is_dirty(&status) => format!("{hash}-dirty"),
+        _ => hash,
+    }
+}
+
+/// Whether `git status --porcelain` output names a changed tracked file
+/// other than a root-level `BENCH_*.json` summary (the files a bench run
+/// rewrites). Each line is `XY path`, or `XY from -> to` for a rename,
+/// with paths relative to the repository root and quoted when unusual.
+fn is_dirty(porcelain: &str) -> bool {
+    let is_summary = |path: &str| {
+        let path = path.trim_matches('"');
+        !path.contains('/') && path.starts_with("BENCH_") && path.ends_with(".json")
+    };
+    porcelain
+        .lines()
+        .filter_map(|line| line.get(3..))
+        .flat_map(|paths| paths.split(" -> "))
+        .any(|path| !is_summary(path))
 }
 
 fn json_str(s: &str) -> String {
@@ -501,6 +529,23 @@ mod tests {
         assert!(results
             .iter()
             .all(|r| r.min_ns <= r.mean_ns && r.mean_ns <= r.max_ns));
+    }
+
+    #[test]
+    fn only_changes_outside_bench_summaries_are_dirty() {
+        assert!(!is_dirty(""));
+        assert!(!is_dirty(" M BENCH_kernel.json\n"));
+        assert!(!is_dirty("M  BENCH_kernel.json\n M BENCH_engine.json\n"));
+        assert!(is_dirty(" M crates/core/src/schedule.rs\n"));
+        assert!(is_dirty(" M BENCH_kernel.json\nA  src/new.rs\n"));
+        assert!(is_dirty(" D README.md\n"));
+        // Summaries elsewhere in the tree and look-alike names are code.
+        assert!(is_dirty(" M rsbench/BENCH_x.json\n"));
+        assert!(is_dirty(" M BENCH_kernel.json.bak\n"));
+        // A rename is dirty unless both sides are summaries.
+        assert!(!is_dirty("R  BENCH_a.json -> BENCH_b.json\n"));
+        assert!(is_dirty("R  notes.md -> BENCH_b.json\n"));
+        assert!(is_dirty("M  \"odd name.rs\"\n"));
     }
 
     #[test]

@@ -373,7 +373,7 @@ pub mod strategy {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// An inclusive-low, exclusive-high length range for [`vec`].
+    /// An inclusive-low, exclusive-high length range for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: u64,
@@ -409,7 +409,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -2,10 +2,11 @@
 //!
 //! A bus interface waits on an external handshake (an *anchor* — its
 //! delay is unknown until run time), then drives and acknowledges the
-//! bus. A designer explores timing constraints interactively: each edit
-//! re-schedules from the previous answer (warm start) instead of from
-//! scratch, and every verdict — including ill-posedness witnesses — is
-//! bit-identical to a cold `rsched_core::schedule()` of the same graph.
+//! bus. A designer explores timing constraints interactively: an added
+//! edge or constraint repairs the previous answer in place instead of
+//! scheduling from scratch, a removal reruns the fixpoint cold, and every
+//! verdict — including ill-posedness witnesses — is bit-identical to a
+//! cold `rsched_core::schedule()` of the same graph.
 //!
 //! ```sh
 //! cargo run --example engine_session
@@ -86,6 +87,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         other => println!("repair: {other:?}"),
+    }
+
+    // Edit 4: drop the drive->ack bound again. A removal can lower
+    // offsets, so the previous answer is no lower bound any more: the
+    // session reruns the fixpoint cold and carries no column over.
+    let bound = session
+        .graph()
+        .backward_edges()
+        .find(|(_, e)| e.from() == ack && e.to() == drive)
+        .map(|(id, _)| id)
+        .expect("the max constraint is a backward edge ack -> drive");
+    match session.remove_edge(bound) {
+        EditOutcome::Rescheduled {
+            iterations,
+            warm_anchors,
+            total_anchors,
+        } => {
+            println!(
+                "removed max(drive,ack): rescheduled cold in {iterations} iteration(s), \
+                      {warm_anchors}/{total_anchors} anchor columns warm"
+            );
+        }
+        other => println!("removed max(drive,ack): {other:?}"),
     }
 
     let st = session.stats();
