@@ -51,15 +51,23 @@
 //! the WAL line; [`Journal::sync`] writes every buffered line with a
 //! single write + flush. The serve layer syncs once per drained request
 //! batch (group commit) instead of once per op — the per-request
-//! write+flush syscalls were measured at ~58% of a serve round. Mirror
-//! I/O errors are swallowed: recovery reads only the in-memory journal,
-//! and a full disk must never take the service down. Dropping a journal
-//! syncs any remaining buffered lines.
+//! write+flush syscalls were measured at ~58% of a serve round. A mirror
+//! I/O error never fails a request: the journal drops its mirror, keeps
+//! recording in memory (which `recover` replays), and the router counts
+//! the loss as `wal_mirrors_lost`. Dropping a journal syncs any remaining
+//! buffered lines.
+//!
+//! This module alone knows the edit record and the WAL file: one decoder
+//! serves `edit` requests and WAL lines, one function applies a record to
+//! a [`Session`] for live edits and replay, and [`Journal::recover`] reads
+//! a WAL file back at boot.
 
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use rsched_core::{AnchorSetFamily, RelativeSchedule};
 use rsched_graph::{ConstraintGraph, ExecDelay, VertexId};
@@ -344,81 +352,127 @@ impl JournalOp {
     }
 
     /// Parses one WAL line back into a journal record — the inverse of
-    /// [`JournalOp`]'s WAL rendering, used to rebuild session tables from
-    /// a journal directory at boot. Tolerant of older line formats: a
-    /// missing `"session"` parses as an empty name (such files cannot be
+    /// [`JournalOp::to_json`]. Tolerant of older line formats: a missing
+    /// `"session"` parses as an empty name (such files cannot be
     /// auto-recovered, but still parse), and a malformed `"analysis"`
-    /// degrades to `None`.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first structural problem
-    /// (unknown op, missing field, bad value).
-    pub fn from_json(json: &Json) -> Result<JournalOp, String> {
-        let op = json
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("journal line missing \"op\"")?;
-        let field = |key: &str| -> Result<String, String> {
-            json.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("journal op '{op}' missing \"{key}\""))
-        };
-        let value = || -> Result<u64, String> {
-            json.get("value")
-                .and_then(Json::as_i64)
-                .and_then(|v| u64::try_from(v).ok())
-                .ok_or_else(|| format!("journal op '{op}' missing a non-negative \"value\""))
-        };
+    /// degrades to `None`. `None` for any other structural problem.
+    fn from_json(json: &Json) -> Option<JournalOp> {
+        let design = || json.get("design")?.as_str().map(str::to_owned);
         let session = || {
             json.get("session")
                 .and_then(Json::as_str)
                 .unwrap_or("")
                 .to_owned()
         };
-        match op {
-            "open" => Ok(JournalOp::Open {
-                design: field("design")?,
+        match json.get("op")?.as_str()? {
+            "open" => Some(JournalOp::Open {
+                design: design()?,
                 session: session(),
             }),
-            "snapshot" => Ok(JournalOp::Snapshot {
-                design: field("design")?,
+            "snapshot" => Some(JournalOp::Snapshot {
+                design: design()?,
                 session: session(),
                 analysis: json.get("analysis").and_then(ScheduleSeed::from_json),
             }),
-            "add_dep" => Ok(JournalOp::AddDep {
-                from: field("from")?,
-                to: field("to")?,
-            }),
-            "add_min" => Ok(JournalOp::AddMin {
-                from: field("from")?,
-                to: field("to")?,
+            kind => JournalOp::decode_edit(kind, json).ok(),
+        }
+    }
+
+    /// Decodes the fields of one edit of `kind` from `json` — the one
+    /// decoder behind both an `edit` request (kind under `"kind"`) and a
+    /// WAL line (kind under `"op"`). Fields are read in record order, so
+    /// the error names the first missing or bad one.
+    fn decode_edit(kind: &str, json: &Json) -> Result<JournalOp, String> {
+        let missing = |key: &str| format!("edit kind '{kind}' needs \"{key}\"");
+        let name = |key: &str| {
+            json.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+                .ok_or_else(|| missing(key))
+        };
+        let value = || {
+            json.get("value")
+                .and_then(Json::as_i64)
+                .and_then(|v| u64::try_from(v).ok())
+                .ok_or_else(|| format!("edit kind '{kind}' needs a non-negative \"value\""))
+        };
+        Ok(match kind {
+            "add_dep" => JournalOp::AddDep {
+                from: name("from")?,
+                to: name("to")?,
+            },
+            "add_min" => JournalOp::AddMin {
+                from: name("from")?,
+                to: name("to")?,
                 value: value()?,
-            }),
-            "add_max" => Ok(JournalOp::AddMax {
-                from: field("from")?,
-                to: field("to")?,
+            },
+            "add_max" => JournalOp::AddMax {
+                from: name("from")?,
+                to: name("to")?,
                 value: value()?,
-            }),
-            "remove_edge" => Ok(JournalOp::RemoveEdge {
-                from: field("from")?,
-                to: field("to")?,
-            }),
-            "set_delay" => Ok(JournalOp::SetDelay {
-                vertex: field("vertex")?,
+            },
+            "remove_edge" => JournalOp::RemoveEdge {
+                from: name("from")?,
+                to: name("to")?,
+            },
+            "set_delay" => JournalOp::SetDelay {
+                vertex: name("vertex")?,
                 delay: match json.get("delay") {
                     Some(Json::Str(s)) if s == "unbounded" => ExecDelay::Unbounded,
                     Some(d) => match d.as_i64().and_then(|v| u64::try_from(v).ok()) {
                         Some(cycles) => ExecDelay::Fixed(cycles),
-                        None => return Err("journal op 'set_delay' has a bad \"delay\"".into()),
+                        None => {
+                            return Err("\"delay\" must be a cycle count or \"unbounded\"".into())
+                        }
                     },
-                    None => return Err("journal op 'set_delay' missing \"delay\"".into()),
+                    None => return Err(missing("delay")),
                 },
-            }),
-            other => Err(format!("unknown journal op '{other}'")),
-        }
+            },
+            other => return Err(format!("unknown edit kind '{other}'")),
+        })
     }
+
+    /// Applies this edit to `session`, resolving operations by name and a
+    /// removed edge by the first live edge between its endpoints. Live
+    /// edits and replay both come here, so both pick the same edge.
+    fn apply(&self, session: &mut Session) -> Result<EditOutcome, String> {
+        let vertex =
+            |s: &Session, name: &str| s.vertex_named(name).ok_or_else(|| no_operation(name));
+        Ok(match self {
+            JournalOp::Open { .. } => return Err("duplicate open".to_owned()),
+            JournalOp::Snapshot { .. } => return Err("mid-stream snapshot".to_owned()),
+            JournalOp::AddDep { from, to } => {
+                let (f, t) = (vertex(session, from)?, vertex(session, to)?);
+                session.add_dependency(f, t)
+            }
+            JournalOp::AddMin { from, to, value } => {
+                let (f, t) = (vertex(session, from)?, vertex(session, to)?);
+                session.add_min_constraint(f, t, *value)
+            }
+            JournalOp::AddMax { from, to, value } => {
+                let (f, t) = (vertex(session, from)?, vertex(session, to)?);
+                session.add_max_constraint(f, t, *value)
+            }
+            JournalOp::RemoveEdge { from, to } => {
+                let (f, t) = (vertex(session, from)?, vertex(session, to)?);
+                let e = session
+                    .edge_between(f, t)
+                    .ok_or("no live edge between those operations")?;
+                session.remove_edge(e)
+            }
+            JournalOp::SetDelay {
+                vertex: name,
+                delay,
+            } => {
+                let v = vertex(session, name)?;
+                session.set_delay(v, *delay)
+            }
+        })
+    }
+}
+
+fn no_operation(name: &str) -> String {
+    format!("no operation named '{name}'")
 }
 
 /// The edit history of one session — a base plus the delta since; see
@@ -431,7 +485,7 @@ pub struct Journal {
     /// `ops[0]` is always the base (`Open` or `Snapshot`); the rest is
     /// the delta of accepted edits since that base.
     ops: Vec<JournalOp>,
-    /// Mirror file, opened lazily and dropped on the first write error.
+    /// Mirror path and file; the file is dropped on the first I/O error.
     wal: Option<(PathBuf, Option<File>)>,
     /// WAL lines buffered since the last [`Journal::sync`].
     pending: String,
@@ -441,25 +495,33 @@ pub struct Journal {
     compactions: usize,
     /// Accepted edits folded into snapshots (no longer replayed).
     compacted_edits: usize,
+    /// Bumped when the mirror is dropped (a router's `wal_mirrors_lost`).
+    lost: Option<Arc<AtomicUsize>>,
 }
 
 impl Journal {
-    /// Starts a journal for session `name` opened on `design`, optionally
-    /// mirrored to `wal_path` (truncating any previous file there).
-    pub fn open(name: impl Into<String>, design: String, wal_path: Option<PathBuf>) -> Journal {
-        let name = name.into();
-        let mut journal = Journal {
-            name: name.clone(),
-            ops: Vec::new(),
-            wal: wal_path.map(|p| {
-                let file = File::create(&p).ok();
-                (p, file)
-            }),
+    fn new(name: String, ops: Vec<JournalOp>, wal: Option<(PathBuf, Option<File>)>) -> Journal {
+        Journal {
+            name,
+            ops,
+            wal,
             pending: String::new(),
             snapshot_every: 0,
             compactions: 0,
             compacted_edits: 0,
-        };
+            lost: None,
+        }
+    }
+
+    /// Starts a journal for session `name` opened on `design`, optionally
+    /// mirrored to `wal_path` (truncating any previous file there).
+    pub fn open(name: impl Into<String>, design: String, wal_path: Option<PathBuf>) -> Journal {
+        let name = name.into();
+        let wal = wal_path.map(|p| {
+            let file = File::create(&p).ok();
+            (p, file)
+        });
+        let mut journal = Journal::new(name.clone(), Vec::new(), wal);
         journal.append(JournalOp::Open {
             design,
             session: name,
@@ -467,37 +529,97 @@ impl Journal {
         journal
     }
 
-    /// Rebuilds a journal from already-parsed WAL records — the boot-time
-    /// recovery path. The base record supplies the session name; the WAL
-    /// file, when given, is reopened in **append** mode so the resumed
-    /// session keeps extending its existing audit trail.
+    /// Rebuilds a session from the WAL file at `path` — one job of a
+    /// router's boot recovery. A torn tail (crash mid-append) is cut at
+    /// the last line that parses and the file rewritten to that good
+    /// prefix, and an unterminated last record gets its newline, so the
+    /// resumed journal, reopened in **append** mode, extends a clean file.
     ///
-    /// # Errors
-    ///
-    /// When `ops` does not start with an `Open`/`Snapshot` base record.
-    pub fn resume(ops: Vec<JournalOp>, wal_path: Option<PathBuf>) -> Result<Journal, String> {
+    /// `None` for an unreadable or unrepairable file, a file whose base
+    /// line predates session-name journaling, or a journal that fails
+    /// replay.
+    pub fn recover(path: &Path) -> Option<(Journal, Session)> {
+        let text = std::fs::read_to_string(path).ok()?;
+        let mut ops = Vec::new();
+        // Bytes up to and including the last line that parsed.
+        let mut good_len = 0;
+        let mut end = 0;
+        for line in text.split_inclusive('\n') {
+            end += line.len();
+            if line.trim().is_empty() {
+                continue;
+            }
+            // The parser skips the trailing `\n` / `\r\n` as whitespace.
+            let Some(op) = Json::parse(line)
+                .ok()
+                .and_then(|json| JournalOp::from_json(&json))
+            else {
+                break; // Torn: keep the good prefix only.
+            };
+            ops.push(op);
+            good_len = end;
+        }
+        if !text[good_len..].trim().is_empty() {
+            replace_file(path, &text.as_bytes()[..good_len]).ok()?;
+        } else if good_len > 0 && !text[..good_len].ends_with('\n') {
+            // A crash just before a record's newline leaves a last line
+            // that parses. Terminate it, or the resumed journal's first
+            // append runs on from it and the next boot loses both records.
+            OpenOptions::new()
+                .append(true)
+                .open(path)
+                .and_then(|mut file| file.write_all(b"\n"))
+                .ok()?;
+        }
         let name = match ops.first() {
-            Some(JournalOp::Open { session, .. }) | Some(JournalOp::Snapshot { session, .. }) => {
+            Some(JournalOp::Open { session, .. } | JournalOp::Snapshot { session, .. })
+                if !session.is_empty() =>
+            {
                 session.clone()
             }
-            _ => return Err("journal does not start with an open or snapshot".to_owned()),
+            _ => return None, // No base, or the pre-name format: no session to rebuild.
         };
-        Ok(Journal {
-            name,
-            ops,
-            wal: wal_path.map(|p| {
-                let file = std::fs::OpenOptions::new().append(true).open(&p).ok();
-                (p, file)
-            }),
-            pending: String::new(),
-            snapshot_every: 0,
-            compactions: 0,
-            compacted_edits: 0,
-        })
+        let file = OpenOptions::new().append(true).open(path).ok();
+        let journal = Journal::new(name, ops, Some((path.to_owned(), file)));
+        let session = journal.replay().ok()?;
+        Some((journal, session))
     }
 
-    /// The session name this journal records (empty for WAL files written
-    /// before names were journaled).
+    /// Serves one `edit` request: decodes it, applies it to `session`, and
+    /// records it when accepted — a rejected edit changed nothing and an
+    /// unchanged one replays to unchanged. The flag says whether the
+    /// recorded edit was compacted ([`Journal::maybe_compact`]). `Err`
+    /// carries the in-band error text.
+    pub(crate) fn edit(
+        &mut self,
+        session: &mut Session,
+        request: &Json,
+    ) -> Result<(EditOutcome, bool), String> {
+        let kind = request
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or("edit needs a \"kind\"")?;
+        let op = JournalOp::decode_edit(kind, request).map_err(|e| {
+            match request.get("vertex").and_then(Json::as_str) {
+                // The protocol resolves set_delay's vertex before its delay.
+                Some(name) if kind == "set_delay" && session.vertex_named(name).is_none() => {
+                    no_operation(name)
+                }
+                _ => e,
+            }
+        })?;
+        let outcome = op.apply(session)?;
+        if matches!(
+            outcome,
+            EditOutcome::Rejected { .. } | EditOutcome::Unchanged
+        ) {
+            return Ok((outcome, false));
+        }
+        self.append(op);
+        Ok((outcome, self.maybe_compact(session)))
+    }
+
+    /// The session name this journal records.
     pub fn session_name(&self) -> &str {
         &self.name
     }
@@ -526,19 +648,28 @@ impl Journal {
         if self.pending.is_empty() {
             return;
         }
-        if let Some((_, slot @ Some(_))) = &mut self.wal {
-            let file = slot.as_mut().expect("matched Some");
+        if let Some((_, Some(file))) = &mut self.wal {
             if file
                 .write_all(self.pending.as_bytes())
                 .and_then(|()| file.flush())
                 .is_err()
             {
-                // Mirror is best-effort; stop writing after the first
-                // failure instead of hammering a dead disk per batch.
-                *slot = None;
+                // Stop writing after the first failure instead of
+                // hammering a dead disk per batch.
+                self.lose_mirror();
             }
         }
         self.pending.clear();
+    }
+
+    /// Drops the mirror file after an I/O error and counts the loss.
+    fn lose_mirror(&mut self) {
+        if let Some((_, file)) = &mut self.wal {
+            *file = None;
+        }
+        if let Some(lost) = &self.lost {
+            lost.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// `true` when WAL lines are buffered and a [`Journal::sync`] would
@@ -567,11 +698,6 @@ impl Journal {
     /// original opening design.
     pub fn snapshotted(&self) -> bool {
         matches!(self.ops.first(), Some(JournalOp::Snapshot { .. }))
-    }
-
-    /// Where the WAL mirror lives, when one was requested.
-    pub fn wal_path(&self) -> Option<&std::path::Path> {
-        self.wal.as_ref().map(|(p, _)| p.as_path())
     }
 
     /// Snapshots `session` into a new base and truncates the delta, if
@@ -617,28 +743,20 @@ impl Journal {
         true
     }
 
-    /// Atomically replaces the WAL mirror with a single snapshot line:
-    /// write a temp file, then rename over the old path, so a torn write
-    /// can never destroy the previous (still-valid) WAL. Failures stop
-    /// mirroring but never fail the compaction.
+    /// Replaces the WAL mirror with a single snapshot line
+    /// ([`replace_file`]), so a torn write can never destroy the previous
+    /// (still-valid) WAL. A failure drops the mirror but never fails the
+    /// compaction.
     fn rewrite_wal(&mut self, snapshot: &JournalOp) {
-        let Some((path, slot)) = &mut self.wal else {
-            return;
+        let Some((path, slot @ Some(_))) = &mut self.wal else {
+            return; // No mirror, or mirroring already gave up on this disk.
         };
-        if slot.is_none() {
-            return; // Mirroring already gave up on this disk.
-        }
         let line = format!("{}\n", snapshot.to_json().render());
-        let tmp = path.with_extension("wal.tmp");
-        let replaced = std::fs::write(&tmp, line.as_bytes())
-            .and_then(|()| std::fs::rename(&tmp, &*path))
-            .and_then(|()| std::fs::OpenOptions::new().append(true).open(&*path));
-        match replaced {
+        match replace_file(path, line.as_bytes())
+            .and_then(|()| OpenOptions::new().append(true).open(&*path))
+        {
             Ok(file) => *slot = Some(file),
-            Err(_) => {
-                let _ = std::fs::remove_file(&tmp);
-                *slot = None;
-            }
+            Err(_) => self.lose_mirror(),
         }
     }
 
@@ -672,48 +790,12 @@ impl Journal {
         let mut session = Session::open_with_seed(graph, seed)
             .map_err(|e| format!("journal replay: cannot open: {e}"))?;
         for (i, op) in ops.enumerate() {
-            let vertex = |s: &Session, name: &str| {
-                s.vertex_named(name)
-                    .ok_or_else(|| format!("journal replay: edit {i}: no operation '{name}'"))
-            };
-            let outcome = match op {
-                JournalOp::Open { .. } => {
-                    return Err(format!("journal replay: edit {i}: duplicate open"));
+            match op.apply(&mut session) {
+                Ok(EditOutcome::Rejected { error }) => {
+                    return Err(format!("journal replay: edit {i}: rejected: {error}"));
                 }
-                JournalOp::Snapshot { .. } => {
-                    return Err(format!("journal replay: edit {i}: mid-stream snapshot"));
-                }
-                JournalOp::AddDep { from, to } => {
-                    let (f, t) = (vertex(&session, from)?, vertex(&session, to)?);
-                    session.add_dependency(f, t)
-                }
-                JournalOp::AddMin { from, to, value } => {
-                    let (f, t) = (vertex(&session, from)?, vertex(&session, to)?);
-                    session.add_min_constraint(f, t, *value)
-                }
-                JournalOp::AddMax { from, to, value } => {
-                    let (f, t) = (vertex(&session, from)?, vertex(&session, to)?);
-                    session.add_max_constraint(f, t, *value)
-                }
-                JournalOp::RemoveEdge { from, to } => {
-                    let (f, t) = (vertex(&session, from)?, vertex(&session, to)?);
-                    let Some(e) = session.edge_between(f, t) else {
-                        return Err(format!(
-                            "journal replay: edit {i}: no live edge {from} -> {to}"
-                        ));
-                    };
-                    session.remove_edge(e)
-                }
-                JournalOp::SetDelay {
-                    vertex: name,
-                    delay,
-                } => {
-                    let v = vertex(&session, name)?;
-                    session.set_delay(v, *delay)
-                }
-            };
-            if let EditOutcome::Rejected { error } = outcome {
-                return Err(format!("journal replay: edit {i}: rejected: {error}"));
+                Ok(_) => {}
+                Err(e) => return Err(format!("journal replay: edit {i}: {e}")),
             }
         }
         Ok(session)
@@ -726,6 +808,120 @@ impl Drop for Journal {
     fn drop(&mut self) {
         self.sync();
     }
+}
+
+/// How a router makes and recovers its sessions' journals: the WAL
+/// directory (if any), the compaction threshold, and the count of WAL
+/// mirrors dropped on an I/O error, which clones share.
+#[derive(Debug, Clone)]
+pub(crate) struct Journals {
+    dir: Option<PathBuf>,
+    snapshot_every: usize,
+    lost: Arc<AtomicUsize>,
+}
+
+impl Journals {
+    /// Creates `dir` best-effort: a directory that cannot be made only
+    /// costs each session its mirror, counted in [`Journals::mirrors_lost`].
+    pub(crate) fn new(dir: Option<PathBuf>, snapshot_every: usize) -> Journals {
+        if let Some(dir) = &dir {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        Journals {
+            dir,
+            snapshot_every,
+            lost: Arc::default(),
+        }
+    }
+
+    /// `true` when journals are mirrored to WAL files.
+    pub(crate) fn mirrored(&self) -> bool {
+        self.dir.is_some()
+    }
+
+    /// WAL mirrors dropped on an I/O error so far.
+    pub(crate) fn mirrors_lost(&self) -> usize {
+        self.lost.load(Ordering::Relaxed)
+    }
+
+    /// Starts the journal of a newly opened session, mirrored to its WAL
+    /// file ([`wal_path`]) when a directory is set.
+    pub(crate) fn open(&self, session: &str, design: &str) -> Journal {
+        let wal = self.dir.as_deref().map(|dir| wal_path(dir, session));
+        self.adopt(Journal::open(session, design.to_owned(), wal))
+    }
+
+    /// The directory's `*.wal` files in sorted path order, so recovery
+    /// does not depend on the order `read_dir` lists them in. Empty
+    /// without a readable directory.
+    pub(crate) fn wal_files(&self) -> Vec<PathBuf> {
+        let entries = self.dir.iter().flat_map(std::fs::read_dir).flatten();
+        let mut paths: Vec<PathBuf> = entries
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|e| e == "wal"))
+            .collect();
+        paths.sort();
+        paths
+    }
+
+    /// [`Journal::recover`] of one WAL file, under this set's compaction
+    /// threshold and loss count.
+    pub(crate) fn recover(&self, path: &Path) -> Option<(Journal, Session)> {
+        let (journal, session) = Journal::recover(path)?;
+        Some((self.adopt(journal), session))
+    }
+
+    fn adopt(&self, mut journal: Journal) -> Journal {
+        journal.snapshot_every = self.snapshot_every;
+        if journal.wal.as_ref().is_some_and(|(_, file)| file.is_none()) {
+            self.lost.fetch_add(1, Ordering::Relaxed); // Could not open it.
+        }
+        journal.lost = Some(Arc::clone(&self.lost));
+        journal
+    }
+}
+
+/// Where the WAL of `session` lives under `dir`: a sanitized prefix of the
+/// name for humans plus the FNV-1a hash of the exact name, so distinct
+/// sessions never collide.
+pub(crate) fn wal_path(dir: &Path, session: &str) -> PathBuf {
+    let safe: String = session
+        .chars()
+        .take(40)
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    dir.join(format!("{safe}-{:016x}.wal", fnv1a(session)))
+}
+
+/// FNV-1a hash of a session name: the suffix of its WAL file name, and
+/// the slot it pins to (`crate::shard_of`).
+pub(crate) fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Atomically replaces the file at `path` with `bytes`: writes a sibling
+/// temp file, then renames it over `path`, so a crash leaves either the
+/// old file or the new one, never a torn mix. Serves WAL compaction and
+/// torn-tail repair.
+fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = path.with_extension("wal.tmp");
+    let replaced = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if replaced.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    replaced
 }
 
 /// `true` when every operation name is unique and none collides with the
@@ -939,6 +1135,45 @@ mod tests {
             other => panic!("legacy open parsed as {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_rewrite_or_write_loses_the_mirror_once() {
+        // (A WAL that cannot be created is covered by the router's
+        // `a_lost_wal_mirror_is_counted_and_requests_still_succeed`.)
+        // Compaction: the directory vanished, so the temp file cannot be
+        // written and the rewrite fails.
+        let dir = std::env::temp_dir().join(format!("rsched_wal_lost_{}", std::process::id()));
+        let journals = Journals::new(Some(dir.clone()), 1);
+        let mut journal = journals.open("s", DESIGN);
+        journal.sync();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let graph = ConstraintGraph::from_text(DESIGN).unwrap();
+        let mut live = Session::open(graph).unwrap();
+        let alu = live.vertex_named("alu").unwrap();
+        assert!(live.set_delay(alu, ExecDelay::Fixed(3)).is_scheduled());
+        journal.append(JournalOp::SetDelay {
+            vertex: "alu".into(),
+            delay: ExecDelay::Fixed(3),
+        });
+        assert!(journal.maybe_compact(&live), "compaction itself succeeds");
+        assert_eq!(journals.mirrors_lost(), 1);
+        // The lost mirror is not counted again, and memory still replays.
+        journal.append(JournalOp::SetDelay {
+            vertex: "alu".into(),
+            delay: ExecDelay::Fixed(2),
+        });
+        journal.sync();
+        assert_eq!(journals.mirrors_lost(), 1);
+        assert!(journal.replay().is_ok());
+        // Write: a device that refuses every byte fails the group commit.
+        let full = Path::new("/dev/full");
+        if full.exists() {
+            let mut journal =
+                journals.adopt(Journal::open("s", DESIGN.to_owned(), Some(full.into())));
+            journal.sync();
+            assert_eq!(journals.mirrors_lost(), 2);
+        }
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   `close` requests with id correlation, per-session ordering,
 //!   per-request deadlines, and clean EOF shutdown.
 //! - [`Router`] — the transport-agnostic core of the service (session
-//!   tables sharded by [`shard_of`], validation, panic isolation,
-//!   journaling with snapshot compaction).
+//!   tables sharded by [`shard_of`], validation, panic isolation, group
+//!   commit and boot-recovery fan-out of the journals).
+//! - [`journal`] — the one owner of the edit record and the WAL file:
+//!   decoding, applying, replay, snapshot compaction and boot recovery.
 //! - [`runtime`] — the shard runtime that runs the router for every
 //!   transport: frame intake, bounded per-slot queues with load
 //!   shedding, supervised workers, group commit, deadlines. [`serve`] is

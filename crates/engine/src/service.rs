@@ -34,9 +34,9 @@
 //! `{"id":…,"ok":true,…}` or `{"id":…,"ok":false,"error":"…"}`.
 //!
 //! One sessionless request exists: `batch_schedule` cold-schedules many
-//! independent designs in a single round trip, fanning them across a
-//! scoped thread pool inside the handling worker. The response carries
-//! `"results"`, one entry per design **in input order**.
+//! independent designs in a single round trip, fanning them across the
+//! router's shared [`WorkPool`]. The response carries `"results"`, one
+//! entry per design **in input order**.
 //!
 //! Each request honors a deadline (the `ServeConfig` default, overridable
 //! per request via `"deadline_ms"`), measured from the moment the line is
@@ -60,7 +60,9 @@
 //!   [`Journal`] of its design and every *accepted* mutating edit,
 //!   optionally mirrored to a write-ahead file under
 //!   [`ServeConfig::journal_dir`]. `recover` rebuilds the session by
-//!   deterministic replay — bit-identical to the pre-panic state.
+//!   deterministic replay — bit-identical to the pre-panic state. The
+//!   `journal` module alone decodes, applies and persists edits; the
+//!   router only routes a request to it.
 //! - **Snapshot compaction.** Every [`ServeConfig::snapshot_every`]
 //!   accepted edits the journal folds its history into a snapshot of the
 //!   session's current design (see the `journal` module docs), so replay
@@ -99,7 +101,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
@@ -107,9 +109,9 @@ use std::time::Duration;
 
 use rsched_cache::{schedule_cached, CacheStats, Probe, ScheduleCache};
 use rsched_core::{ScheduleError, WellPosedness, WorkPool};
-use rsched_graph::{failpoint, ConstraintGraph, ExecDelay};
+use rsched_graph::{failpoint, ConstraintGraph};
 
-use crate::journal::{Journal, JournalOp};
+use crate::journal::{self, Journal, JournalOp, Journals};
 use crate::json::{object, Json};
 use crate::optimize::{Objective, OptimizeConfig, Optimizer, RoundReport};
 use crate::runtime::{lock_recover, Frame, Reply, Runtime, Sink};
@@ -134,8 +136,11 @@ pub struct ServeConfig {
     /// constraint lines. `None` = unlimited.
     pub max_edges: Option<usize>,
     /// Mirror every session journal to a write-ahead file
-    /// (`<session>-<hash>.wal`) in this directory. Mirror I/O failures
-    /// never fail requests; recovery replays the in-memory journal.
+    /// (`<session>-<hash>.wal`) in this directory, and rebuild the
+    /// sessions of the WAL files found there when the router starts.
+    /// Mirror I/O failures never fail requests: the session keeps its
+    /// in-memory journal (which `recover` replays) and the loss is
+    /// counted in [`RouterStats::wal_mirrors_lost`].
     pub journal_dir: Option<PathBuf>,
     /// Compact a session's journal into a snapshot once this many edits
     /// accumulate since the last base; `0` disables compaction.
@@ -268,6 +273,10 @@ pub struct RouterStats {
     pub snapshots: usize,
     /// Sessions rebuilt from on-disk WAL files when the router started.
     pub boot_recovered: usize,
+    /// Session WAL mirrors dropped on an I/O error (file not creatable,
+    /// write or flush failed, compaction rewrite failed): from then on
+    /// that session is journaled in memory only.
+    pub wal_mirrors_lost: usize,
     /// Canonical-form schedule cache counters (all zero when the cache is
     /// disabled).
     pub cache: CacheStats,
@@ -288,8 +297,7 @@ pub struct Router {
     counters: Counters,
     max_ops: Option<usize>,
     max_edges: Option<usize>,
-    journal_dir: Option<PathBuf>,
-    snapshot_every: usize,
+    journals: Journals,
     cache: Arc<ScheduleCache>,
     pool: WorkPool,
 }
@@ -302,9 +310,6 @@ impl Router {
     /// any sessions whose WAL files survive in it from a previous process
     /// (boot-time recovery; see [`RouterStats::boot_recovered`]).
     pub fn new(n_slots: usize, config: &ServeConfig) -> Router {
-        if let Some(dir) = &config.journal_dir {
-            let _ = std::fs::create_dir_all(dir);
-        }
         let router = Router {
             slots: (0..n_slots.max(1))
                 .map(|_| Mutex::new(SlotState::default()))
@@ -312,8 +317,7 @@ impl Router {
             counters: Counters::default(),
             max_ops: config.max_ops,
             max_edges: config.max_edges,
-            journal_dir: config.journal_dir.clone(),
-            snapshot_every: config.snapshot_every,
+            journals: Journals::new(config.journal_dir.clone(), config.snapshot_every),
             cache: Arc::new(ScheduleCache::new(config.cache_capacity)),
             pool: WorkPool::new(if config.threads == 0 {
                 thread::available_parallelism().map_or(1, |p| p.get())
@@ -331,13 +335,12 @@ impl Router {
         &self.cache
     }
 
-    /// Boot-time recovery: scan the journal directory for `*.wal` files
-    /// left by a previous process and rebuild each session by replaying
-    /// its journal, pinning it to the same slot its name shards to.
+    /// Boot-time recovery: rebuild the session of every WAL file left in
+    /// the journal directory by a previous process ([`Journal::recover`]),
+    /// pinning it to the slot its name shards to.
     ///
-    /// Sessions share nothing until they are inserted, so each WAL's read,
-    /// torn-tail truncation, parse and replay ([`replay_wal`]) runs as one
-    /// job on the router's [`WorkPool`] (sized by
+    /// Sessions share nothing until they are inserted, so each WAL's
+    /// recovery runs as one job on the router's [`WorkPool`] (sized by
     /// [`ServeConfig::threads`]; `1` replays serially on this thread). The
     /// results are then inserted one by one in sorted path order, so slot
     /// assignment, first-name-wins precedence and
@@ -349,28 +352,16 @@ impl Router {
     /// startup. A WAL whose replay fails or panics is skipped and its file
     /// is left on disk.
     fn recover_from_wal_dir(&self) {
-        let Some(dir) = &self.journal_dir else {
-            return;
-        };
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "wal"))
-            .collect();
-        paths.sort(); // Deterministic recovery order regardless of readdir.
+        let paths = Arc::new(self.journals.wal_files());
         let n = paths.len();
-        let paths = Arc::new(paths);
-        let snapshot_every = self.snapshot_every;
+        let journals = self.journals.clone();
         // Pool workers do not inherit this thread's failpoint scope:
         // propagate it per job, as `batch_schedule` does.
         let fault_scope = failpoint::current_scope();
         let (tx, rx) = mpsc::channel::<(usize, Journal, Session)>();
         self.pool.run_indexed(n, move |i| {
             let _scope = fault_scope.map(failpoint::enter_scope);
-            if let Some((journal, session)) = replay_wal(&paths[i], snapshot_every) {
+            if let Some((journal, session)) = journals.recover(&paths[i]) {
                 let _ = tx.send((i, journal, session));
             }
         });
@@ -434,7 +425,7 @@ impl Router {
             .and_then(Json::as_str)
             .map(str::to_owned);
         let mut state = lock_recover(&self.slots[slot]);
-        let journaled = self.journal_dir.is_some();
+        let journaled = self.journals.mirrored();
         let was_dirty = journaled && state.dirty(session_name.as_deref());
         // The catch is *inside* the lock scope: the guard drops normally,
         // so the slot mutex is never poisoned by a request panic.
@@ -482,7 +473,7 @@ impl Router {
     /// after a request batch, before its responses leave. Free when no
     /// journal directory is configured.
     pub fn sync_journals(&self, slot: usize) {
-        if self.journal_dir.is_none() {
+        if !self.journals.mirrored() {
             return;
         }
         let mut state = lock_recover(&self.slots[slot]);
@@ -515,6 +506,7 @@ impl Router {
                     ("recoveries", Json::from(s.recoveries)),
                     ("snapshots", Json::from(s.snapshots)),
                     ("boot_recovered", Json::from(s.boot_recovered)),
+                    ("wal_mirrors_lost", Json::from(s.wal_mirrors_lost)),
                 ]),
             ),
         ])
@@ -530,6 +522,7 @@ impl Router {
             recoveries: c.recoveries.load(Ordering::Relaxed),
             snapshots: c.snapshots.load(Ordering::Relaxed),
             boot_recovered: c.boot_recovered.load(Ordering::Relaxed),
+            wal_mirrors_lost: self.journals.mirrors_lost(),
             cache: self.cache.stats(),
         }
     }
@@ -637,12 +630,7 @@ impl Router {
                     }
                 }
                 Counters::bump(&self.counters.opened);
-                let wal = self
-                    .journal_dir
-                    .as_ref()
-                    .map(|dir| dir.join(wal_file_name(&name)));
-                let mut journal = Journal::open(name.clone(), design.to_owned(), wal);
-                journal.set_snapshot_every(self.snapshot_every);
+                let journal = self.journals.open(&name, design);
                 let body = [
                     ("vertices", Json::from(session.graph().n_vertices())),
                     ("edges", Json::from(session.graph().n_edges())),
@@ -784,140 +772,25 @@ impl Router {
     }
 
     fn edit(&self, entry: &mut SessionEntry, id: Json, request: &Json) -> Json {
-        let Some(kind) = request.get("kind").and_then(Json::as_str) else {
-            return fail(id, "edit needs a \"kind\"");
-        };
-        let name_of = |key: &str| -> Result<String, String> {
-            request
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("edit kind '{kind}' needs \"{key}\""))
-        };
-        let value = || -> Result<u64, String> {
-            request
-                .get("value")
-                .and_then(Json::as_i64)
-                .and_then(|v| u64::try_from(v).ok())
-                .ok_or_else(|| format!("edit kind '{kind}' needs a non-negative \"value\""))
-        };
-        let resolve = |session: &Session, name: &str| -> Result<rsched_graph::VertexId, String> {
-            session
-                .vertex_named(name)
-                .ok_or_else(|| format!("no operation named '{name}'"))
-        };
         let session = entry
             .session
             .as_mut()
             .expect("caller verified live session");
-        // Each arm yields the engine outcome plus the name-keyed journal
-        // op that reproduces the edit on replay.
-        let (outcome, journal_op) = match kind {
-            "add_dep" => {
-                let (from, to) = match (name_of("from"), name_of("to")) {
-                    (Ok(f), Ok(t)) => (f, t),
-                    (Err(e), _) | (_, Err(e)) => return fail(id, e),
-                };
-                let (f, t) = match (resolve(session, &from), resolve(session, &to)) {
-                    (Ok(f), Ok(t)) => (f, t),
-                    (Err(e), _) | (_, Err(e)) => return fail(id, e),
-                };
-                (session.add_dependency(f, t), JournalOp::AddDep { from, to })
-            }
-            "add_min" => {
-                let (from, to, v) = match (name_of("from"), name_of("to"), value()) {
-                    (Ok(f), Ok(t), Ok(v)) => (f, t, v),
-                    (Err(e), ..) | (_, Err(e), _) | (.., Err(e)) => return fail(id, e),
-                };
-                let (f, t) = match (resolve(session, &from), resolve(session, &to)) {
-                    (Ok(f), Ok(t)) => (f, t),
-                    (Err(e), _) | (_, Err(e)) => return fail(id, e),
-                };
-                (
-                    session.add_min_constraint(f, t, v),
-                    JournalOp::AddMin { from, to, value: v },
-                )
-            }
-            "add_max" => {
-                let (from, to, v) = match (name_of("from"), name_of("to"), value()) {
-                    (Ok(f), Ok(t), Ok(v)) => (f, t, v),
-                    (Err(e), ..) | (_, Err(e), _) | (.., Err(e)) => return fail(id, e),
-                };
-                let (f, t) = match (resolve(session, &from), resolve(session, &to)) {
-                    (Ok(f), Ok(t)) => (f, t),
-                    (Err(e), _) | (_, Err(e)) => return fail(id, e),
-                };
-                (
-                    session.add_max_constraint(f, t, v),
-                    JournalOp::AddMax { from, to, value: v },
-                )
-            }
-            "remove_edge" => {
-                let (from, to) = match (name_of("from"), name_of("to")) {
-                    (Ok(f), Ok(t)) => (f, t),
-                    (Err(e), _) | (_, Err(e)) => return fail(id, e),
-                };
-                let (f, t) = match (resolve(session, &from), resolve(session, &to)) {
-                    (Ok(f), Ok(t)) => (f, t),
-                    (Err(e), _) | (_, Err(e)) => return fail(id, e),
-                };
-                match session.edge_between(f, t) {
-                    Some(e) => (session.remove_edge(e), JournalOp::RemoveEdge { from, to }),
-                    None => return fail(id, "no live edge between those operations"),
-                }
-            }
-            "set_delay" => {
-                let vertex_name = match name_of("vertex") {
-                    Ok(v) => v,
-                    Err(e) => return fail(id, e),
-                };
-                let v = match resolve(session, &vertex_name) {
-                    Ok(v) => v,
-                    Err(e) => return fail(id, e),
-                };
-                let delay = match request.get("delay") {
-                    Some(Json::Str(s)) if s == "unbounded" => ExecDelay::Unbounded,
-                    Some(d) => match d.as_i64().and_then(|v| u64::try_from(v).ok()) {
-                        Some(cycles) => ExecDelay::Fixed(cycles),
-                        None => {
-                            return fail(id, "\"delay\" must be a cycle count or \"unbounded\"")
-                        }
-                    },
-                    None => return fail(id, "edit kind 'set_delay' needs \"delay\""),
-                };
-                (
-                    session.set_delay(v, delay),
-                    JournalOp::SetDelay {
-                        vertex: vertex_name,
-                        delay,
-                    },
-                )
-            }
-            other => return fail(id, format!("unknown edit kind '{other}'")),
+        // An injected `journal::snapshot` panic in the compaction unwinds
+        // to `execute`'s catch with the journal intact.
+        let (outcome, compacted) = match entry.journal.edit(session, request) {
+            Ok(edited) => edited,
+            Err(e) => return fail(id, e),
         };
-        // Only accepted mutations are journaled: Rejected edits changed
-        // nothing and Unchanged edits replay to Unchanged anyway —
-        // skipping both keeps replay exact and the journal minimal.
-        if !matches!(
-            outcome,
-            EditOutcome::Rejected { .. } | EditOutcome::Unchanged
-        ) {
-            entry.journal.append(journal_op);
-            // Compaction point: the session just reached a post-edit
-            // state; if the delta is long enough and the state is
-            // snapshot-safe, fold it. An injected `journal::snapshot`
-            // panic unwinds to `execute`'s catch with the journal intact.
-            let session = entry.session.as_ref().expect("still live");
-            if entry.journal.maybe_compact(session) {
-                Counters::bump(&self.counters.snapshots);
-            }
-            // Write-through: the post-edit graph now has a verified
-            // schedule, so a later `open` of an isomorphic design hits.
-            if let (EditOutcome::Rescheduled { .. }, Some(omega)) = (&outcome, session.schedule()) {
-                self.cache.put(session.graph(), omega);
-            }
+        if compacted {
+            Counters::bump(&self.counters.snapshots);
         }
-        outcome_json(entry.session.as_ref().expect("still live"), id, &outcome)
+        // Write-through: the post-edit graph now has a verified
+        // schedule, so a later `open` of an isomorphic design hits.
+        if let (EditOutcome::Rescheduled { .. }, Some(omega)) = (&outcome, session.schedule()) {
+            self.cache.put(session.graph(), omega);
+        }
+        outcome_json(session, id, &outcome)
     }
 
     /// Runs the feedback-guided optimize loop on a live session
@@ -1135,99 +1008,7 @@ where
 /// over the socket listener lands on the same kind of slot as over
 /// stdio, and a client can predict co-location.
 pub fn shard_of(key: &str, n_shards: usize) -> usize {
-    (fnv1a(key) % n_shards.max(1) as u64) as usize
-}
-
-/// Rebuilds one session from the WAL file at `path` — one job of boot
-/// recovery ([`Router::recover_from_wal_dir`]). A torn tail (crash
-/// mid-append) is cut at the last parseable line and the file rewritten
-/// to that good prefix, and an unterminated last record gets its newline,
-/// so resumed appends extend a clean journal. `None`
-/// for an unreadable file, a file whose base line predates session-name
-/// journaling, or a journal that fails replay.
-fn replay_wal(path: &Path, snapshot_every: usize) -> Option<(Journal, Session)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut ops = Vec::new();
-    // Bytes up to and including the last line that parsed.
-    let mut good_len = 0;
-    let mut end = 0;
-    let mut torn = false;
-    for line in text.split_inclusive('\n') {
-        end += line.len();
-        if line.trim().is_empty() {
-            continue;
-        }
-        // The parser skips the trailing `\n` / `\r\n` as whitespace.
-        let parsed = Json::parse(line)
-            .ok()
-            .and_then(|json| JournalOp::from_json(&json).ok());
-        match parsed {
-            Some(op) => {
-                ops.push(op);
-                good_len = end;
-            }
-            None => {
-                torn = true;
-                break; // Keep the good prefix only.
-            }
-        }
-    }
-    if torn {
-        // Rewrite atomically so the resumed journal appends after the
-        // last good line, not after the torn one.
-        let tmp = path.with_extension("wal.tmp");
-        if std::fs::write(&tmp, &text.as_bytes()[..good_len])
-            .and_then(|()| std::fs::rename(&tmp, path))
-            .is_err()
-        {
-            let _ = std::fs::remove_file(&tmp);
-            return None;
-        }
-    } else if good_len > 0 && !text[..good_len].ends_with('\n') {
-        // A crash just before a record's newline leaves a last line that
-        // parses. Terminate it, or the resumed journal's first append runs
-        // on from it and the next boot loses both records.
-        let terminated = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .and_then(|mut file| file.write_all(b"\n"));
-        if terminated.is_err() {
-            return None;
-        }
-    }
-    let mut journal = Journal::resume(ops, Some(path.to_owned())).ok()?;
-    journal.set_snapshot_every(snapshot_every);
-    if journal.session_name().is_empty() {
-        return None; // Pre-name WAL format: no session to rebuild.
-    }
-    let session = journal.replay().ok()?;
-    Some((journal, session))
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// WAL file name for a session: a sanitized prefix for humans plus the
-/// FNV hash of the exact name so distinct sessions never collide.
-fn wal_file_name(session: &str) -> String {
-    let safe: String = session
-        .chars()
-        .take(40)
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    format!("{safe}-{:016x}.wal", fnv1a(session))
+    (journal::fnv1a(key) % n_shards.max(1) as u64) as usize
 }
 
 /// The stdio transport's output, shared by the reader and the workers.
@@ -1542,6 +1323,7 @@ fn verdict_json(session: &Session) -> Json {
 mod tests {
     use super::*;
     use rsched_graph::failpoint::FailAction;
+    use std::path::Path;
 
     const DESIGN: &str =
         "op sync unbounded\nop alu 2\nop out 1\ndep sync alu\ndep alu out\nmax alu out 4\n";
@@ -1689,15 +1471,69 @@ mod tests {
 
     #[test]
     fn malformed_and_unknown_requests_answer_in_band() {
-        let lines = vec![
+        let design = DESIGN.replace('\n', "\\n");
+        let mut lines = vec![
             "{not json".to_owned(),
             req(1, "nope", r#""op":"schedule""#),
             req(2, "s", r#""op":"frobnicate""#),
             r#"{"id":3,"op":"schedule"}"#.to_owned(),
+            req(4, "s", &format!(r#""op":"open","design":"{design}""#)),
         ];
+        // One malformed edit per protocol error, each with its exact text.
+        let edits = [
+            (r#""op":"edit""#, r#"edit needs a \"kind\""#),
+            (
+                r#""op":"edit","kind":"add_dep","to":"out""#,
+                r#"edit kind 'add_dep' needs \"from\""#,
+            ),
+            (
+                r#""op":"edit","kind":"add_min","from":"alu","value":3"#,
+                r#"edit kind 'add_min' needs \"to\""#,
+            ),
+            (
+                r#""op":"edit","kind":"set_delay","delay":3"#,
+                r#"edit kind 'set_delay' needs \"vertex\""#,
+            ),
+            (
+                r#""op":"edit","kind":"add_max","from":"alu","to":"out","value":-1"#,
+                r#"edit kind 'add_max' needs a non-negative \"value\""#,
+            ),
+            (
+                r#""op":"edit","kind":"set_delay","vertex":"alu","delay":"soon""#,
+                r#"\"delay\" must be a cycle count or \"unbounded\""#,
+            ),
+            (
+                r#""op":"edit","kind":"set_delay","vertex":"alu""#,
+                r#"edit kind 'set_delay' needs \"delay\""#,
+            ),
+            (
+                r#""op":"edit","kind":"rename","from":"alu","to":"out""#,
+                "unknown edit kind 'rename'",
+            ),
+            (
+                r#""op":"edit","kind":"add_dep","from":"alu","to":"nonesuch""#,
+                "no operation named 'nonesuch'",
+            ),
+            // set_delay resolves its vertex before it reads the delay.
+            (
+                r#""op":"edit","kind":"set_delay","vertex":"nonesuch","delay":"soon""#,
+                "no operation named 'nonesuch'",
+            ),
+            (
+                r#""op":"edit","kind":"remove_edge","from":"out","to":"sync""#,
+                "no live edge between those operations",
+            ),
+        ];
+        for (id, (edit, _)) in (10..).zip(&edits) {
+            lines.push(req(id, "s", edit));
+        }
         let (responses, summary) = run_lines(&lines, &ServeConfig::default());
-        assert_eq!(summary.requests, 4);
-        assert_eq!(summary.errors, 4);
+        assert_eq!(summary.requests, 5 + edits.len());
+        assert_eq!(summary.errors, 4 + edits.len());
+        for (id, (_, error)) in (10..).zip(&edits) {
+            let expected = format!(r#"{{"id":{id},"ok":false,"error":"{error}"}}"#);
+            assert_eq!(by_id(&responses, id).render(), expected);
+        }
         assert!(responses.iter().any(|r| r.get("id") == Some(&Json::Null)
             && r.get("error")
                 .and_then(Json::as_str)
@@ -2382,7 +2218,7 @@ mod tests {
             r#""op":"edit","kind":"add_min","from":"alu","to":"out","value":3"#,
         ));
         assert_eq!(edit.get("ok"), Some(&Json::Bool(true)));
-        let wal = std::fs::read_to_string(dir.join(wal_file_name("s"))).unwrap();
+        let wal = std::fs::read_to_string(journal::wal_path(&dir, "s")).unwrap();
         drop(input);
         server.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -2419,7 +2255,7 @@ mod tests {
             names
                 .iter()
                 .map(|name| {
-                    std::fs::metadata(dir.join(wal_file_name(name)))
+                    std::fs::metadata(journal::wal_path(&dir, name))
                         .unwrap()
                         .len()
                 })
@@ -2470,7 +2306,7 @@ mod tests {
             },
         );
         assert_eq!(summary.errors, 0);
-        let wal = dir.join(wal_file_name("my session!"));
+        let wal = journal::wal_path(&dir, "my session!");
         let text = std::fs::read_to_string(&wal).expect("WAL mirror written");
         assert_eq!(
             text.lines().count(),
@@ -2479,6 +2315,43 @@ mod tests {
         );
         assert!(text.lines().nth(1).unwrap().contains("\"op\":\"add_min\""));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lost_wal_mirror_is_counted_and_requests_still_succeed() {
+        // A journal directory that is a regular file: no WAL can be
+        // created in it, so every session loses its mirror at open.
+        let file = std::env::temp_dir().join(format!("rsched_lost_wal_{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let router = Router::new(
+            1,
+            &ServeConfig {
+                journal_dir: Some(file.clone()),
+                ..ServeConfig::default()
+            },
+        );
+        let design = DESIGN.replace('\n', "\\n");
+        for name in ["a", "b"] {
+            let open = req_json(name, &format!(r#""op":"open","design":"{design}""#));
+            let response = router.execute(0, Json::Int(1), &open);
+            assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response:?}");
+        }
+        let edit = req_json(
+            "a",
+            r#""op":"edit","kind":"add_min","from":"alu","to":"out","value":3"#,
+        );
+        let response = router.execute(0, Json::Int(2), &edit);
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response:?}");
+        router.sync_journals(0);
+        let _ = std::fs::remove_file(&file);
+        assert_eq!(router.stats().wal_mirrors_lost, 2, "one loss per session");
+        assert_eq!(
+            router
+                .health_json(Json::Int(3))
+                .get("health")
+                .and_then(|h| h.get("wal_mirrors_lost")),
+            Some(&Json::Int(2))
+        );
     }
 
     #[test]
@@ -2530,7 +2403,7 @@ mod tests {
             .and_then(Json::as_i64);
         assert_eq!(sigma, Some(3));
         // The WAL was rewritten to snapshot + delta, not full history.
-        let wal = dir.join(wal_file_name("s"));
+        let wal = journal::wal_path(&dir, "s");
         let text = std::fs::read_to_string(&wal).expect("WAL mirror written");
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].contains("\"op\":\"snapshot\""), "{text}");
@@ -2607,7 +2480,7 @@ mod tests {
         let run1 = vec![req(1, "s", &format!(r#""op":"open","design":"{design}""#))];
         let (_, summary1) = run_lines(&run1, &config);
         assert_eq!(summary1.errors, 0);
-        let wal = dir.join(wal_file_name("s"));
+        let wal = journal::wal_path(&dir, "s");
         let mut text = std::fs::read_to_string(&wal).unwrap();
         text.push_str("{\"op\":\"add_min\",\"fr"); // torn mid-record
         std::fs::write(&wal, &text).unwrap();
@@ -2641,7 +2514,7 @@ mod tests {
         let design = DESIGN.replace('\n', "\\n");
         let run1 = vec![req(1, "s", &format!(r#""op":"open","design":"{design}""#))];
         assert_eq!(run_lines(&run1, &config).1.errors, 0);
-        let wal = dir.join(wal_file_name("s"));
+        let wal = journal::wal_path(&dir, "s");
         let text = std::fs::read_to_string(&wal).unwrap();
         std::fs::write(&wal, text.trim_end_matches('\n')).unwrap();
 
@@ -2710,7 +2583,7 @@ mod tests {
             answers.push((name, answer.render()));
         }
         drop(router);
-        let torn = dir.join(wal_file_name("s3"));
+        let torn = journal::wal_path(dir, "s3");
         let mut text = std::fs::read_to_string(&torn).unwrap();
         text.push_str("{\"op\":\"add_min\",\"fr");
         std::fs::write(&torn, text).unwrap();
@@ -2720,7 +2593,7 @@ mod tests {
             format!("{{\"op\":\"open\",\"design\":\"{design}\"}}\n"),
         )
         .unwrap();
-        let mut dup = std::fs::read_to_string(dir.join(wal_file_name("s5"))).unwrap();
+        let mut dup = std::fs::read_to_string(journal::wal_path(dir, "s5")).unwrap();
         dup.push_str("{\"op\":\"set_delay\",\"vertex\":\"b\",\"delay\":5}\n");
         std::fs::write(dir.join("zz-dup.wal"), dup).unwrap();
         answers.sort();
@@ -2788,7 +2661,7 @@ mod tests {
             assert_eq!(after, before, "threads={threads}");
             let torn = &files
                 .iter()
-                .find(|(f, _)| *f == wal_file_name("s3"))
+                .find(|(f, _)| dir.join(f) == journal::wal_path(&dir, "s3"))
                 .unwrap()
                 .1;
             assert!(torn.ends_with(b"}\n"), "torn tail kept");

@@ -192,7 +192,8 @@ proptest! {
     /// anchors, offsets, and the oracle's judgement all included. A crash
     /// injected *inside* the snapshot step (failpoint `journal::snapshot`)
     /// must leave the old journal fully recoverable, and the WAL mirror
-    /// must end up holding exactly the snapshot-plus-delta history.
+    /// must end up holding exactly the snapshot-plus-delta history, from
+    /// which [`Journal::recover`] rebuilds the live session.
     #[test]
     fn compacted_replay_matches_full_history_replay(
         seed in 0u64..10_000,
@@ -269,6 +270,15 @@ proptest! {
         } else {
             prop_assert_eq!(base_op, Some("open"));
         }
+        // Boot recovery reads that file back to the live session: every
+        // edit kind, unbounded delays and snapshot analyses go through
+        // the WAL line decoder.
+        let (recovered, session) = Journal::recover(&wal).expect("the wal mirror recovers");
+        prop_assert_eq!(recovered.edits(), compacted.edits());
+        prop_assert_eq!(recovered.snapshotted(), compacted.snapshotted());
+        prop_assert_eq!(session.schedule(), live.schedule());
+        assert_replay_matches(&recovered, &live, edits.len());
+        drop(recovered);
         let _ = std::fs::remove_file(&wal);
     }
 
