@@ -109,7 +109,7 @@ use std::time::Duration;
 
 use rsched_cache::{schedule_cached, CacheStats, Probe, ScheduleCache};
 use rsched_core::{ScheduleError, WellPosedness, WorkPool};
-use rsched_graph::{failpoint, ConstraintGraph};
+use rsched_graph::{directive_counts, failpoint, ConstraintGraph};
 
 use crate::journal::{self, Journal, JournalOp, Journals};
 use crate::json::{object, Json};
@@ -528,25 +528,15 @@ impl Router {
     }
 
     /// Checks `open`/`batch_schedule` designs against the configured size
-    /// limits, counting declared `op` and constraint lines without a full
-    /// parse. Returns the exact in-band error for the first violation.
+    /// limits, counting declared `op` and constraint lines with the
+    /// parser's own tokenizer but without a full parse. Returns the exact
+    /// in-band error for the first violation.
     fn resource_violation(&self, request: &Json, op: &str) -> Option<String> {
         if self.max_ops.is_none() && self.max_edges.is_none() {
             return None;
         }
         let check = |design: &str, label: &str| -> Option<String> {
-            let (mut ops, mut edges) = (0usize, 0usize);
-            for line in design.lines() {
-                let line = line.trim_start();
-                if line.starts_with("op ") {
-                    ops += 1;
-                } else if line.starts_with("dep ")
-                    || line.starts_with("min ")
-                    || line.starts_with("max ")
-                {
-                    edges += 1;
-                }
-            }
+            let (ops, edges) = directive_counts(design);
             if let Some(m) = self.max_ops {
                 if ops > m {
                     return Some(format!(
@@ -2149,6 +2139,46 @@ mod tests {
             .and_then(Json::as_str)
             .unwrap()
             .contains("3 constraint edges, limit 1"));
+    }
+
+    /// The limits count directives as the parser reads them: a tab, a
+    /// CRLF line end or U+3000 after the keyword cannot slip a line past
+    /// the count, and a commented-out line is not counted.
+    #[test]
+    fn resource_limits_count_any_whitespace_like_the_parser() {
+        let designs = [
+            r"op\ta 1\nop\tb 1\nop\tc 1\ndep\ta b\n",
+            r"op a 1\r\nop b 1\r\nop\u3000c 1\r\nmin\u3000a b 1\r\n",
+            r"# op x 1\n  op a 1 # op y 1\nop b 1\n\top c 1\n#dep a b\nmax\ta\u3000b 2\n",
+        ];
+        for design in designs {
+            let lines = [req(1, "s", &format!(r#""op":"open","design":"{design}""#))];
+            let (responses, _) = run_lines(
+                &lines,
+                &ServeConfig {
+                    max_ops: Some(2),
+                    ..ServeConfig::default()
+                },
+            );
+            assert_eq!(
+                by_id(&responses, 1).get("error").and_then(Json::as_str),
+                Some("resource limit exceeded: design has 3 operations, limit 2"),
+                "{design}"
+            );
+            let (responses, _) = run_lines(
+                &lines,
+                &ServeConfig {
+                    max_ops: Some(3),
+                    max_edges: Some(1),
+                    ..ServeConfig::default()
+                },
+            );
+            assert_eq!(
+                by_id(&responses, 1).get("ok"),
+                Some(&Json::Bool(true)),
+                "{design}"
+            );
+        }
     }
 
     #[test]

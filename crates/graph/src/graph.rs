@@ -211,16 +211,36 @@ impl Edge {
     }
 }
 
+/// Index of the outgoing lists in a vertex's `first`/`last` and in the
+/// graph's `next`.
+const OUT: usize = 0;
+/// Index of the incoming list.
+const IN: usize = 1;
+/// End of an adjacency list.
+const NIL: u32 = u32::MAX;
+
 /// A vertex (operation) of the constraint graph.
 #[derive(Debug, Clone)]
 pub struct Vertex {
     pub(crate) name: String,
     pub(crate) delay: ExecDelay,
-    pub(crate) out_edges: Vec<EdgeId>,
-    pub(crate) in_edges: Vec<EdgeId>,
+    /// Head and tail of the vertex's outgoing (`[OUT]`) and incoming
+    /// (`[IN]`) edge lists, threaded through the graph's `next`; `NIL`
+    /// when empty.
+    first: [u32; 2],
+    last: [u32; 2],
 }
 
 impl Vertex {
+    fn new(name: String, delay: ExecDelay) -> Self {
+        Vertex {
+            name,
+            delay,
+            first: [NIL; 2],
+            last: [NIL; 2],
+        }
+    }
+
     /// Human-readable operation name.
     pub fn name(&self) -> &str {
         &self.name
@@ -247,6 +267,13 @@ impl Vertex {
 pub struct ConstraintGraph {
     vertices: Vec<Vertex>,
     edges: Vec<Edge>,
+    /// Adjacency, parallel to `edges`: `next[OUT][e]` is the edge after
+    /// `e` in its tail's outgoing list and `next[IN][e]` the one after it
+    /// in its head's incoming list (`NIL` at the end). Every vertex's
+    /// edges thus form two singly linked lists in insertion order (forward
+    /// star), so building a graph allocates per edge slot, not per vertex
+    /// list; in exchange a walk pays one dependent load per edge.
+    next: [Vec<u32>; 2],
     /// Tombstones: removed edges stay in `edges` (so surviving [`EdgeId`]s
     /// remain stable and iteration order deterministic) but are skipped by
     /// every iterator and count.
@@ -314,6 +341,7 @@ impl ConstraintGraph {
         let mut g = ConstraintGraph {
             vertices: Vec::new(),
             edges: Vec::new(),
+            next: [Vec::new(), Vec::new()],
             dead: Vec::new(),
             n_dead: 0,
             anchors: vec![VertexId(0)],
@@ -322,18 +350,10 @@ impl ConstraintGraph {
             source: VertexId(0),
             sink: VertexId(1),
         };
-        g.vertices.push(Vertex {
-            name: "source".to_owned(),
-            delay: ExecDelay::Unbounded,
-            out_edges: Vec::new(),
-            in_edges: Vec::new(),
-        });
-        g.vertices.push(Vertex {
-            name: "sink".to_owned(),
-            delay: ExecDelay::Fixed(0),
-            out_edges: Vec::new(),
-            in_edges: Vec::new(),
-        });
+        g.vertices
+            .push(Vertex::new("source".to_owned(), ExecDelay::Unbounded));
+        g.vertices
+            .push(Vertex::new("sink".to_owned(), ExecDelay::Fixed(0)));
         g
     }
 
@@ -373,15 +393,13 @@ impl ConstraintGraph {
     /// A fixed delay should not exceed `i64::MAX`: the sequencing edges
     /// out of the operation carry it as a signed weight. Unlike
     /// [`ConstraintGraph::set_delay`] this constructor cannot fail, so a
-    /// larger delay is not rejected here; it wraps to a negative weight.
+    /// larger delay is not rejected here; instead every
+    /// [`ConstraintGraph::add_dependency`] out of the operation (and so a
+    /// [`ConstraintGraph::polarize`] that would link it to the sink)
+    /// returns [`GraphError::WeightOverflow`].
     pub fn add_operation(&mut self, name: impl Into<String>, delay: ExecDelay) -> VertexId {
         let id = VertexId(self.vertices.len() as u32);
-        self.vertices.push(Vertex {
-            name: name.into(),
-            delay,
-            out_edges: Vec::new(),
-            in_edges: Vec::new(),
-        });
+        self.vertices.push(Vertex::new(name.into(), delay));
         // Fresh and below the sink's: existing operations hold `2..id`.
         self.rank.push(id.0);
         if delay.is_unbounded() {
@@ -439,20 +457,22 @@ impl ConstraintGraph {
         self.edges().filter(|(_, e)| e.is_backward())
     }
 
-    /// Outgoing edges of `v` (forward and backward).
+    /// Outgoing edges of `v` (forward and backward), in insertion order.
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
-        self.vertices[v.index()]
-            .out_edges
-            .iter()
-            .map(move |&e| (e, &self.edges[e.index()]))
+        self.adjacent(v, OUT)
     }
 
-    /// Incoming edges of `v` (forward and backward).
+    /// Incoming edges of `v` (forward and backward), in insertion order.
     pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
-        self.vertices[v.index()]
-            .in_edges
-            .iter()
-            .map(move |&e| (e, &self.edges[e.index()]))
+        self.adjacent(v, IN)
+    }
+
+    fn adjacent(&self, v: VertexId, dir: usize) -> Adjacent<'_> {
+        Adjacent {
+            edges: &self.edges,
+            next_of: &self.next[dir],
+            next: self.vertices[v.index()].first[dir],
+        }
     }
 
     /// Forward successors of `v` (heads of forward out-edges).
@@ -559,15 +579,9 @@ impl ConstraintGraph {
         s.seen[start.index()] = true;
         region.push(start);
         s.stack.push(start);
+        let dir = if forward { OUT } else { IN };
         while let Some(u) = s.stack.pop() {
-            let vertex = &self.vertices[u.index()];
-            let adjacent = if forward {
-                &vertex.out_edges
-            } else {
-                &vertex.in_edges
-            };
-            for &e in adjacent {
-                let edge = &self.edges[e.index()];
+            for (_, edge) in self.adjacent(u, dir) {
                 if edge.is_backward() {
                     continue;
                 }
@@ -639,24 +653,55 @@ impl ConstraintGraph {
             .iter()
             .all(|e| e.is_backward() || self.rank[e.from.index()] < self.rank[e.to.index()]));
         self.edges.clear();
+        self.next[OUT].clear();
+        self.next[IN].clear();
         self.dead.clear();
         self.n_dead = 0;
         for v in &mut self.vertices {
-            v.out_edges.clear();
-            v.in_edges.clear();
+            v.first = [NIL; 2];
+            v.last = [NIL; 2];
         }
         for e in edges {
             self.push_edge(e);
         }
     }
 
+    /// Appends `edge` and links it at the tail of its endpoints' lists.
     fn push_edge(&mut self, edge: Edge) -> EdgeId {
-        let id = EdgeId(self.edges.len() as u32);
-        self.vertices[edge.from.index()].out_edges.push(id);
-        self.vertices[edge.to.index()].in_edges.push(id);
+        let id = self.edges.len() as u32;
+        for (dir, v) in [(OUT, edge.from), (IN, edge.to)] {
+            let vertex = &mut self.vertices[v.index()];
+            let next = &mut self.next[dir];
+            match vertex.last[dir] {
+                NIL => vertex.first[dir] = id,
+                last => next[last as usize] = id,
+            }
+            vertex.last[dir] = id;
+            next.push(NIL);
+        }
         self.edges.push(edge);
         self.dead.push(false);
-        id
+        EdgeId(id)
+    }
+
+    /// Unlinks edge `e` from `v`'s `dir` list: O(position in the list).
+    fn unlink(&mut self, v: VertexId, dir: usize, e: u32) {
+        let vertex = &mut self.vertices[v.index()];
+        let links = &mut self.next[dir];
+        let after = links[e as usize];
+        let mut prev = NIL;
+        let mut at = vertex.first[dir];
+        while at != e {
+            prev = at;
+            at = links[at as usize];
+        }
+        match prev {
+            NIL => vertex.first[dir] = after,
+            prev => links[prev as usize] = after,
+        }
+        if vertex.last[dir] == e {
+            vertex.last[dir] = prev;
+        }
     }
 
     /// `true` if `e` names a live edge of this graph.
@@ -682,12 +727,8 @@ impl ConstraintGraph {
         let edge = self.edges[e.index()];
         self.dead[e.index()] = true;
         self.n_dead += 1;
-        self.vertices[edge.from.index()]
-            .out_edges
-            .retain(|&id| id != e);
-        self.vertices[edge.to.index()]
-            .in_edges
-            .retain(|&id| id != e);
+        self.unlink(edge.from, OUT, e.0);
+        self.unlink(edge.to, IN, e.0);
         Ok(edge)
     }
 
@@ -734,9 +775,10 @@ impl ConstraintGraph {
                 self.anchors.retain(|&a| a != v);
             }
         }
-        for i in 0..self.vertices[v.index()].out_edges.len() {
-            let e = self.vertices[v.index()].out_edges[i];
-            let edge = &mut self.edges[e.index()];
+        let mut e = self.vertices[v.index()].first[OUT];
+        while e != NIL {
+            let edge = &mut self.edges[e as usize];
+            e = self.next[OUT][e as usize];
             match edge.kind {
                 EdgeKind::Sequencing => edge.weight = weight,
                 EdgeKind::MinConstraint => {
@@ -764,27 +806,28 @@ impl ConstraintGraph {
     /// # Errors
     ///
     /// Returns an error if either endpoint is unknown, if `from == to`, if
-    /// the edge would point into the source or out of the sink, or if it
-    /// would close a cycle in `G_f`.
+    /// `from` has a fixed delay above `i64::MAX`
+    /// ([`GraphError::WeightOverflow`]), if the edge would point into the
+    /// source or out of the sink, or if it would close a cycle in `G_f`.
     pub fn add_dependency(&mut self, from: VertexId, to: VertexId) -> Result<EdgeId, GraphError> {
         self.check_vertex(from)?;
         self.check_vertex(to)?;
         if from == to {
             return Err(GraphError::SelfLoop(from));
         }
+        let weight = match self.vertices[from.index()].delay {
+            ExecDelay::Fixed(d) => Weight::Fixed(checked_weight(d)?),
+            ExecDelay::Unbounded => Weight::Unbounded {
+                anchor: from,
+                extra: 0,
+            },
+        };
         if to == self.source || from == self.sink {
             return Err(GraphError::Polarity { from, to });
         }
         if !self.rank_forward_edge(from, to) {
             return Err(GraphError::ForwardCycle { from, to });
         }
-        let weight = match self.vertices[from.index()].delay {
-            ExecDelay::Fixed(d) => Weight::Fixed(d as i64),
-            ExecDelay::Unbounded => Weight::Unbounded {
-                anchor: from,
-                extra: 0,
-            },
-        };
         Ok(self.push_edge(Edge {
             from,
             to,
@@ -880,12 +923,23 @@ impl ConstraintGraph {
     ///
     /// # Errors
     ///
-    /// Propagates errors from [`ConstraintGraph::add_dependency`] (cannot
-    /// occur for graphs built exclusively through this API).
+    /// Propagates errors from [`ConstraintGraph::add_dependency`]. The only
+    /// one it can meet is [`GraphError::WeightOverflow`], for an operation
+    /// without forward successors whose fixed delay exceeds `i64::MAX`
+    /// (accepted by [`ConstraintGraph::add_operation`], refused by
+    /// [`ConstraintGraph::from_text`]). It is checked before any edge is
+    /// linked, so an error leaves the graph unchanged.
     pub fn polarize(&mut self) -> Result<(), GraphError> {
         let source = self.source;
         let sink = self.sink;
         let ops: Vec<VertexId> = self.operation_ids().collect();
+        for &v in &ops {
+            if let ExecDelay::Fixed(d) = self.vertices[v.index()].delay {
+                if self.forward_succs(v).next().is_none() {
+                    checked_weight(d)?;
+                }
+            }
+        }
         for &v in &ops {
             if self.forward_preds(v).next().is_none() {
                 self.add_dependency(source, v)?;
@@ -931,6 +985,27 @@ impl ConstraintGraph {
             }
         }
         down.iter().all(|&b| b) && up.iter().all(|&b| b)
+    }
+}
+
+/// Iterator over one adjacency list of a vertex; see
+/// [`ConstraintGraph::out_edges`] and [`ConstraintGraph::in_edges`].
+struct Adjacent<'a> {
+    edges: &'a [Edge],
+    next_of: &'a [u32],
+    next: u32,
+}
+
+impl<'a> Iterator for Adjacent<'a> {
+    type Item = (EdgeId, &'a Edge);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.next == NIL {
+            return None;
+        }
+        let e = self.next as usize;
+        self.next = self.next_of[e];
+        Some((EdgeId(e as u32), &self.edges[e]))
     }
 }
 
@@ -1271,6 +1346,41 @@ mod tests {
         assert!(GraphError::WeightOverflow(TOP + 1)
             .to_string()
             .contains("9223372036854775808"));
+    }
+
+    /// `add_operation` takes any fixed delay, but a dependency out of an
+    /// operation whose delay does not fit an `i64` is refused instead of
+    /// wrapping to a negative weight, before the rank is touched.
+    #[test]
+    fn dependency_out_of_delay_above_i64_max_is_rejected() {
+        const TOP: u64 = i64::MAX as u64;
+        for huge in [TOP + 1, u64::MAX] {
+            let mut g = ConstraintGraph::new();
+            let b = g.add_operation("b", ExecDelay::Fixed(1));
+            let a = g.add_operation("a", ExecDelay::Fixed(huge));
+            // `a` outranks `b`, so an accepted `a -> b` would re-rank.
+            let ranks = [g.forward_rank(a), g.forward_rank(b)];
+            assert_eq!(
+                g.add_dependency(a, b),
+                Err(GraphError::WeightOverflow(huge))
+            );
+            assert_eq!(g.n_edges(), 0);
+            assert_eq!([g.forward_rank(a), g.forward_rank(b)], ranks);
+            // Other edges out of `a` do not carry its delay.
+            assert!(g.add_min_constraint(a, b, 2).is_ok());
+            assert!(g.add_max_constraint(a, b, 3).is_ok());
+            // `polarize` cannot link `a` to the sink, and refuses before
+            // linking anything else.
+            let mut lone = ConstraintGraph::new();
+            lone.add_operation("b", ExecDelay::Fixed(1));
+            lone.add_operation("a", ExecDelay::Fixed(huge));
+            assert_eq!(lone.polarize(), Err(GraphError::WeightOverflow(huge)));
+            assert_eq!(lone.n_edges(), 0);
+            // Once the delay fits, the dependency goes in.
+            assert!(g.set_delay(a, ExecDelay::Fixed(TOP)).unwrap());
+            let e = g.add_dependency(a, b).unwrap();
+            assert_eq!(g.edge(e).weight(), Weight::Fixed(i64::MAX));
+        }
     }
 
     #[test]

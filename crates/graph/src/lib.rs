@@ -64,5 +64,5 @@ pub use graph::{ConstraintGraph, Edge, EdgeId, EdgeKind, ExecDelay, Vertex, Vert
 pub use kernel::ScheduleKernel;
 pub use paths::{LongestPaths, PathMatrix};
 pub use reduce::ReductionReport;
-pub use text::TextFormatError;
+pub use text::{directive_counts, TextFormatError};
 pub use topo::ForwardTopo;

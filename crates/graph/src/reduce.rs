@@ -59,9 +59,10 @@ impl ConstraintGraph {
     ///
     /// Edges are decided one by one in edge-id order, each against the
     /// edges kept so far. Most need no path lengths at all. Forward
-    /// weights (unbounded ones at 0) are never negative once the
-    /// pre-pass has checked it, and every sequencing edge out of `u`
-    /// weighs `δ(u)`. So when no forward edge out of `u` is lighter than
+    /// weights (unbounded ones at 0) are never negative, since the graph
+    /// refuses any delay or bound above `i64::MAX`, and every sequencing
+    /// edge out of `u` weighs `δ(u)`. So when no forward edge out of `u`
+    /// is lighter than
     /// `w`, every other `u → v` path weighs at least `w`, and `(u, v)` is
     /// implied iff such a path exists at all: a kept parallel edge, or a
     /// path of two or more edges. Dropping an implied edge never changes
@@ -69,7 +70,7 @@ impl ConstraintGraph {
     /// `(u, v)`, so the second case is a property of the unreduced `G_f`,
     /// answered for all edges up front by [`two_step_witnesses`]. The
     /// remaining edges — a lighter edge out of `u`, a bounded first step
-    /// under an anchor tail, or a negative or overflowing weight anywhere
+    /// under an anchor tail, or a path weight that may overflow an `i64`
     /// — take the exact longest-path test of [`edge_is_implied`].
     ///
     /// [`reduce_sequencing_edges`]: ConstraintGraph::reduce_sequencing_edges
@@ -88,8 +89,8 @@ impl ConstraintGraph {
 
         // Pre-pass: forward degrees, the lightest forward edge out of each
         // vertex, whether an anchor tail has a bounded one, and whether
-        // every path weight is a non-negative i64 (the sum of all forward
-        // weights fits).
+        // every path weight fits an i64 (the sum of all forward weights
+        // does).
         let mut out_deg = vec![0u32; n];
         let mut in_deg = vec![0u32; n];
         let mut lightest = vec![i64::MAX; n];
@@ -101,7 +102,7 @@ impl ConstraintGraph {
             in_deg[e.to().index()] += 1;
             lightest[u] = lightest[u].min(w);
             bounded_out[u] |= !e.weight().is_unbounded();
-            total = total.filter(|_| w >= 0).and_then(|t| t.checked_add(w));
+            total = total.and_then(|t| t.checked_add(w));
         }
 
         let mut test = vec![Test::Never; keep.len()];

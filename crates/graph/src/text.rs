@@ -212,6 +212,22 @@ impl ConstraintGraph {
     }
 }
 
+/// Counts a design's `op` lines and its constraint (`dep`, `min`, `max`)
+/// lines, tokenized exactly as [`ConstraintGraph::from_text`] tokenizes
+/// them (any whitespace separates, `#` starts a comment), without parsing
+/// their arguments. Returns `(operations, constraint_edges)`.
+pub fn directive_counts(text: &str) -> (usize, usize) {
+    let (mut ops, mut edges) = (0, 0);
+    for (_, mut tokens) in lines(text) {
+        match tokens.next() {
+            Some("op") => ops += 1,
+            Some("dep" | "min" | "max") => edges += 1,
+            _ => {}
+        }
+    }
+    (ops, edges)
+}
+
 /// Bytes of design text per declared operation that pre-sizing the name
 /// map assumes: an `op` line plus its share of constraint lines.
 const BYTES_PER_OP: usize = 32;
@@ -546,6 +562,32 @@ max alu out 4
         let crlf =
             ConstraintGraph::from_text("op\u{3000}a 1\r\nop b\u{a0}2\r\ndep a b\r\n").unwrap();
         assert_eq!(crlf.n_vertices(), 4);
+    }
+
+    /// The counts follow the parser's tokenization: any whitespace ends
+    /// the keyword, and `#` hides the rest of a line.
+    #[test]
+    fn directive_counts_match_what_the_parser_reads() {
+        let cases = [
+            ("op\ta 1\nop\tb 1\ndep\ta b\n", (2, 1)),
+            (
+                "op a 1\r\nop\u{3000}b 1\r\nmin\u{3000}a b 1\r\nmax a b 2\r\n",
+                (2, 2),
+            ),
+            (
+                "# op x 1\n  op a 1 # op y 1\n#dep a b\n\top b 1\n\ndep a b#c\n",
+                (2, 1),
+            ),
+            ("opx a 1\nop\u{a0}a 1\ndeps a b\n", (1, 0)),
+            ("", (0, 0)),
+        ];
+        for (text, counts) in cases {
+            assert_eq!(directive_counts(text), counts, "{text:?}");
+            // Where the text parses, every counted `op` is a vertex.
+            if let Ok(g) = ConstraintGraph::from_text(text) {
+                assert_eq!(g.n_vertices() - 2, counts.0, "{text:?}");
+            }
+        }
     }
 
     #[test]

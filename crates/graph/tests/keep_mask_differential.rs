@@ -7,11 +7,11 @@
 //! what the shortcut's preconditions hinge on: parallel and zero-delay
 //! dependencies, anchors and `set_delay` flips, minimum constraints
 //! lighter than `δ(u)` and out of anchors, `remove_edge` tombstones, and
-//! delays above `i64::MAX`, which `add_operation` accepts and which wrap
-//! to negative edge weights.
+//! delays above `i64::MAX`, which `add_operation` accepts but no
+//! dependency out of the operation does (`WeightOverflow`).
 
 use proptest::prelude::*;
-use rsched_graph::{ConstraintGraph, Edge, EdgeId, EdgeKind, ExecDelay, VertexId};
+use rsched_graph::{ConstraintGraph, Edge, EdgeId, EdgeKind, ExecDelay, GraphError, VertexId};
 
 const OPS: usize = 14;
 
@@ -25,8 +25,8 @@ enum Step {
     Polarize,
 }
 
-/// A delay: zero, small, unbounded, or wrapped (`u64::MAX - k`, an edge
-/// weight of `-(k + 1)`).
+/// A delay: zero, small, unbounded, or above `i64::MAX` (`u64::MAX - k`,
+/// which no sequencing edge can carry).
 fn delay() -> impl Strategy<Value = ExecDelay> {
     prop_oneof![
         2 => Just(ExecDelay::Fixed(0)),
@@ -149,7 +149,16 @@ proptest! {
                     let d = d.map_or(ExecDelay::Unbounded, ExecDelay::Fixed);
                     g.set_delay(at[v], d).unwrap();
                 }
-                Step::Polarize => g.polarize().unwrap(),
+                Step::Polarize => {
+                    // Only an operation whose delay no edge can carry may
+                    // refuse its link to the sink.
+                    if let Err(e) = g.polarize() {
+                        prop_assert!(
+                            matches!(e, GraphError::WeightOverflow(d) if d > i64::MAX as u64),
+                            "{e}"
+                        );
+                    }
+                }
             }
         }
 
