@@ -320,24 +320,24 @@ impl AnchorSets {
     /// graph `G_f`, propagating `{v} ∪ A(v)` across unbounded-weight edges
     /// and `A(v)` across bounded ones. `O(|E_f| · |A|)`.
     ///
+    /// The sweep follows the order the graph keeps with its forward rank,
+    /// so no sort precedes it.
+    ///
     /// # Errors
     ///
-    /// Returns an error if `G_f` is cyclic (impossible for graphs built
-    /// through `rsched-graph`'s mutation API).
+    /// Never fails: the graph's mutation API keeps its forward rank valid.
     pub fn compute(graph: &ConstraintGraph) -> Result<Self, ScheduleError> {
         let topo = graph.forward_topological_order()?;
         let mut family = AnchorSetFamily::empty(graph);
         for &v in topo.order() {
             // Union predecessors into v according to edge weight kind.
-            let in_edges: Vec<(VertexId, bool)> = graph
-                .in_edges(v)
-                .filter(|(_, e)| e.is_forward())
-                .map(|(_, e)| (e.from(), e.weight().is_unbounded()))
-                .collect();
-            for (p, unbounded) in in_edges {
-                family.union_into(v, p);
-                if unbounded {
-                    family.insert(v, p);
+            for (_, e) in graph.in_edges(v) {
+                if !e.is_forward() {
+                    continue;
+                }
+                family.union_into(v, e.from());
+                if e.weight().is_unbounded() {
+                    family.insert(v, e.from());
                 }
             }
         }

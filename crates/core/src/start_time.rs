@@ -82,7 +82,8 @@ impl StartTimes {
 ///
 /// # Errors
 ///
-/// Returns a graph error if `G_f` is cyclic.
+/// Never fails: the sweep follows the order the graph keeps with its
+/// forward rank, which its mutation API keeps valid.
 pub fn start_times(
     graph: &ConstraintGraph,
     schedule: &RelativeSchedule,

@@ -6,8 +6,8 @@ use crate::graph::ConstraintGraph;
 
 /// A frozen, data-oriented view of one [`ConstraintGraph`] revision.
 ///
-/// The mutable [`ConstraintGraph`] is built for editing: per-vertex
-/// `Vec<EdgeId>` adjacency, tombstoned edges, symbolic weights. Every
+/// The mutable [`ConstraintGraph`] is built for editing: edge-linked
+/// adjacency lists, tombstoned edges, symbolic weights. Every
 /// iteration of the scheduler, however, is a linear pass — a topological
 /// longest-path sweep over the forward edges followed by a batched scan of
 /// the backward edges — and pays for that flexibility with pointer-chasing
@@ -15,8 +15,8 @@ use crate::graph::ConstraintGraph;
 /// into flat `u32`/`i64` arrays laid out in exactly the orders the
 /// fixpoint consumes them:
 ///
-/// - the forward topological order, precomputed once per snapshot rather
-///   than once per scheduling call;
+/// - the forward topological order, read once per snapshot off the
+///   graph's kept rank rather than once per scheduling call;
 /// - forward in-edges in CSR form, row per head vertex, so a sweep reads
 ///   `(tail, weight)` pairs from two contiguous arrays;
 /// - backward edges as parallel arrays in live [`EdgeId`](crate::EdgeId) order — the
@@ -53,17 +53,15 @@ impl ScheduleKernel {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::ForwardCycle`] when the forward subgraph is
-    /// cyclic and has no topological order (impossible for graphs built
-    /// exclusively through the mutation API, which rejects such edges).
+    /// Never fails: the order comes from the graph's forward rank, which
+    /// the mutation API keeps valid.
     pub fn build(graph: &ConstraintGraph) -> Result<ScheduleKernel, GraphError> {
         // Fault-injection site: one relaxed load when nothing is armed.
         // Coarse on purpose — once per snapshot, never in the fixpoint
         // inner loops, so the disabled cost is unmeasurable.
         let _ = crate::failpoint!("kernel::build");
-        let topo_order = graph.forward_topological_order()?;
         let n = graph.n_vertices();
-        let topo: Vec<u32> = topo_order.order().iter().map(|v| v.0).collect();
+        let topo: Vec<u32> = graph.forward_order().iter().map(|v| v.0).collect();
 
         let mut fin_off = Vec::with_capacity(n + 1);
         let mut fin_tail = Vec::new();

@@ -128,29 +128,59 @@ impl PathMatrix {
 impl ConstraintGraph {
     /// Checks for a positive cycle anywhere in the graph, with unbounded
     /// delays set to 0 — the negation of Theorem 1's feasibility condition.
-    ///
-    /// Uses Bellman–Ford from a virtual super-source (all distances start
-    /// at 0) so cycles are detected regardless of reachability.
+    /// Runs [`ConstraintGraph::positive_cycle_rounds`].
     pub fn has_positive_cycle(&self) -> bool {
-        let n = self.n_vertices();
-        let mut dist = vec![0i64; n];
-        for round in 0..=n {
-            let mut changed = false;
-            for (_, e) in self.edges() {
-                let cand = dist[e.from().index()] + e.weight().zeroed();
-                if cand > dist[e.to().index()] {
-                    dist[e.to().index()] = cand;
-                    changed = true;
+        self.positive_cycle_rounds().0
+    }
+
+    /// [`ConstraintGraph::has_positive_cycle`]'s verdict, and the number of
+    /// rounds it took: at most `|E_b| + 1`, and 0 when `E_b` is empty.
+    ///
+    /// Longest paths from a virtual super-source (every distance starts at
+    /// 0), relaxed round by round. A round is one sweep of the forward
+    /// in-edges in the graph's kept topological order, which leaves every
+    /// forward edge satisfied, then one scan of the backward edges. The
+    /// first round whose scan raises nothing has satisfied every edge, so
+    /// the graph has no positive cycle. `G_f` is acyclic, so every cycle
+    /// takes a backward edge, and without a positive cycle some simple path
+    /// — thus one with at most `|E_b|` backward edges — is a longest path
+    /// to each vertex. Round `k` settles every path with fewer than `k`
+    /// backward edges, so a feasible graph stops by round `|E_b| + 1`
+    /// (the paper's iteration bound, Theorem 8); one whose scan still
+    /// raises a distance then holds a positive cycle.
+    pub fn positive_cycle_rounds(&self) -> (bool, usize) {
+        let backward: Vec<(usize, usize, i64)> = self
+            .backward_edges()
+            .map(|(_, e)| (e.from().index(), e.to().index(), e.weight().zeroed()))
+            .collect();
+        if backward.is_empty() {
+            return (false, 0);
+        }
+        let order = self.forward_order();
+        let mut dist = vec![0i64; self.n_vertices()];
+        for round in 1..=backward.len() + 1 {
+            for &v in &order {
+                let mut d = dist[v.index()];
+                for (_, e) in self.in_edges(v) {
+                    if e.is_forward() {
+                        d = d.max(dist[e.from().index()] + e.weight().zeroed());
+                    }
+                }
+                dist[v.index()] = d;
+            }
+            let mut raised = false;
+            for &(from, to, w) in &backward {
+                let cand = dist[from] + w;
+                if cand > dist[to] {
+                    dist[to] = cand;
+                    raised = true;
                 }
             }
-            if !changed {
-                return false;
-            }
-            if round == n {
-                return true;
+            if !raised {
+                return (false, round);
             }
         }
-        true
+        (true, backward.len() + 1)
     }
 
     /// Longest weighted paths from `source` over the full graph (backward

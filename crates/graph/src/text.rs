@@ -287,12 +287,9 @@ struct Tokens<'a> {
 }
 
 impl Tokens<'_> {
-    /// The class of the character at `pos` and its length in bytes.
+    /// The class of the non-ASCII character starting at `pos` and its
+    /// length in bytes: a separator iff it is Unicode whitespace.
     fn class_at(&self, pos: usize) -> (Class, usize) {
-        let b = self.line.as_bytes()[pos];
-        if b.is_ascii() {
-            return (ASCII_CLASS[b as usize], 1);
-        }
         let c = self.line[pos..].chars().next().expect("in bounds");
         let class = if c.is_whitespace() {
             Class::Space
@@ -307,25 +304,47 @@ impl<'a> Iterator for Tokens<'a> {
     type Item = &'a str;
 
     fn next(&mut self) -> Option<&'a str> {
-        let end = self.line.len();
-        while self.pos < end {
-            match self.class_at(self.pos) {
-                (Class::Space, len) => self.pos += len,
-                (Class::Comment, _) => self.pos = end,
-                (Class::Word, _) => break,
+        let bytes = self.line.as_bytes();
+        let end = bytes.len();
+        let mut pos = self.pos;
+        // Skip separators up to the next word; a comment ends the line.
+        loop {
+            if pos == end {
+                self.pos = end;
+                return None;
+            }
+            let b = bytes[pos];
+            let (class, len) = if b < 0x80 {
+                (ASCII_CLASS[b as usize], 1)
+            } else {
+                self.class_at(pos)
+            };
+            match class {
+                Class::Space => pos += len,
+                Class::Word => break,
+                Class::Comment => {
+                    self.pos = end;
+                    return None;
+                }
             }
         }
-        if self.pos == end {
-            return None;
-        }
-        let start = self.pos;
-        while self.pos < end {
-            match self.class_at(self.pos) {
-                (Class::Word, len) => self.pos += len,
-                _ => break,
+        let start = pos;
+        while pos < end {
+            let b = bytes[pos];
+            if b < 0x80 {
+                if ASCII_CLASS[b as usize] != Class::Word {
+                    break;
+                }
+                pos += 1;
+            } else {
+                match self.class_at(pos) {
+                    (Class::Word, len) => pos += len,
+                    _ => break,
+                }
             }
         }
-        Some(&self.line[start..self.pos])
+        self.pos = pos;
+        Some(&self.line[start..pos])
     }
 }
 

@@ -5,8 +5,9 @@ use crate::graph::{ConstraintGraph, VertexId};
 ///
 /// Every scheduling pass of the paper sweeps `G_f` in topological order
 /// (the `ftrav` counters of `findAnchorSet` and `IncrementalOffset`
-/// implement exactly this); this type computes the order once so sweeps are
-/// simple loops.
+/// implement exactly this); this type lists the order once so sweeps are
+/// simple loops. The order is read off the graph's kept forward rank, so
+/// it costs no sort.
 #[derive(Debug, Clone)]
 pub struct ForwardTopo {
     order: Vec<VertexId>,
@@ -14,40 +15,17 @@ pub struct ForwardTopo {
 }
 
 impl ForwardTopo {
-    /// Computes a topological order of `G_f` with Kahn's algorithm.
+    /// Reads a topological order of `G_f` off the rank the graph keeps
+    /// (see [`ConstraintGraph::forward_rank`]): `O(|V|)`, visiting no edge.
+    /// The order is the source, the operations by rank, then the sink.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NotADag`] if the forward subgraph is cyclic;
-    /// the witness is a vertex on some forward cycle.
+    /// Never fails: the mutation API rejects every forward cycle, so the
+    /// rank is always valid.
     pub fn new(graph: &ConstraintGraph) -> Result<Self, GraphError> {
-        let n = graph.n_vertices();
-        let mut indeg = vec![0usize; n];
-        for (_, e) in graph.forward_edges() {
-            indeg[e.to().index()] += 1;
-        }
-        let mut queue: Vec<VertexId> = graph
-            .vertex_ids()
-            .filter(|v| indeg[v.index()] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop() {
-            order.push(v);
-            for s in graph.forward_succs(v) {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    queue.push(s);
-                }
-            }
-        }
-        if order.len() != n {
-            let witness = graph
-                .vertex_ids()
-                .find(|v| indeg[v.index()] > 0)
-                .expect("cycle implies a vertex with residual in-degree");
-            return Err(GraphError::NotADag { witness });
-        }
-        let mut position = vec![0usize; n];
+        let order = graph.forward_order();
+        let mut position = vec![0usize; order.len()];
         for (i, v) in order.iter().enumerate() {
             position[v.index()] = i;
         }
@@ -78,9 +56,7 @@ impl ConstraintGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NotADag`] if `G_f` is cyclic (impossible for
-    /// graphs built exclusively through this crate's mutation API, which
-    /// rejects forward cycles eagerly).
+    /// Never fails; see [`ForwardTopo::new`].
     pub fn forward_topological_order(&self) -> Result<ForwardTopo, GraphError> {
         ForwardTopo::new(self)
     }

@@ -7,9 +7,9 @@
 //! vertices), and so does transitive reduction, which renumbers the
 //! surviving edges. After every step the graph must list exactly the
 //! model's edge ids, in the model's (insertion) order, in both
-//! directions; count the model's live edges; and keep a valid forward
-//! rank. A clone must match too, and the sequence sometimes carries on
-//! with the clone.
+//! directions; count the model's live edges; keep a valid forward rank;
+//! and list that rank's order as its topological order. A clone must
+//! match too, and the sequence sometimes carries on with the clone.
 
 use rsched_graph::{ConstraintGraph, Edge, EdgeId, ExecDelay, GraphError, VertexId};
 
@@ -111,6 +111,34 @@ fn check(g: &ConstraintGraph, model: &Model) -> Result<(), String> {
     ranks.dedup();
     if ranks.len() != g.n_vertices() {
         return Err("ranks are not distinct".into());
+    }
+    check_order(g)
+}
+
+/// The topological order the graph lists is its rank order: every vertex
+/// once, ranks rising, so it climbs along every live forward edge; and
+/// `position` is its inverse.
+fn check_order(g: &ConstraintGraph) -> Result<(), String> {
+    let topo = g
+        .forward_topological_order()
+        .map_err(|e| format!("no topological order: {e}"))?;
+    let mut by_rank: Vec<VertexId> = g.vertex_ids().collect();
+    by_rank.sort_unstable_by_key(|&v| g.forward_rank(v));
+    if topo.order() != by_rank.as_slice() {
+        return Err(format!(
+            "order {:?} is not the rank order {by_rank:?}",
+            topo.order()
+        ));
+    }
+    for (i, &v) in topo.order().iter().enumerate() {
+        if topo.position(v) != i {
+            return Err(format!("{v} listed at {i}, position {}", topo.position(v)));
+        }
+    }
+    for (id, e) in g.forward_edges() {
+        if !topo.precedes(e.from(), e.to()) {
+            return Err(format!("forward edge {id} does not climb in the order"));
+        }
     }
     Ok(())
 }
