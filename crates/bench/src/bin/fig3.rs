@@ -36,7 +36,7 @@ fn main() {
 }
 
 fn report(g: &rsched_graph::ConstraintGraph) {
-    match check_well_posed(g).expect("acyclic") {
+    match check_well_posed(g) {
         WellPosedness::WellPosed => println!("  -> well-posed"),
         WellPosedness::Unfeasible { witness } => {
             println!("  -> unfeasible (positive cycle at {witness})")

@@ -6,7 +6,7 @@ use rsched_designs::paper::fig2;
 
 fn main() {
     let (g, a, _) = fig2();
-    let sets = AnchorSets::compute(&g).expect("acyclic");
+    let Ok(sets) = AnchorSets::compute(&g);
     let omega = schedule(&g).expect("well-posed");
     println!("Table II — anchor sets and minimum offsets (Fig. 2 graph)");
     println!(

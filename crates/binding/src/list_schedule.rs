@@ -84,9 +84,7 @@ pub fn list_schedule(
 
     // Priority: longest delay-weighted path to the sink over forward
     // edges (critical path first).
-    let topo = graph
-        .forward_topological_order()
-        .map_err(|e| BindError::Schedule(e.into()))?;
+    let topo = graph.forward_topological_order();
     let n = graph.n_vertices();
     let mut priority = vec![0i64; n];
     for &v in topo.order().iter().rev() {

@@ -39,7 +39,7 @@ use std::fs;
 
 use rsched_core::{
     check_well_posed, explain_offset, iteration_bound, make_well_posed, relative_slack, schedule,
-    schedule_traced, IrredundantAnchors, WellPosedness,
+    schedule_traced, IrredundantAnchors, ScheduleError, WellPosedness,
 };
 use rsched_ctrl::{generate, ControlStyle, Fsm};
 use rsched_graph::{ConstraintGraph, DotOptions};
@@ -68,6 +68,12 @@ impl CliError {
             code: 1,
         }
     }
+}
+
+/// Maps a scheduling error on `g` to a failure that names operations
+/// where the error's `Display` would print vertex ids.
+fn named(g: &ConstraintGraph) -> impl Fn(ScheduleError) -> CliError + '_ {
+    move |e| CliError::failure(e.render(g))
 }
 
 const USAGE: &str = "usage:
@@ -537,9 +543,9 @@ fn check_cmd(source: &str) -> Result<String, CliError> {
         g.n_backward_edges(),
         g.n_anchors()
     );
-    match check_well_posed(&g).map_err(CliError::failure)? {
+    match check_well_posed(&g) {
         WellPosedness::WellPosed => {
-            let bound = iteration_bound(&g).map_err(CliError::failure)?;
+            let bound = iteration_bound(&g).map_err(named(&g))?;
             let _ = writeln!(
                 out,
                 "well-posed; scheduling converges within {} iteration(s) (L = {})",
@@ -548,6 +554,7 @@ fn check_cmd(source: &str) -> Result<String, CliError> {
             );
         }
         WellPosedness::Unfeasible { witness } => {
+            let witness = g.vertex(witness).name();
             let _ = writeln!(out, "UNFEASIBLE: positive cycle through {witness}");
         }
         WellPosedness::IllPosed { violations } => {
@@ -598,7 +605,7 @@ fn schedule_cmd(source: &str, flags: &[&String]) -> Result<String, CliError> {
     let g = load_graph(source)?;
     let mut out = String::new();
     if has_flag(flags, "--trace") {
-        let trace = schedule_traced(&g).map_err(CliError::failure)?;
+        let trace = schedule_traced(&g).map_err(named(&g))?;
         for (i, it) in trace.iterations.iter().enumerate() {
             let _ = writeln!(
                 out,
@@ -608,9 +615,9 @@ fn schedule_cmd(source: &str, flags: &[&String]) -> Result<String, CliError> {
             );
         }
     }
-    let omega = schedule(&g).map_err(CliError::failure)?;
+    let omega = schedule(&g).map_err(named(&g))?;
     let omega = if has_flag(flags, "--ir") {
-        let analysis = IrredundantAnchors::analyze(&g).map_err(CliError::failure)?;
+        let analysis = IrredundantAnchors::analyze(&g).map_err(named(&g))?;
         omega.restrict(analysis.irredundant.family())
     } else {
         omega
@@ -637,8 +644,8 @@ fn schedule_cmd(source: &str, flags: &[&String]) -> Result<String, CliError> {
 
 fn slack_cmd(source: &str) -> Result<String, CliError> {
     let g = load_graph(source)?;
-    let omega = schedule(&g).map_err(CliError::failure)?;
-    let slack = relative_slack(&g, &omega).map_err(CliError::failure)?;
+    let omega = schedule(&g).map_err(named(&g))?;
+    let slack = relative_slack(&g, &omega).map_err(named(&g))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -787,11 +794,11 @@ fn optimize_cmd(source: &str, flags: &[&String]) -> Result<String, CliError> {
 
 fn explain_cmd(source: &str) -> Result<String, CliError> {
     let g = load_graph(source)?;
-    let omega = schedule(&g).map_err(CliError::failure)?;
+    let omega = schedule(&g).map_err(named(&g))?;
     let mut out = String::new();
     for v in g.vertex_ids() {
         for &a in omega.anchors() {
-            if let Some(ex) = explain_offset(&g, &omega, v, a).map_err(CliError::failure)? {
+            if let Some(ex) = explain_offset(&g, &omega, v, a).map_err(named(&g))? {
                 let _ = writeln!(out, "{}", ex.render(&g));
             }
         }
@@ -801,7 +808,7 @@ fn explain_cmd(source: &str) -> Result<String, CliError> {
 
 fn fsm_cmd(source: &str) -> Result<String, CliError> {
     let g = load_graph(source)?;
-    let omega = schedule(&g).map_err(CliError::failure)?;
+    let omega = schedule(&g).map_err(named(&g))?;
     let fsm = Fsm::from_schedule(&g, &omega).map_err(CliError::failure)?;
     Ok(fsm.describe(&g))
 }
@@ -817,9 +824,9 @@ fn control_cmd(source: &str, flags: &[&String]) -> Result<String, CliError> {
             )))
         }
     };
-    let omega = schedule(&g).map_err(CliError::failure)?;
+    let omega = schedule(&g).map_err(named(&g))?;
     let omega = if has_flag(flags, "--ir") {
-        let analysis = IrredundantAnchors::analyze(&g).map_err(CliError::failure)?;
+        let analysis = IrredundantAnchors::analyze(&g).map_err(named(&g))?;
         omega.restrict(analysis.irredundant.family())
     } else {
         omega
@@ -844,15 +851,16 @@ fn simulate_cmd(source: &str, flags: &[&String]) -> Result<String, CliError> {
         })
         .transpose()?
         .unwrap_or(8);
-    let omega = schedule(&g).map_err(CliError::failure)?;
+    let omega = schedule(&g).map_err(named(&g))?;
     let unit = generate(&g, &omega, ControlStyle::ShiftRegister);
     let sim = Simulator::new(&g, &unit);
     let source_cfg = DelaySource::random(seed, max_delay);
     let report = if has_flag(flags, "--gate") {
-        sim.run_gate_level(&source_cfg).map_err(CliError::failure)?
+        sim.run_gate_level(&source_cfg)
     } else {
-        sim.run(&source_cfg).map_err(CliError::failure)?
-    };
+        sim.run(&source_cfg)
+    }
+    .map_err(|e| CliError::failure(e.render(&g)))?;
     if has_flag(flags, "--vcd") {
         return Ok(rsched_sim::to_vcd(&g, &report));
     }
@@ -891,9 +899,9 @@ fn verilog_cmd(source: &str, flags: &[&String]) -> Result<String, CliError> {
             )))
         }
     };
-    let omega = schedule(&g).map_err(CliError::failure)?;
+    let omega = schedule(&g).map_err(named(&g))?;
     let omega = if has_flag(flags, "--ir") {
-        let analysis = IrredundantAnchors::analyze(&g).map_err(CliError::failure)?;
+        let analysis = IrredundantAnchors::analyze(&g).map_err(named(&g))?;
         omega.restrict(analysis.irredundant.family())
     } else {
         omega
@@ -1546,5 +1554,46 @@ process demo (req, ack)
         let p = write_temp("bad", "op a 1\nop b 1\ndep a b\nmin a b 9\nmax a b 2\n");
         let err = run_args(&["schedule", p.to_str().unwrap()]).unwrap_err();
         assert!(err.message.contains("unfeasible"));
+    }
+
+    /// Verdicts and failures name the operations of the design, never
+    /// internal vertex ids.
+    #[test]
+    fn unfeasible_verdicts_and_failures_name_operations() {
+        let p = write_temp(
+            "unfeasible_names",
+            "op a 1\nop b 1\ndep a b\nmin a b 9\nmax a b 2\n",
+        );
+        let path = p.to_str().unwrap();
+        let out = run_args(&["check", path]).unwrap();
+        assert!(
+            out.ends_with("\nUNFEASIBLE: positive cycle through b\n"),
+            "{out}"
+        );
+        for cmd in ["schedule", "slack", "explain", "fsm", "simulate", "control"] {
+            let err = run_args(&[cmd, path]).unwrap_err();
+            assert_eq!(
+                err.message, "unfeasible timing constraints: positive cycle through b",
+                "{cmd}"
+            );
+        }
+    }
+
+    #[test]
+    fn explain_names_the_anchor_of_unbounded_weights() {
+        let p = write_temp(
+            "explain_names",
+            "op a 3\nop b unbounded\nop c 2\ndep a b\ndep b c\nmin a c 4\n",
+        );
+        let out = run_args(&["explain", p.to_str().unwrap()]).unwrap();
+        assert_eq!(
+            out,
+            "σ_source(sink) = 6: source -(δ(source))-> a -(4)-> c -(2)-> sink\n\
+             σ_b(sink) = 2: b -(δ(b))-> c -(2)-> sink\n\
+             σ_source(a) = 0: source -(δ(source))-> a\n\
+             σ_source(b) = 3: source -(δ(source))-> a -(3)-> b\n\
+             σ_source(c) = 4: source -(δ(source))-> a -(4)-> c\n\
+             σ_b(c) = 0: b -(δ(b))-> c\n"
+        );
     }
 }

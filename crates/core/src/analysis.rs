@@ -42,7 +42,7 @@ impl IterationBound {
 /// distances from converging (no schedule exists, Corollary 2 applies
 /// instead).
 pub fn iteration_bound(graph: &ConstraintGraph) -> Result<IterationBound, ScheduleError> {
-    let sets = AnchorSets::compute(graph)?;
+    let Ok(sets) = AnchorSets::compute(graph);
     iteration_bound_with(graph, &sets)
 }
 

@@ -14,6 +14,7 @@
 //!   Theorem 6).
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::fmt;
 
 use rsched_graph::{ConstraintGraph, EdgeId, VertexId};
@@ -321,13 +322,11 @@ impl AnchorSets {
     /// and `A(v)` across bounded ones. `O(|E_f| · |A|)`.
     ///
     /// The sweep follows the order the graph keeps with its forward rank,
-    /// so no sort precedes it.
-    ///
-    /// # Errors
-    ///
-    /// Never fails: the graph's mutation API keeps its forward rank valid.
-    pub fn compute(graph: &ConstraintGraph) -> Result<Self, ScheduleError> {
-        let topo = graph.forward_topological_order()?;
+    /// so no sort precedes it and it cannot fail. The error type is
+    /// [`Infallible`], so callers bind the sets with an irrefutable
+    /// `let Ok(sets) = …;`.
+    pub fn compute(graph: &ConstraintGraph) -> Result<Self, Infallible> {
+        let topo = graph.forward_topological_order();
         let mut family = AnchorSetFamily::empty(graph);
         for &v in topo.order() {
             // Union predecessors into v according to edge weight kind.
@@ -547,9 +546,9 @@ impl IrredundantAnchors {
     ///
     /// # Errors
     ///
-    /// Propagates errors from the underlying analyses.
+    /// Returns the errors of [`IrredundantAnchors::compute`].
     pub fn analyze(graph: &ConstraintGraph) -> Result<AnchorAnalysis, ScheduleError> {
-        let anchor_sets = AnchorSets::compute(graph)?;
+        let Ok(anchor_sets) = AnchorSets::compute(graph);
         let relevant = RelevantAnchors::compute(graph);
         let irredundant = Self::compute(graph, &anchor_sets, &relevant)?;
         Ok(AnchorAnalysis {
@@ -596,7 +595,7 @@ mod tests {
     #[test]
     fn fig2_table2_anchor_sets() {
         let (g, a, [v1, v2, v3, v4]) = fig2();
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         let s = g.source();
         assert_eq!(sets.set(s).count(), 0);
         assert_eq!(sets.set(a).collect::<Vec<_>>(), vec![s]);
@@ -618,7 +617,7 @@ mod tests {
         g.add_dependency(a, u).unwrap();
         g.add_max_constraint(w, u, 3).unwrap(); // backward edge u -> w
         g.polarize().unwrap();
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         assert!(sets.contains(u, a));
         assert!(!sets.contains(w, a));
     }
@@ -635,7 +634,7 @@ mod tests {
         g.add_dependency(a, u).unwrap();
         g.add_min_constraint(u, w, 4).unwrap();
         g.polarize().unwrap();
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         assert!(sets.contains(u, a));
         assert!(sets.contains(w, a), "bounded edges propagate the set");
         assert!(sets.contains(w, g.source()));
@@ -650,7 +649,7 @@ mod tests {
         let w = g.add_operation("w", ExecDelay::Fixed(1));
         g.add_min_constraint(a, w, 4).unwrap();
         g.polarize().unwrap();
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         assert!(sets.contains(w, a));
         let rel = RelevantAnchors::compute(&g);
         assert!(rel.contains(w, a), "the min edge is a defining path for a");
@@ -668,7 +667,7 @@ mod tests {
         g.add_dependency(a, b).unwrap();
         g.add_dependency(b, vi).unwrap();
         g.polarize().unwrap();
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         let rel = RelevantAnchors::compute(&g);
         assert!(sets.contains(vi, a) && sets.contains(vi, b));
         assert!(rel.contains(vi, b));
@@ -694,7 +693,7 @@ mod tests {
             "defining path a -> vj -> (backward) vi exists"
         );
         // But a is NOT in A(vi): anchor sets consider forward paths only.
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         assert!(!sets.contains(vi, a));
     }
 
@@ -770,7 +769,7 @@ mod tests {
     #[test]
     fn family_set_operations() {
         let (g, a, [v1, _, v3, _]) = fig2();
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         let fam = sets.family();
         assert_eq!(fam.n_anchors(), 2);
         assert_eq!(fam.anchors(), &[g.source(), a]);
@@ -797,7 +796,7 @@ mod tests {
         let tail = g.add_operation("tail", ExecDelay::Fixed(1));
         g.add_dependency(prev, tail).unwrap();
         g.polarize().unwrap();
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         assert_eq!(sets.family().cardinality(tail), 71); // source + 70
         let analysis = IrredundantAnchors::analyze(&g).unwrap();
         assert_eq!(

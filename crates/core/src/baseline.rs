@@ -34,11 +34,11 @@ use crate::schedule::RelativeSchedule;
 /// # Errors
 ///
 /// [`ScheduleError::Inconsistent`] if any per-anchor relaxation diverges
-/// (positive cycle), plus graph errors for a cyclic `G_f`.
+/// (positive cycle).
 pub fn schedule_by_decomposition(
     graph: &ConstraintGraph,
 ) -> Result<RelativeSchedule, ScheduleError> {
-    let sets = AnchorSets::compute(graph)?;
+    let Ok(sets) = AnchorSets::compute(graph);
     schedule_by_decomposition_with(graph, &sets)
 }
 

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use rsched_graph::{GraphError, VertexId};
+use rsched_graph::{ConstraintGraph, GraphError, VertexId};
 
 /// Errors produced by the relative-scheduling algorithms.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,15 +52,24 @@ pub enum ScheduleError {
     },
 }
 
-impl fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl ScheduleError {
+    /// Writes the message to `f`, naming each vertex with `name`. Every
+    /// message text lives here: [`Display`](fmt::Display) names vertices
+    /// by id (`v3`), [`ScheduleError::render`] by operation name.
+    pub fn write_named(
+        &self,
+        f: &mut dyn fmt::Write,
+        name: &dyn Fn(VertexId) -> String,
+    ) -> fmt::Result {
         match self {
-            ScheduleError::Graph(e) => write!(f, "{e}"),
+            ScheduleError::Graph(e) => e.write_named(f, name),
             ScheduleError::Unfeasible { witness } => write!(
                 f,
-                "unfeasible timing constraints: positive cycle through {witness}"
+                "unfeasible timing constraints: positive cycle through {}",
+                name(*witness)
             ),
             ScheduleError::IllPosed { from, to, missing } => {
+                let (from, to) = (name(*from), name(*to));
                 write!(
                     f,
                     "ill-posed maximum constraint on backward edge {from} -> {to}: anchors ["
@@ -69,13 +78,15 @@ impl fmt::Display for ScheduleError {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{a}")?;
+                    write!(f, "{}", name(*a))?;
                 }
                 write!(f, "] affect {to} but not {from}")
             }
             ScheduleError::CannotSerialize { anchor, vertex } => write!(
                 f,
-                "cannot make constraints well-posed: serializing {vertex} after {anchor} would close an unbounded-length cycle"
+                "cannot make constraints well-posed: serializing {} after {} would close an unbounded-length cycle",
+                name(*vertex),
+                name(*anchor)
             ),
             ScheduleError::Inconsistent { iterations } => write!(
                 f,
@@ -83,9 +94,23 @@ impl fmt::Display for ScheduleError {
             ),
             ScheduleError::UnboundedDelayUnsupported { vertex } => write!(
                 f,
-                "operation {vertex} has unbounded delay, which this scheduler does not support"
+                "operation {} has unbounded delay, which this scheduler does not support",
+                name(*vertex)
             ),
         }
+    }
+
+    /// The message with each vertex named as in `graph`.
+    pub fn render(&self, graph: &ConstraintGraph) -> String {
+        let mut out = String::new();
+        let _ = self.write_named(&mut out, &|v| graph.display_name(v));
+        out
+    }
+}
+
+impl fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_named(f, &|v| v.to_string())
     }
 }
 

@@ -41,9 +41,12 @@ impl OffsetExplanation {
         );
         let mut at = self.anchor;
         let _ = write!(out, " {}", graph.vertex(at).name());
+        let name = |v| graph.display_name(v);
         for &eid in &self.path {
             let e = graph.edge(eid);
-            let _ = write!(out, " -({})-> {}", e.weight(), graph.vertex(e.to()).name());
+            out.push_str(" -(");
+            let _ = e.weight().write_named(&mut out, &name);
+            let _ = write!(out, ")-> {}", graph.vertex(e.to()).name());
             at = e.to();
         }
         debug_assert_eq!(at, self.vertex);
@@ -60,8 +63,7 @@ impl OffsetExplanation {
 /// # Errors
 ///
 /// Returns [`ScheduleError::Unfeasible`] if relaxation diverges (the
-/// schedule did not come from this graph) and graph errors for a cyclic
-/// `G_f`.
+/// schedule did not come from this graph).
 pub fn explain_offset(
     graph: &ConstraintGraph,
     schedule: &RelativeSchedule,
@@ -71,7 +73,7 @@ pub fn explain_offset(
     let Some(offset) = schedule.offset(v, a) else {
         return Ok(None);
     };
-    let sets = AnchorSets::compute(graph)?;
+    let Ok(sets) = AnchorSets::compute(graph);
     let in_cone = |x: VertexId| x == a || sets.contains(x, a);
     let n = graph.n_vertices();
     let mut dist: Vec<Option<i64>> = vec![None; n];

@@ -43,7 +43,7 @@
 //! g.add_max_constraint(compute, reply, 4)?; // reply ≤ 4 cycles after compute
 //! g.polarize()?;
 //!
-//! assert!(check_well_posed(&g)?.is_well_posed());
+//! assert!(check_well_posed(&g).is_well_posed());
 //! let omega = schedule(&g)?;
 //! assert_eq!(omega.offset(reply, wait), Some(2));
 //! let ir = IrredundantAnchors::analyze(&g)?;

@@ -489,14 +489,14 @@ pub struct ScheduleTrace {
 /// ```
 pub fn schedule(graph: &ConstraintGraph) -> Result<RelativeSchedule, ScheduleError> {
     let sets = checked_sets(graph)?;
-    let kernel = ScheduleKernel::build(graph)?;
+    let Ok(kernel) = ScheduleKernel::build(graph);
     schedule_with_sets_on(&kernel, sets.family(), 1)
 }
 
 /// The anchor sets of `graph`, once the feasibility and well-posedness
 /// checks of [`schedule`] pass.
 fn checked_sets(graph: &ConstraintGraph) -> Result<AnchorSets, ScheduleError> {
-    let sets = AnchorSets::compute(graph)?;
+    let Ok(sets) = AnchorSets::compute(graph);
     match check_well_posed_with(graph, &sets) {
         WellPosedness::WellPosed => {}
         WellPosedness::Unfeasible { witness } => return Err(ScheduleError::Unfeasible { witness }),
@@ -536,13 +536,12 @@ pub fn schedule_reference(graph: &ConstraintGraph) -> Result<RelativeSchedule, S
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError::Inconsistent`] for unsatisfiable constraints
-/// and graph errors for a cyclic `G_f`.
+/// Returns [`ScheduleError::Inconsistent`] for unsatisfiable constraints.
 pub fn schedule_with_sets(
     graph: &ConstraintGraph,
     sets: &AnchorSetFamily,
 ) -> Result<RelativeSchedule, ScheduleError> {
-    let kernel = ScheduleKernel::build(graph)?;
+    let Ok(kernel) = ScheduleKernel::build(graph);
     schedule_with_sets_on(&kernel, sets, 1)
 }
 
@@ -585,7 +584,7 @@ pub fn schedule_with_sets_reference(
 ///
 /// Same conditions as [`schedule`].
 pub fn schedule_traced(graph: &ConstraintGraph) -> Result<ScheduleTrace, ScheduleError> {
-    let sets = AnchorSets::compute(graph)?;
+    let Ok(sets) = AnchorSets::compute(graph);
     if let WellPosedness::Unfeasible { witness } = check_well_posed_with(graph, &sets) {
         return Err(ScheduleError::Unfeasible { witness });
     }
@@ -730,7 +729,7 @@ fn run(
     mut trace: Option<&mut Vec<IterationTrace>>,
 ) -> Result<RelativeSchedule, ScheduleError> {
     let mut data = vec![0; graph.n_vertices() * sets.n_anchors()];
-    let topo = graph.forward_topological_order()?;
+    let topo = graph.forward_topological_order();
     let budget = graph.n_backward_edges() + 1;
     let snapshot = |data: &[i64]| RelativeSchedule::from_dense(sets.clone(), data, 0);
     for iter in 1..=budget {
@@ -1220,7 +1219,7 @@ mod tests {
         ));
         // ...while the raw iteration (no pre-check) detects it via the
         // iteration budget (Corollary 2).
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         assert_eq!(
             schedule_with_sets(&g, sets.family()),
             Err(ScheduleError::Inconsistent { iterations: 2 })
@@ -1487,7 +1486,7 @@ mod tests {
                 continue;
             };
             let mut g = g;
-            let mut sets = AnchorSets::compute(&g).unwrap();
+            let Ok(mut sets) = AnchorSets::compute(&g);
             let id = g.add_dependency(a, v).unwrap();
             let changed = sets.notify_add_edge(&g, id);
             assert!(!changed.is_empty(), "the edge grows {v}'s set");

@@ -84,12 +84,12 @@ impl SlackAnalysis {
 /// # Errors
 ///
 /// Returns [`ScheduleError::Unfeasible`] when longest paths diverge
-/// (positive cycle) and graph errors for a cyclic `G_f`.
+/// (positive cycle).
 pub fn relative_slack(
     graph: &ConstraintGraph,
     schedule: &RelativeSchedule,
 ) -> Result<SlackAnalysis, ScheduleError> {
-    let sets = AnchorSets::compute(graph)?;
+    let Ok(sets) = AnchorSets::compute(graph);
     let anchors: Vec<VertexId> = sets.anchors().to_vec();
     let n_anchors = anchors.len();
     let n = graph.n_vertices();

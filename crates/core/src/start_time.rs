@@ -16,7 +16,6 @@
 
 use rsched_graph::{ConstraintGraph, EdgeId, ExecDelay, VertexId};
 
-use crate::error::ScheduleError;
 use crate::schedule::RelativeSchedule;
 
 /// A concrete assignment of execution delays: fixed operations keep their
@@ -78,18 +77,14 @@ impl StartTimes {
 /// sweep of `G_f`.
 ///
 /// The source starts at 0. Operations whose tracked set is empty (only the
-/// source itself, in a polar graph) also start at 0.
-///
-/// # Errors
-///
-/// Never fails: the sweep follows the order the graph keeps with its
-/// forward rank, which its mutation API keeps valid.
+/// source itself, in a polar graph) also start at 0. The sweep follows
+/// the order the graph keeps with its forward rank, so it cannot fail.
 pub fn start_times(
     graph: &ConstraintGraph,
     schedule: &RelativeSchedule,
     profile: &DelayProfile,
-) -> Result<StartTimes, ScheduleError> {
-    let topo = graph.forward_topological_order()?;
+) -> StartTimes {
+    let topo = graph.forward_topological_order();
     let mut times = vec![0u64; graph.n_vertices()];
     for &v in topo.order() {
         let mut t = 0u64;
@@ -100,7 +95,7 @@ pub fn start_times(
         }
         times[v.index()] = t;
     }
-    Ok(StartTimes { times })
+    StartTimes { times }
 }
 
 /// Incrementally re-evaluates start times after a schedule's offsets
@@ -267,7 +262,7 @@ mod tests {
         let omega = schedule(&g).unwrap();
         // δ(a) = 7: T(v4) = max(T(v0)+0+8, T(a)+7+5) = max(8, 12) = 12.
         let profile = profile_for(&g).with_delay(a, 7).build();
-        let times = start_times(&g, &omega, &profile).unwrap();
+        let times = start_times(&g, &omega, &profile);
         assert_eq!(times.time(g.source()), 0);
         assert_eq!(times.time(a), 0);
         assert_eq!(times.time(v1), 0);
@@ -282,7 +277,7 @@ mod tests {
         let (g, _, [v1, v2, v3, v4]) = fig2();
         let omega = schedule(&g).unwrap();
         let profile = DelayProfile::zeros(&g);
-        let times = start_times(&g, &omega, &profile).unwrap();
+        let times = start_times(&g, &omega, &profile);
         for v in [v1, v2, v3, v4] {
             assert_eq!(
                 times.time(v) as i64,
@@ -299,7 +294,7 @@ mod tests {
         let omega = schedule(&g).unwrap();
         for d in [0u64, 1, 3, 10, 100] {
             let profile = profile_for(&g).with_delay(a, d).build();
-            let times = start_times(&g, &omega, &profile).unwrap();
+            let times = start_times(&g, &omega, &profile);
             assert!(
                 verify_start_times(&g, &times, &profile).is_empty(),
                 "violation under δ(a) = {d}"
@@ -340,8 +335,8 @@ mod tests {
         let restricted = omega.restrict(analysis.irredundant.family());
         for d in [0u64, 2, 9, 42] {
             let profile = profile_for(&g).with_delay(a, d).build();
-            let full = start_times(&g, &omega, &profile).unwrap();
-            let ir = start_times(&g, &restricted, &profile).unwrap();
+            let full = start_times(&g, &omega, &profile);
+            let ir = start_times(&g, &restricted, &profile);
             assert_eq!(full, ir, "δ(a) = {d}");
         }
     }

@@ -58,12 +58,8 @@ pub struct IllPosedEdge {
 
 /// The paper's `checkWellposed`: feasibility (no positive cycle with
 /// unbounded delays at 0) plus anchor-set containment `A(v_i) ⊆ A(v_j)`
-/// over every backward edge.
-///
-/// # Errors
-///
-/// Returns an error only for structural problems (cyclic `G_f`); the three
-/// analysis outcomes are values of [`WellPosedness`].
+/// over every backward edge. It cannot fail: the three analysis outcomes
+/// are values of [`WellPosedness`].
 ///
 /// # Example
 ///
@@ -81,13 +77,13 @@ pub struct IllPosedEdge {
 /// g.add_dependency(a, vj)?;
 /// g.add_max_constraint(vi, vj, 4)?;
 /// g.polarize()?;
-/// assert!(matches!(check_well_posed(&g)?, WellPosedness::IllPosed { .. }));
+/// assert!(matches!(check_well_posed(&g), WellPosedness::IllPosed { .. }));
 /// # Ok(())
 /// # }
 /// ```
-pub fn check_well_posed(graph: &ConstraintGraph) -> Result<WellPosedness, ScheduleError> {
-    let sets = AnchorSets::compute(graph)?;
-    Ok(check_well_posed_with(graph, &sets))
+pub fn check_well_posed(graph: &ConstraintGraph) -> WellPosedness {
+    let Ok(sets) = AnchorSets::compute(graph);
+    check_well_posed_with(graph, &sets)
 }
 
 /// [`check_well_posed`] against precomputed anchor sets.
@@ -184,7 +180,7 @@ impl SerializationReport {
 /// g.polarize()?;
 /// let report = make_well_posed(&mut g)?;
 /// assert_eq!(report.added, vec![(a2, vi)]);
-/// assert!(check_well_posed(&g)?.is_well_posed());
+/// assert!(check_well_posed(&g).is_well_posed());
 /// # Ok(())
 /// # }
 /// ```
@@ -196,7 +192,7 @@ pub fn make_well_posed(graph: &mut ConstraintGraph) -> Result<SerializationRepor
     // Outer fixpoint: each pass mirrors the paper's single sweep over E_b;
     // repeating handles additions that retroactively affect earlier edges.
     loop {
-        let mut sets = AnchorSets::compute(graph)?;
+        let Ok(mut sets) = AnchorSets::compute(graph);
         let backward: Vec<(VertexId, VertexId)> = graph
             .backward_edges()
             .map(|(_, e)| (e.from(), e.to()))
@@ -299,7 +295,7 @@ mod tests {
         g.add_max_constraint(vi, vj, 4).unwrap();
         g.polarize().unwrap();
 
-        let wp = check_well_posed(&g).unwrap();
+        let wp = check_well_posed(&g);
         let WellPosedness::IllPosed { violations } = &wp else {
             panic!("expected ill-posed, got {wp:?}");
         };
@@ -330,10 +326,10 @@ mod tests {
         g.add_max_constraint(vi, vj, 4).unwrap();
         g.polarize().unwrap();
 
-        assert!(!check_well_posed(&g).unwrap().is_well_posed());
+        assert!(!check_well_posed(&g).is_well_posed());
         let report = make_well_posed(&mut g).unwrap();
         assert_eq!(report.added, vec![(a2, vi)]);
-        assert!(check_well_posed(&g).unwrap().is_well_posed());
+        assert!(check_well_posed(&g).is_well_posed());
         // The added edge carries the unbounded weight δ(a2).
         let added = g
             .edges()
@@ -349,7 +345,7 @@ mod tests {
             let (g, a, vs) = crate::fixtures::fig2();
             (g, a, vs)
         };
-        assert!(check_well_posed(&g).unwrap().is_well_posed());
+        assert!(check_well_posed(&g).is_well_posed());
         let report = make_well_posed(&mut g).unwrap();
         assert!(report.is_empty());
         assert_eq!(report.len(), 0);
@@ -365,7 +361,7 @@ mod tests {
         g.add_max_constraint(a, b, 2).unwrap();
         g.polarize().unwrap();
         assert!(matches!(
-            check_well_posed(&g).unwrap(),
+            check_well_posed(&g),
             WellPosedness::Unfeasible { .. }
         ));
         assert!(matches!(
@@ -394,7 +390,7 @@ mod tests {
         g.polarize().unwrap();
 
         let report = make_well_posed(&mut g).unwrap();
-        assert!(check_well_posed(&g).unwrap().is_well_posed());
+        assert!(check_well_posed(&g).is_well_posed());
         // a1 must reach w (containment of u -> w) and then x (chain), and
         // a2 must reach x (containment of w -> x).
         assert!(report.added.contains(&(a1, w)));
@@ -427,7 +423,7 @@ mod tests {
         g.add_max_constraint(q, r, 1).unwrap();
         g.polarize().unwrap();
         let _report = make_well_posed(&mut g).unwrap();
-        assert!(check_well_posed(&g).unwrap().is_well_posed());
+        assert!(check_well_posed(&g).is_well_posed());
     }
 
     /// make_well_posed must never add an edge when the anchor is already in
@@ -442,7 +438,7 @@ mod tests {
         g.add_dependency(a, w).unwrap();
         g.add_max_constraint(u, w, 5).unwrap();
         g.polarize().unwrap();
-        assert!(check_well_posed(&g).unwrap().is_well_posed());
+        assert!(check_well_posed(&g).is_well_posed());
         let edges_before = g.n_edges();
         let report = make_well_posed(&mut g).unwrap();
         assert!(report.is_empty());

@@ -11,7 +11,6 @@
 
 use rsched_graph::{ConstraintGraph, VertexId};
 
-use crate::error::ScheduleError;
 use crate::schedule::RelativeSchedule;
 use crate::start_time::{profile_for, DelayProfile};
 use crate::wellposed::IllPosedEdge;
@@ -40,14 +39,13 @@ pub struct IllPosednessWitness {
 /// any schedule, since the tail's start time grows with the culprit's
 /// delay while the head's does not.
 ///
-/// # Errors
-///
-/// Returns graph errors if `schedule`'s graph does not match `graph`.
+/// `violation` must come from a [`check_well_posed`](crate::check_well_posed)
+/// of `graph`; the function panics on one that names no backward edge.
 pub fn ill_posedness_witness(
     graph: &ConstraintGraph,
     schedule: &RelativeSchedule,
     violation: &IllPosedEdge,
-) -> Result<IllPosednessWitness, ScheduleError> {
+) -> IllPosednessWitness {
     let culprit = *violation
         .missing
         .first()
@@ -73,12 +71,12 @@ pub fn ill_posedness_witness(
     if culprit != graph.source() {
         builder = builder.with_delay(culprit, delay);
     }
-    Ok(IllPosednessWitness {
+    IllPosednessWitness {
         edge: (violation.from, violation.to),
         culprit,
         profile: builder.build(),
         delay,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -104,19 +102,19 @@ mod tests {
         g.add_max_constraint(vi, vj, 4).unwrap();
         g.polarize().unwrap();
 
-        let WellPosedness::IllPosed { violations } = check_well_posed(&g).unwrap() else {
+        let WellPosedness::IllPosed { violations } = check_well_posed(&g) else {
             panic!("expected ill-posed");
         };
         // Schedule ignoring well-posedness (offsets still satisfy the
         // static inequalities).
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         let omega = schedule_with_sets(&g, sets.family()).unwrap();
-        let witness = ill_posedness_witness(&g, &omega, &violations[0]).unwrap();
+        let witness = ill_posedness_witness(&g, &omega, &violations[0]);
         assert_eq!(witness.culprit, a2);
         assert!(witness.delay > 4);
 
         // Under the witness profile the max constraint breaks.
-        let times = start_times(&g, &omega, &witness.profile).unwrap();
+        let times = start_times(&g, &omega, &witness.profile);
         let broken = verify_start_times(&g, &times, &witness.profile);
         assert!(
             broken.iter().any(|v| {
@@ -140,16 +138,16 @@ mod tests {
         g.add_dependency(a2, vj).unwrap();
         g.add_max_constraint(vi, vj, 4).unwrap();
         g.polarize().unwrap();
-        let WellPosedness::IllPosed { violations } = check_well_posed(&g).unwrap() else {
+        let WellPosedness::IllPosed { violations } = check_well_posed(&g) else {
             panic!("expected ill-posed");
         };
-        let sets = AnchorSets::compute(&g).unwrap();
+        let Ok(sets) = AnchorSets::compute(&g);
         let omega = schedule_with_sets(&g, sets.family()).unwrap();
-        let witness = ill_posedness_witness(&g, &omega, &violations[0]).unwrap();
+        let witness = ill_posedness_witness(&g, &omega, &violations[0]);
 
         crate::wellposed::make_well_posed(&mut g).unwrap();
         let repaired = crate::schedule::schedule(&g).unwrap();
-        let times = start_times(&g, &repaired, &witness.profile).unwrap();
+        let times = start_times(&g, &repaired, &witness.profile);
         assert!(
             verify_start_times(&g, &times, &witness.profile).is_empty(),
             "the repaired schedule honours the constraint under the witness profile"

@@ -114,14 +114,14 @@ proptest! {
     fn feasibility_iff_no_positive_cycle(spec in graph_spec(16)) {
         let (g, _) = build(&spec);
         let positive = g.has_positive_cycle();
-        let wp = check_well_posed(&g).unwrap();
+        let wp = check_well_posed(&g);
         prop_assert_eq!(positive, matches!(wp, WellPosedness::Unfeasible { .. }));
         if positive {
             let unfeasible = matches!(schedule(&g), Err(ScheduleError::Unfeasible { .. }));
             prop_assert!(unfeasible);
             // The raw iteration detects the same inconsistency by budget
             // exhaustion (Corollary 2).
-            let sets = AnchorSets::compute(&g).unwrap();
+            let Ok(sets) = AnchorSets::compute(&g);
             let inconsistent = matches!(
                 schedule_with_sets(&g, sets.family()),
                 Err(ScheduleError::Inconsistent { .. })
@@ -188,7 +188,7 @@ proptest! {
         let (g, _) = build(&spec);
         let Ok(omega) = schedule(&g) else { return Ok(()); };
         let profile = profile_from_spec(&g, &spec);
-        let times = start_times(&g, &omega, &profile).unwrap();
+        let times = start_times(&g, &omega, &profile);
         let violations = verify_start_times(&g, &times, &profile);
         prop_assert!(
             violations.is_empty(),
@@ -207,14 +207,14 @@ proptest! {
         let analysis = IrredundantAnchors::analyze(&g).unwrap();
         let restricted = omega.restrict(analysis.irredundant.family());
         let profile = profile_from_spec(&g, &spec);
-        let full = start_times(&g, &omega, &profile).unwrap();
-        let ir = start_times(&g, &restricted, &profile).unwrap();
+        let full = start_times(&g, &omega, &profile);
+        let ir = start_times(&g, &restricted, &profile);
         for v in g.vertex_ids() {
             prop_assert_eq!(full.time(v), ir.time(v), "T({}) differs", v);
         }
         // Relevant restriction sits between the two and must also agree.
         let rel = omega.restrict(analysis.relevant.family());
-        let rel_times = start_times(&g, &rel, &profile).unwrap();
+        let rel_times = start_times(&g, &rel, &profile);
         for v in g.vertex_ids() {
             prop_assert_eq!(full.time(v), rel_times.time(v), "T_R({}) differs", v);
         }
@@ -229,7 +229,7 @@ proptest! {
         let mut repaired = g.clone();
         match make_well_posed(&mut repaired) {
             Ok(report) => {
-                prop_assert!(check_well_posed(&repaired).unwrap().is_well_posed());
+                prop_assert!(check_well_posed(&repaired).is_well_posed());
                 // Serial-compatible: all original edges preserved, in order.
                 prop_assert_eq!(repaired.n_edges(), g.n_edges() + report.added.len());
                 for (id, e) in g.edges() {
@@ -245,7 +245,7 @@ proptest! {
                             && e.weight().unbounded_anchor() == Some(a)));
                 }
                 // An already well-posed graph stays untouched.
-                if check_well_posed(&g).unwrap().is_well_posed() {
+                if check_well_posed(&g).is_well_posed() {
                     prop_assert!(report.is_empty());
                 }
             }
@@ -253,7 +253,7 @@ proptest! {
                 prop_assert!(g.has_positive_cycle());
             }
             Err(ScheduleError::CannotSerialize { .. }) => {
-                prop_assert!(!check_well_posed(&g).unwrap().is_well_posed());
+                prop_assert!(!check_well_posed(&g).is_well_posed());
             }
             Err(other) => prop_assert!(false, "unexpected error {other:?}"),
         }
@@ -271,8 +271,8 @@ proptest! {
             return Ok(());
         };
         let profile = profile_from_spec(&g, &spec);
-        let t_full = start_times(&g, &full, &profile).unwrap();
-        let t_ir = start_times(&g, &ir_sched, &profile).unwrap();
+        let t_full = start_times(&g, &full, &profile);
+        let t_ir = start_times(&g, &ir_sched, &profile);
         for v in g.vertex_ids() {
             prop_assert_eq!(t_full.time(v), t_ir.time(v), "T({}) differs", v);
         }
@@ -310,8 +310,8 @@ proptest! {
         let report = reduced.reduce_sequencing_edges();
         prop_assert!(report.removed <= report.examined);
         // Anchor sets identical.
-        let sets_a = AnchorSets::compute(&g).unwrap();
-        let sets_b = AnchorSets::compute(&reduced).unwrap();
+        let Ok(sets_a) = AnchorSets::compute(&g);
+        let Ok(sets_b) = AnchorSets::compute(&reduced);
         for v in g.vertex_ids() {
             prop_assert_eq!(
                 sets_a.set(v).collect::<Vec<_>>(),

@@ -163,9 +163,9 @@ mod tests {
     #[test]
     fn fig3_posedness() {
         let (ga, _, _) = fig3a();
-        assert!(!check_well_posed(&ga).unwrap().is_well_posed());
+        assert!(!check_well_posed(&ga).is_well_posed());
         let (gb, _, _) = fig3b();
-        assert!(!check_well_posed(&gb).unwrap().is_well_posed());
+        assert!(!check_well_posed(&gb).is_well_posed());
     }
 
     #[test]

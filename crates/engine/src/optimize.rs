@@ -245,7 +245,7 @@ pub fn measure(
     config: &OptimizeConfig,
 ) -> Result<Objective, ScheduleError> {
     let profile = DelayProfile::zeros(graph);
-    let times = start_times(graph, omega, &profile)?;
+    let times = start_times(graph, omega, &profile);
     let latency = times.time(graph.sink());
     let analysis = IrredundantAnchors::analyze(graph)?;
     let reduced = omega.restrict(analysis.irredundant.family());

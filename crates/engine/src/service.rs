@@ -1207,7 +1207,7 @@ fn batch_entry(cache: &ScheduleCache, entry: &Json) -> Json {
                 ]),
             ),
         ]),
-        Err(e) => bad(name, format!("cannot schedule: {e}")),
+        Err(e) => bad(name, format!("cannot schedule: {}", e.render(&graph))),
     }
 }
 
@@ -1288,7 +1288,10 @@ fn outcome_json(session: &Session, id: Json, outcome: &EditOutcome) -> Json {
                 Json::from(session.graph().vertex(*witness).name()),
             ),
         ]),
-        EditOutcome::Rejected { error } => fail(id, format!("edit rejected: {error}")),
+        EditOutcome::Rejected { error } => fail(
+            id,
+            format!("edit rejected: {}", error.render(session.graph())),
+        ),
     }
 }
 
@@ -1387,6 +1390,41 @@ mod tests {
         // After close, the session is gone.
         assert_eq!(by_id(&responses, 6).get("ok"), Some(&Json::Bool(false)));
         assert_eq!(summary.errors, 1);
+    }
+
+    /// A rejected edit names the operations the client sent, not the
+    /// session's internal vertex ids.
+    #[test]
+    fn rejected_edits_name_operations() {
+        let design = DESIGN.replace('\n', "\\n");
+        let lines = vec![
+            req(1, "s", &format!(r#""op":"open","design":"{design}""#)),
+            req(
+                2,
+                "s",
+                r#""op":"edit","kind":"add_dep","from":"out","to":"alu""#,
+            ),
+            req(
+                3,
+                "s",
+                r#""op":"edit","kind":"add_dep","from":"sink","to":"alu""#,
+            ),
+        ];
+        let (responses, _) = run_lines(&lines, &ServeConfig::default());
+        for (id, error) in [
+            (
+                2,
+                "edit rejected: edge out -> alu would create a cycle in the forward constraint graph",
+            ),
+            (
+                3,
+                "edit rejected: edge sink -> alu violates polarity (source has no predecessors, sink no successors)",
+            ),
+        ] {
+            let answer = by_id(&responses, id);
+            assert_eq!(answer.get("ok"), Some(&Json::Bool(false)));
+            assert_eq!(answer.get("error"), Some(&Json::from(error)), "id {id}");
+        }
     }
 
     /// Four concurrent 2-cycle ops: under a unit budget the optimize

@@ -133,8 +133,8 @@ pub struct SessionStats {
 struct ZeroCertificate {
     times: StartTimes,
     /// `times` satisfy every edge inequality — i.e. the graph was proven
-    /// free of positive cycles when `current` was accepted. `false` on the
-    /// degenerate accept path (feasible graph that lost polarity).
+    /// free of positive cycles when the schedule was accepted. `false` on
+    /// the degenerate accept path (feasible graph that lost polarity).
     valid: bool,
 }
 
@@ -143,10 +143,9 @@ struct ZeroCertificate {
 pub struct Session {
     graph: ConstraintGraph,
     sets: AnchorSets,
-    /// Most recent successful schedule; stale while ill-posed/unfeasible.
-    current: Option<RelativeSchedule>,
-    /// Zero-profile start times of `current` (refreshed on every accept).
-    zero_times: Option<ZeroCertificate>,
+    /// Most recent successful schedule with its zero-profile start times;
+    /// stale while ill-posed/unfeasible.
+    current: Option<(RelativeSchedule, ZeroCertificate)>,
     /// Cached Theorem 2 violations, keyed by backward edge.
     violations: BTreeMap<EdgeId, IllPosedEdge>,
     posedness: WellPosedness,
@@ -159,11 +158,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`ScheduleError`] only for structural failures (a cyclic
-    /// forward graph); ill-posed or unfeasible graphs open fine — the
-    /// verdict is reported by [`Session::posedness`] and the session can
-    /// be edited toward well-posedness.
-    pub fn open(graph: ConstraintGraph) -> Result<Session, ScheduleError> {
+    /// Returns the [`GraphError`] of [`ConstraintGraph::polarize`] when a
+    /// non-polar graph cannot be polarized. Ill-posed or unfeasible graphs
+    /// open fine — the verdict is reported by [`Session::posedness`] and
+    /// the session can be edited toward well-posedness.
+    pub fn open(graph: ConstraintGraph) -> Result<Session, GraphError> {
         Session::open_with_seed(graph, None)
     }
 
@@ -183,16 +182,15 @@ impl Session {
     pub fn open_with_seed(
         mut graph: ConstraintGraph,
         seed: Option<RelativeSchedule>,
-    ) -> Result<Session, ScheduleError> {
+    ) -> Result<Session, GraphError> {
         if !graph.is_polar() {
-            graph.polarize().map_err(ScheduleError::Graph)?;
+            graph.polarize()?;
         }
-        let sets = AnchorSets::compute(&graph)?;
+        let Ok(sets) = AnchorSets::compute(&graph);
         let mut session = Session {
             graph,
             sets,
             current: None,
-            zero_times: None,
             violations: BTreeMap::new(),
             posedness: WellPosedness::WellPosed,
             stats: SessionStats::default(),
@@ -231,14 +229,11 @@ impl Session {
             return false;
         }
         let zeros = DelayProfile::zeros(&self.graph);
-        let Ok(times) = start_times(&self.graph, &seed, &zeros) else {
-            return false;
-        };
+        let times = start_times(&self.graph, &seed, &zeros);
         if !verify_start_times(&self.graph, &times, &zeros).is_empty() {
             return false;
         }
-        self.zero_times = Some(ZeroCertificate { times, valid: true });
-        self.accept(seed, 0);
+        self.accept(seed, ZeroCertificate { times, valid: true }, 0);
         true
     }
 
@@ -256,7 +251,7 @@ impl Session {
     /// well-posed at least once, and **stale** while
     /// [`Session::posedness`] is not `WellPosed`.
     pub fn schedule(&self) -> Option<&RelativeSchedule> {
-        self.current.as_ref()
+        self.current.as_ref().map(|(schedule, _)| schedule)
     }
 
     /// The current well-posedness verdict.
@@ -387,7 +382,7 @@ impl Session {
         if !matches!(self.posedness, WellPosedness::WellPosed) {
             return None;
         }
-        let prev = self.current.as_ref()?;
+        let (prev, _) = self.current.as_ref()?;
         // Additive edits never change the roster; anything else means the
         // cached schedule is out of sync with the session family.
         if prev.tracked_sets().anchors() != self.sets.family().anchors()
@@ -397,24 +392,22 @@ impl Session {
         }
         // Fault-injection site (see `classify_and_run`): after the early
         // returns so a fallback edit counts one hit, before the take so a
-        // panic leaves the cached schedule intact.
+        // panic leaves the cached schedule intact. Takes only `Panic` or
+        // `Delay`: an armed `Error` would be discarded here.
         let _ = rsched_graph::failpoint!("session::reschedule");
         // Relax in place — cloning the offsets would cost as much as the
         // relaxation itself on large designs. It walks the adjacency
         // lists: the cone of one edge is far smaller than a CSR build.
-        let mut omega = self.current.take().expect("checked above");
+        let (mut omega, cached) = self.current.take().expect("checked above");
         let raised = match relax_additive(&self.graph, self.sets.family(), &mut omega, id, changed)
         {
             Ok(raised) => raised,
             // Relaxation diverged: positive cycle (or an adversarial
             // schedule order exhausting the pop budget). The in-place
-            // offsets were over-raised past any minimum, so the cached
-            // certificate is unusable — drop it and classify through the
-            // authoritative (cold) path.
-            Err(_) => {
-                self.zero_times = None;
-                return None;
-            }
+            // offsets were over-raised past any minimum, so they and their
+            // certificate are dropped and the authoritative (cold) path
+            // classifies.
+            Err(_) => return None,
         };
         let warm = omega.anchors().len();
 
@@ -431,55 +424,36 @@ impl Session {
             // No offset moved: the cached times still satisfy every old
             // edge (when they certified), so only the new edge needs
             // checking — an O(1) certificate.
-            let cached_ok = self.zero_times.as_ref().is_some_and(|c| {
-                let e = self.graph.edge(id);
-                c.valid
-                    && (c.times.time(e.to()) as i64)
-                        >= c.times.time(e.from()) as i64 + e.weight().zeroed()
-            });
-            if cached_ok {
-                return Some(self.accept(omega, warm));
+            let e = self.graph.edge(id);
+            let (tail, head) = (cached.times.time(e.from()), cached.times.time(e.to()));
+            if cached.valid && head as i64 >= tail as i64 + e.weight().zeroed() {
+                return Some(self.accept(omega, cached, warm));
             }
         }
+        // Worklist re-evaluation from the cached (exact) times, then a
+        // full-but-cheap O(|E|) verification sweep.
         let zeros = DelayProfile::zeros(&self.graph);
-        let certificate = match &self.zero_times {
-            // Worklist re-evaluation from the cached (exact) times, then a
-            // full-but-cheap O(|E|) verification sweep.
-            Some(c) => {
-                let (times, _) = update_start_times(&self.graph, &omega, &zeros, &c.times, &cone);
-                let valid = verify_start_times(&self.graph, &times, &zeros).is_empty();
-                Some(ZeroCertificate { times, valid })
+        let (times, _) = update_start_times(&self.graph, &omega, &zeros, &cached.times, &cone);
+        let valid = verify_start_times(&self.graph, &times, &zeros).is_empty();
+        let certificate = ZeroCertificate { times, valid };
+        if valid {
+            return Some(self.accept(omega, certificate, warm));
+        }
+        match check_well_posed_with(&self.graph, &self.sets) {
+            WellPosedness::Unfeasible { witness } => {
+                // `omega` converged, so it is still the exact minimum of
+                // the (per-anchor) tracked system — keep it (and its exact
+                // times) as the stale schedule, like the general path
+                // keeps its previous one.
+                self.current = Some((omega, certificate));
+                Some(self.mark_unfeasible(witness))
             }
-            None => start_times(&self.graph, &omega, &zeros).ok().map(|times| {
-                let valid = verify_start_times(&self.graph, &times, &zeros).is_empty();
-                ZeroCertificate { times, valid }
-            }),
-        };
-        match &certificate {
-            Some(c) if c.valid => {
-                self.zero_times = certificate;
-                Some(self.accept(omega, warm))
+            // Feasible but degenerate (lost polarity): the relaxed
+            // fixpoint is still the minimum schedule — accept it.
+            WellPosedness::WellPosed => Some(self.accept(omega, certificate, warm)),
+            verdict @ WellPosedness::IllPosed { .. } => {
+                unreachable!("containment cache disagrees: {verdict:?}")
             }
-            _ => match check_well_posed_with(&self.graph, &self.sets) {
-                WellPosedness::Unfeasible { witness } => {
-                    // `omega` converged, so it is still the exact minimum
-                    // of the (per-anchor) tracked system — keep it (and
-                    // its exact times) as the stale schedule, like the
-                    // general path keeps its previous one.
-                    self.current = Some(omega);
-                    self.zero_times = certificate;
-                    Some(self.mark_unfeasible(witness))
-                }
-                // Feasible but degenerate (lost polarity): the relaxed
-                // fixpoint is still the minimum schedule — accept it.
-                WellPosedness::WellPosed => {
-                    self.zero_times = certificate;
-                    Some(self.accept(omega, warm))
-                }
-                verdict @ WellPosedness::IllPosed { .. } => {
-                    unreachable!("containment cache disagrees: {verdict:?}")
-                }
-            },
         }
     }
 
@@ -488,13 +462,7 @@ impl Session {
     /// cached family.
     fn after_edit(&mut self) -> EditOutcome {
         self.stats.edits += 1;
-        let new_sets = match AnchorSets::compute(&self.graph) {
-            Ok(s) => s,
-            // Unreachable after a guarded edit (mutators preserve forward
-            // acyclicity), but surfaced faithfully rather than panicking.
-            Err(ScheduleError::Graph(error)) => return self.reject(error),
-            Err(_) => unreachable!("AnchorSets::compute only fails structurally"),
-        };
+        let Ok(new_sets) = AnchorSets::compute(&self.graph);
 
         // Which vertices' anchor sets actually changed? Containment
         // verdicts of backward edges not touching them are reusable.
@@ -551,7 +519,8 @@ impl Session {
         // by journal replay. Together with the twin site on the additive
         // fast path, every reschedule evaluates it exactly once (a fast
         // path that diverges and falls back here fires twice — rare, and
-        // harmless to the seeded fault schedules).
+        // harmless to the seeded fault schedules). Takes only `Panic` or
+        // `Delay`: an armed `Error` would be discarded here.
         let _ = rsched_graph::failpoint!("session::reschedule");
         if !self.violations.is_empty() {
             // Slow path: the cold pipeline reports `Unfeasible` with
@@ -588,10 +557,7 @@ impl Session {
     /// runs would never be reused; the additive fast path repairs the
     /// schedule by a worklist walk of the adjacency lists and needs none.
     fn run_schedule(&mut self) -> EditOutcome {
-        let kernel = match ScheduleKernel::build(&self.graph) {
-            Ok(kernel) => kernel,
-            Err(error) => return self.reject(error),
-        };
+        let Ok(kernel) = ScheduleKernel::build(&self.graph);
         let schedule = match schedule_with_sets_on(&kernel, self.sets.family(), 1) {
             Ok(schedule) => schedule,
             // Budget exhausted: containment was clean, so this proves a
@@ -603,7 +569,6 @@ impl Session {
                     verdict => unreachable!("fixpoint diverged on a {verdict:?} graph"),
                 };
             }
-            Err(ScheduleError::Graph(error)) => return self.reject(error),
             Err(e) => {
                 unreachable!("unexpected scheduling error after containment check: {e:?}")
             }
@@ -617,13 +582,9 @@ impl Session {
         // zero. One O(|V|·|A| + |E|) sweep, against the cold pipeline's
         // Bellman–Ford.
         let zeros = DelayProfile::zeros(&self.graph);
-        let certificate = start_times(&self.graph, &schedule, &zeros)
-            .ok()
-            .map(|times| ZeroCertificate {
-                valid: verify_start_times(&self.graph, &times, &zeros).is_empty(),
-                times,
-            });
-        if !certificate.as_ref().is_some_and(|c| c.valid) {
+        let times = start_times(&self.graph, &schedule, &zeros);
+        let valid = verify_start_times(&self.graph, &times, &zeros).is_empty();
+        if !valid {
             // The certificate can also fail on *feasible* graphs that lost
             // polarity (an edit disconnected the source, so some vertex
             // tracks no anchor at all); only the authoritative check can
@@ -638,19 +599,24 @@ impl Session {
                 }
             }
         }
-        self.zero_times = certificate;
-        self.accept(schedule, 0)
+        self.accept(schedule, ZeroCertificate { times, valid }, 0)
     }
 
-    /// Installs a freshly computed minimum schedule and reports the edit.
-    fn accept(&mut self, schedule: RelativeSchedule, warm_used: usize) -> EditOutcome {
+    /// Installs a freshly computed minimum schedule with its zero-profile
+    /// certificate and reports the edit.
+    fn accept(
+        &mut self,
+        schedule: RelativeSchedule,
+        certificate: ZeroCertificate,
+        warm_used: usize,
+    ) -> EditOutcome {
         let iterations = schedule.iterations();
         let total_anchors = schedule.anchors().len();
         self.stats.reschedules += 1;
         self.stats.iterations += iterations;
         self.stats.warm_anchor_columns += warm_used;
         self.stats.cold_anchor_columns += total_anchors - warm_used;
-        self.current = Some(schedule);
+        self.current = Some((schedule, certificate));
         self.posedness = WellPosedness::WellPosed;
         EditOutcome::Rescheduled {
             iterations,

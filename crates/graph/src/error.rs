@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::graph::{EdgeId, VertexId};
+use crate::graph::{ConstraintGraph, EdgeId, VertexId};
 
 /// Errors produced while building or analyzing a constraint graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,12 +40,6 @@ pub enum GraphError {
         /// Requested minimum separation.
         min: u64,
     },
-    /// The forward constraint graph contains a cycle, so no topological
-    /// order exists.
-    NotADag {
-        /// A vertex known to lie on a forward cycle.
-        witness: VertexId,
-    },
     /// The graph contains a positive cycle (with unbounded delays set to 0),
     /// so the timing constraints are unfeasible (Theorem 1) and longest
     /// paths diverge.
@@ -64,41 +58,69 @@ pub enum GraphError {
     WeightOverflow(u64),
 }
 
-impl fmt::Display for GraphError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl GraphError {
+    /// Writes the message to `f`, naming each vertex with `name`. Every
+    /// message text lives here: [`Display`](fmt::Display) names vertices
+    /// by id (`v3`), [`GraphError::render`] by operation name.
+    pub fn write_named(
+        &self,
+        f: &mut dyn fmt::Write,
+        name: &dyn Fn(VertexId) -> String,
+    ) -> fmt::Result {
         match self {
-            GraphError::UnknownVertex(v) => write!(f, "unknown vertex {v}"),
+            GraphError::UnknownVertex(v) => write!(f, "unknown vertex {}", name(*v)),
             GraphError::ForwardCycle { from, to } => write!(
                 f,
-                "edge {from} -> {to} would create a cycle in the forward constraint graph"
+                "edge {} -> {} would create a cycle in the forward constraint graph",
+                name(*from),
+                name(*to)
             ),
-            GraphError::SelfLoop(v) => write!(f, "self-loop on vertex {v} is not allowed"),
+            GraphError::SelfLoop(v) => {
+                write!(f, "self-loop on vertex {} is not allowed", name(*v))
+            }
             GraphError::Polarity { from, to } => write!(
                 f,
-                "edge {from} -> {to} violates polarity (source has no predecessors, sink no successors)"
+                "edge {} -> {} violates polarity (source has no predecessors, sink no successors)",
+                name(*from),
+                name(*to)
             ),
-            GraphError::ContradictsDependencies { from, to, min } => write!(
-                f,
-                "minimum constraint {from} -> {to} of {min} cycles contradicts an existing dependency path {to} -> {from}"
-            ),
-            GraphError::NotADag { witness } => write!(
-                f,
-                "forward constraint graph is cyclic (vertex {witness} lies on a cycle)"
-            ),
+            GraphError::ContradictsDependencies { from, to, min } => {
+                let (from, to) = (name(*from), name(*to));
+                write!(
+                    f,
+                    "minimum constraint {from} -> {to} of {min} cycles contradicts an existing dependency path {to} -> {from}"
+                )
+            }
             GraphError::PositiveCycle { witness } => write!(
                 f,
-                "constraint graph has a positive cycle (unfeasible constraints, witness {witness})"
+                "constraint graph has a positive cycle (unfeasible constraints, witness {})",
+                name(*witness)
             ),
             GraphError::UnknownEdge(e) => write!(f, "unknown or removed edge {e}"),
-            GraphError::ImmutableVertex(v) => {
-                write!(f, "vertex {v} is the source or sink and cannot be mutated")
-            }
+            GraphError::ImmutableVertex(v) => write!(
+                f,
+                "vertex {} is the source or sink and cannot be mutated",
+                name(*v)
+            ),
             GraphError::WeightOverflow(value) => write!(
                 f,
                 "value {value} does not fit an edge weight (at most {})",
                 i64::MAX
             ),
         }
+    }
+
+    /// The message with each vertex named as in `graph`.
+    pub fn render(&self, graph: &ConstraintGraph) -> String {
+        let mut out = String::new();
+        let _ = self.write_named(&mut out, &|v| graph.display_name(v));
+        out
+    }
+}
+
+impl fmt::Display for GraphError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_named(f, &|v| v.to_string())
     }
 }
 

@@ -135,13 +135,25 @@ impl Weight {
     }
 }
 
-impl fmt::Display for Weight {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Weight {
+    /// Writes the weight to `f`, naming its anchor with `name`;
+    /// [`Display`](fmt::Display) names it by id (`δ(v3)`).
+    pub fn write_named(
+        self,
+        f: &mut dyn fmt::Write,
+        name: &dyn Fn(VertexId) -> String,
+    ) -> fmt::Result {
         match self {
             Weight::Fixed(w) => write!(f, "{w}"),
-            Weight::Unbounded { anchor, extra: 0 } => write!(f, "δ({anchor})"),
-            Weight::Unbounded { anchor, extra } => write!(f, "δ({anchor})+{extra}"),
+            Weight::Unbounded { anchor, extra: 0 } => write!(f, "δ({})", name(anchor)),
+            Weight::Unbounded { anchor, extra } => write!(f, "δ({})+{extra}", name(anchor)),
         }
+    }
+}
+
+impl fmt::Display for Weight {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_named(f, &|v| v.to_string())
     }
 }
 
@@ -417,6 +429,15 @@ impl ConstraintGraph {
     /// Panics if `v` does not belong to this graph.
     pub fn vertex(&self, v: VertexId) -> &Vertex {
         &self.vertices[v.index()]
+    }
+
+    /// The name of `v` for messages: its operation name, or its id
+    /// (`v7`) when `v` does not belong to this graph.
+    pub fn display_name(&self, v: VertexId) -> String {
+        match self.vertices.get(v.index()) {
+            Some(vertex) => vertex.name().to_owned(),
+            None => v.to_string(),
+        }
     }
 
     /// Looks up an edge.

@@ -1,7 +1,8 @@
 //! Immutable compressed-sparse-row snapshot of a constraint graph for the
 //! scheduling fixpoint: [`ScheduleKernel`].
 
-use crate::error::GraphError;
+use std::convert::Infallible;
+
 use crate::graph::ConstraintGraph;
 
 /// A frozen, data-oriented view of one [`ConstraintGraph`] revision.
@@ -49,16 +50,15 @@ pub struct ScheduleKernel {
 }
 
 impl ScheduleKernel {
-    /// Snapshots `graph` into flat arrays.
-    ///
-    /// # Errors
-    ///
-    /// Never fails: the order comes from the graph's forward rank, which
-    /// the mutation API keeps valid.
-    pub fn build(graph: &ConstraintGraph) -> Result<ScheduleKernel, GraphError> {
+    /// Snapshots `graph` into flat arrays. It cannot fail: the order
+    /// comes from the graph's forward rank, which the mutation API keeps
+    /// valid. The error type is [`Infallible`], so callers bind the
+    /// kernel with an irrefutable `let Ok(kernel) = …;`.
+    pub fn build(graph: &ConstraintGraph) -> Result<ScheduleKernel, Infallible> {
         // Fault-injection site: one relaxed load when nothing is armed.
         // Coarse on purpose — once per snapshot, never in the fixpoint
-        // inner loops, so the disabled cost is unmeasurable.
+        // inner loops, so the disabled cost is unmeasurable. It takes only
+        // `Panic` or `Delay`: an armed `Error` would be discarded here.
         let _ = crate::failpoint!("kernel::build");
         let n = graph.n_vertices();
         let topo: Vec<u32> = graph.forward_order().iter().map(|v| v.0).collect();
@@ -159,12 +159,12 @@ mod tests {
     #[test]
     fn snapshot_matches_graph_iteration() {
         let (g, _) = sample();
-        let k = ScheduleKernel::build(&g).unwrap();
+        let Ok(k) = ScheduleKernel::build(&g);
         assert_eq!(k.n_vertices(), g.n_vertices());
         assert_eq!(k.n_backward_edges(), g.n_backward_edges());
 
         // Topological order matches the graph's.
-        let topo = g.forward_topological_order().unwrap();
+        let topo = g.forward_topological_order();
         let expect: Vec<u32> = topo.order().iter().map(|v| v.index() as u32).collect();
         assert_eq!(k.topo_order(), expect.as_slice());
 
@@ -197,7 +197,7 @@ mod tests {
             .map(|(id, _)| id)
             .unwrap();
         g.remove_edge(victim).unwrap();
-        let k = ScheduleKernel::build(&g).unwrap();
+        let Ok(k) = ScheduleKernel::build(&g);
         let (tails, _) = k.forward_in_edges(c.index());
         assert!(tails.iter().all(|&t| t != b.index() as u32));
         assert_eq!(k.n_backward_edges(), 1);

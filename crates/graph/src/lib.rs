@@ -38,7 +38,8 @@
 //! g.add_min_constraint(v1, v3, 5)?; // v3 starts >= 5 cycles after v1
 //! g.add_max_constraint(v1, v2, 4)?; // v2 starts <= 4 cycles after v1
 //! g.polarize()?;
-//! assert!(g.forward_topological_order().is_ok());
+//! let topo = g.forward_topological_order();
+//! assert!(topo.precedes(v1, v3));
 //! # Ok(())
 //! # }
 //! ```

@@ -1,4 +1,3 @@
-use crate::error::GraphError;
 use crate::graph::{ConstraintGraph, VertexId};
 
 /// A topological ordering of the forward constraint graph `G_f`.
@@ -18,18 +17,15 @@ impl ForwardTopo {
     /// Reads a topological order of `G_f` off the rank the graph keeps
     /// (see [`ConstraintGraph::forward_rank`]): `O(|V|)`, visiting no edge.
     /// The order is the source, the operations by rank, then the sink.
-    ///
-    /// # Errors
-    ///
-    /// Never fails: the mutation API rejects every forward cycle, so the
-    /// rank is always valid.
-    pub fn new(graph: &ConstraintGraph) -> Result<Self, GraphError> {
+    /// It cannot fail: the mutation API rejects every forward cycle, so
+    /// the rank is always valid.
+    pub fn new(graph: &ConstraintGraph) -> Self {
         let order = graph.forward_order();
         let mut position = vec![0usize; order.len()];
         for (i, v) in order.iter().enumerate() {
             position[v.index()] = i;
         }
-        Ok(ForwardTopo { order, position })
+        ForwardTopo { order, position }
     }
 
     /// The vertices in topological order (predecessors before successors).
@@ -52,12 +48,9 @@ impl ForwardTopo {
 }
 
 impl ConstraintGraph {
-    /// Computes a topological ordering of the forward subgraph `G_f`.
-    ///
-    /// # Errors
-    ///
-    /// Never fails; see [`ForwardTopo::new`].
-    pub fn forward_topological_order(&self) -> Result<ForwardTopo, GraphError> {
+    /// Computes a topological ordering of the forward subgraph `G_f`; see
+    /// [`ForwardTopo::new`].
+    pub fn forward_topological_order(&self) -> ForwardTopo {
         ForwardTopo::new(self)
     }
 }
@@ -79,7 +72,7 @@ mod tests {
         g.add_dependency(b, d).unwrap();
         g.add_dependency(c, d).unwrap();
         g.polarize().unwrap();
-        let topo = g.forward_topological_order().unwrap();
+        let topo = g.forward_topological_order();
         assert_eq!(topo.order().len(), g.n_vertices());
         assert!(topo.precedes(g.source(), a));
         assert!(topo.precedes(a, b));
@@ -97,7 +90,7 @@ mod tests {
         g.add_dependency(a, b).unwrap();
         g.add_max_constraint(a, b, 3).unwrap(); // backward edge b -> a
         g.polarize().unwrap();
-        let topo = g.forward_topological_order().unwrap();
+        let topo = g.forward_topological_order();
         assert!(topo.precedes(a, b));
     }
 
@@ -108,7 +101,7 @@ mod tests {
             g.add_operation(format!("op{i}"), ExecDelay::Fixed(i));
         }
         g.polarize().unwrap();
-        let topo = g.forward_topological_order().unwrap();
+        let topo = g.forward_topological_order();
         let mut seen = vec![false; g.n_vertices()];
         for &v in topo.order() {
             assert!(!seen[v.index()], "vertex repeated in order");

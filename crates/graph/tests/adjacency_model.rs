@@ -119,9 +119,7 @@ fn check(g: &ConstraintGraph, model: &Model) -> Result<(), String> {
 /// once, ranks rising, so it climbs along every live forward edge; and
 /// `position` is its inverse.
 fn check_order(g: &ConstraintGraph) -> Result<(), String> {
-    let topo = g
-        .forward_topological_order()
-        .map_err(|e| format!("no topological order: {e}"))?;
+    let topo = g.forward_topological_order();
     let mut by_rank: Vec<VertexId> = g.vertex_ids().collect();
     by_rank.sort_unstable_by_key(|&v| g.forward_rank(v));
     if topo.order() != by_rank.as_slice() {

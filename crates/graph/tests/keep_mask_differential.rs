@@ -61,7 +61,7 @@ fn step() -> impl Strategy<Value = Step> {
 fn reference_keep(g: &ConstraintGraph) -> Vec<bool> {
     let slots = g.edges().map(|(id, _)| id.index() + 1).max().unwrap_or(0);
     let mut keep = vec![true; slots];
-    let topo = g.forward_topological_order().expect("G_f is acyclic");
+    let topo = g.forward_topological_order();
     let order = topo.order();
     let usable = |keep: &[bool], skip: EdgeId, id: EdgeId, e: &Edge| {
         id != skip && keep[id.index()] && e.is_forward()

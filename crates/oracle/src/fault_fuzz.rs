@@ -6,8 +6,9 @@
 //! runs: panics inside request handlers (`serve::handle`), deep inside
 //! the engine (`session::reschedule`) and the kernel (`kernel::build`),
 //! outright worker-thread kills (`serve::worker_kill`), injected in-band
-//! errors, and stalls. The harness then asserts the fault-tolerance
-//! contract of the service:
+//! errors (`serve::handle` only: the other sites discard what their
+//! failpoint returns), and stalls. The harness then asserts the
+//! fault-tolerance contract of the service:
 //!
 //! - `serve` returns `Ok` — injected faults never abort the service,
 //! - every non-blank input line gets exactly one response line, with the
@@ -397,10 +398,14 @@ fn arm_faults(rng: &mut StdRng, scope: u64, n_lines: usize) -> Vec<ArmedFault> {
             "kernel::build",
             "serve::worker_kill",
         ][rng.gen_range(0usize..4)];
+        // Only `serve::handle` answers an armed `Error` in-band;
+        // `session::reschedule` and `kernel::build` discard what their
+        // failpoint returns, so they draw `Panic` or `Delay` alone.
         let action = if site == "serve::worker_kill" {
             FailAction::Panic
         } else {
-            match rng.gen_range(0u8..10) {
+            let draws = if site == "serve::handle" { 10 } else { 7 };
+            match rng.gen_range(0u8..draws) {
                 0..=4 => FailAction::Panic,
                 5 | 6 => FailAction::Delay(Duration::from_millis(rng.gen_range(1u64..=8))),
                 _ => FailAction::Error(format!("f{}", rng.gen_range(0u32..100))),
@@ -738,5 +743,29 @@ mod tests {
             report.panics_isolated + report.workers_respawned > 0,
             "the schedule should inject at least one panic across 12 rounds: {report}"
         );
+    }
+
+    /// An armed `Error` only acts where the site returns it to a caller
+    /// that surfaces it; anywhere else it would be listed in repro files
+    /// while doing nothing.
+    #[test]
+    fn no_seed_arms_an_error_where_it_is_discarded() {
+        let mut surfaced = 0;
+        for seed in 0..500u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // A scope no thread enters: the guards arm nothing that fires.
+            for fault in arm_faults(&mut rng, u64::MAX - seed, 40) {
+                if !fault.action.starts_with("Error") {
+                    continue;
+                }
+                assert_eq!(
+                    fault.site, "serve::handle",
+                    "seed {seed} armed {} at a site that discards it",
+                    fault.action
+                );
+                surfaced += 1;
+            }
+        }
+        assert!(surfaced > 0, "errors are still drawn where they surface");
     }
 }

@@ -93,7 +93,7 @@ pub fn schedule_design_with(
             source,
         };
 
-        let mut sets = AnchorSets::compute(&lowered.graph).map_err(wrap)?;
+        let Ok(mut sets) = AnchorSets::compute(&lowered.graph);
         let mut serialization = SerializationReport::default();
         match check_well_posed_with(&lowered.graph, &sets) {
             WellPosedness::WellPosed => {}
@@ -110,7 +110,7 @@ pub fn schedule_design_with(
                     }));
                 }
                 serialization = make_well_posed(&mut lowered.graph).map_err(wrap)?;
-                sets = AnchorSets::compute(&lowered.graph).map_err(wrap)?;
+                Ok(sets) = AnchorSets::compute(&lowered.graph);
             }
         }
 

@@ -44,12 +44,20 @@ pub enum SimError {
         /// Operations that never started.
         stuck: Vec<VertexId>,
     },
-    /// Start-time evaluation failed (cyclic forward graph).
+    /// A hierarchical run could not look up a sequencing graph of its
+    /// design (see [`crate::run_hierarchical`]).
     Analysis(String),
 }
 
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl SimError {
+    /// Writes the message to `f`, naming each vertex with `name`: the
+    /// one place the message text lives. [`Display`](fmt::Display) names
+    /// vertices by id (`v3`), [`SimError::render`] by operation name.
+    pub fn write_named(
+        &self,
+        f: &mut dyn fmt::Write,
+        name: &dyn Fn(VertexId) -> String,
+    ) -> fmt::Result {
         match self {
             SimError::Timeout { max_cycles, stuck } => {
                 write!(f, "simulation exceeded {max_cycles} cycles; stuck: ")?;
@@ -57,12 +65,25 @@ impl fmt::Display for SimError {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{v}")?;
+                    write!(f, "{}", name(*v))?;
                 }
                 Ok(())
             }
-            SimError::Analysis(msg) => write!(f, "analytic check failed: {msg}"),
+            SimError::Analysis(msg) => write!(f, "hierarchy lookup failed: {msg}"),
         }
+    }
+
+    /// The message with each vertex named as in `graph`.
+    pub fn render(&self, graph: &ConstraintGraph) -> String {
+        let mut out = String::new();
+        let _ = self.write_named(&mut out, &|v| graph.display_name(v));
+        out
+    }
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_named(f, &|v| v.to_string())
     }
 }
 
@@ -209,7 +230,7 @@ impl<'g, 'u> Simulator<'g, 'u> {
         // Check against the analytic recursion and the constraints.
         let observed = rsched_core::StartTimes::from_raw(start.clone());
         let violations = verify_start_times(self.graph, &observed, &profile);
-        let matches_analytic = self.check_analytic(&start, &profile)?;
+        let matches_analytic = self.check_analytic(&start, &profile);
 
         Ok(SimReport {
             total_cycles: done[self.graph.sink().index()],
@@ -304,7 +325,7 @@ impl<'g, 'u> Simulator<'g, 'u> {
         let done: Vec<u64> = done.into_iter().map(|d| d.expect("checked")).collect();
         let observed = rsched_core::StartTimes::from_raw(start.clone());
         let violations = verify_start_times(self.graph, &observed, &profile);
-        let matches_analytic = self.check_analytic(&start, &profile)?;
+        let matches_analytic = self.check_analytic(&start, &profile);
         Ok(SimReport {
             total_cycles: done[self.graph.sink().index()],
             start,
@@ -341,14 +362,11 @@ impl<'g, 'u> Simulator<'g, 'u> {
             .collect()
     }
 
-    fn check_analytic(&self, observed: &[u64], profile: &DelayProfile) -> Result<bool, SimError> {
+    fn check_analytic(&self, observed: &[u64], profile: &DelayProfile) -> bool {
         // Recompute the schedule the control was generated from is not
         // available here; instead evaluate the recursion directly over the
         // control unit's enable terms, which embed the offsets.
-        let topo = self
-            .graph
-            .forward_topological_order()
-            .map_err(|e| SimError::Analysis(e.to_string()))?;
+        let topo = self.graph.forward_topological_order();
         let mut t = vec![0u64; self.graph.n_vertices()];
         for &v in topo.order() {
             let mut best = 0u64;
@@ -358,9 +376,8 @@ impl<'g, 'u> Simulator<'g, 'u> {
             }
             t[v.index()] = best;
         }
-        Ok(self
-            .graph
+        self.graph
             .vertex_ids()
-            .all(|v| t[v.index()] == observed[v.index()]))
+            .all(|v| t[v.index()] == observed[v.index()])
     }
 }

@@ -96,10 +96,21 @@ fn timeout_reports_stuck_operations() {
         .with_max_cycles(10)
         .run(&DelaySource::Profile(profile))
         .unwrap_err();
+    let (by_id, by_name) = (err.to_string(), err.render(&g));
     match err {
         SimError::Timeout { max_cycles, stuck } => {
             assert_eq!(max_cycles, 10);
             assert!(!stuck.is_empty());
+            let ids: Vec<String> = stuck.iter().map(|v| v.to_string()).collect();
+            let names: Vec<&str> = stuck.iter().map(|&v| g.vertex(v).name()).collect();
+            assert_eq!(
+                by_id,
+                format!("simulation exceeded 10 cycles; stuck: {}", ids.join(", "))
+            );
+            assert_eq!(
+                by_name,
+                format!("simulation exceeded 10 cycles; stuck: {}", names.join(", "))
+            );
         }
         other => panic!("expected timeout, got {other}"),
     }

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The max constraint depends on δ(grant2), which write_addr knows
     // nothing about: ill-posed.
-    match check_well_posed(&g)? {
+    match check_well_posed(&g) {
         WellPosedness::IllPosed { violations } => {
             println!("as specified: ill-posed");
             for v in &violations {
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(a, v)| format!("{} -> {}", g.vertex(*a).name(), g.vertex(*v).name()))
             .collect::<Vec<_>>()
     );
-    assert!(check_well_posed(&g)?.is_well_posed());
+    assert!(check_well_posed(&g).is_well_posed());
 
     // Schedule and simulate under adversarial handshake delays.
     let omega = schedule(&g)?;

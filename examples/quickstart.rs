@@ -28,11 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     g.polarize()?;
 
     // 1. Are the constraints satisfiable for every value of δ(a)?
-    let posedness = check_well_posed(&g)?;
+    let posedness = check_well_posed(&g);
     println!("well-posedness: {posedness:?}\n");
 
     // 2. Anchor sets and the minimum relative schedule (Table II).
-    let sets = AnchorSets::compute(&g)?;
+    let Ok(sets) = AnchorSets::compute(&g);
     let omega = schedule(&g)?;
     println!("vertex   A(v)              σ_v0   σ_a");
     for v in [a, v1, v2, v3, v4] {
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Concrete start times once δ(a) is known, e.g. 7 cycles:
     //    T(v4) = max(T(v0)+0+8, T(a)+7+5) = 12.
     let profile = profile_for(&g).with_delay(a, 7).build();
-    let times = start_times(&g, &omega, &profile)?;
+    let times = start_times(&g, &omega, &profile);
     println!("\nwith δ(a) = 7: T(v4) = {}", times.time(v4));
     assert_eq!(times.time(v4), 12);
     Ok(())

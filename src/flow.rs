@@ -64,12 +64,13 @@ impl Synthesis {
     ///
     /// # Errors
     ///
-    /// Propagates scheduling errors from the session's initial run;
-    /// cannot normally fail, since the flow already scheduled this graph.
+    /// Returns the [`GraphError`](rsched_graph::GraphError) of polarizing
+    /// the graph; cannot normally fail, since the flow lowered this graph
+    /// polar.
     pub fn edit_session(
         &self,
         graph: SeqGraphId,
-    ) -> Result<rsched_engine::Session, rsched_core::ScheduleError> {
+    ) -> Result<rsched_engine::Session, rsched_graph::GraphError> {
         rsched_engine::Session::open(self.schedule.graph_schedule(graph).lowered.graph.clone())
     }
 

@@ -31,7 +31,7 @@
 //! let op = g.add_operation("drive_bus", ExecDelay::Fixed(2));
 //! g.add_dependency(sync, op)?;
 //! g.polarize()?;
-//! assert!(check_well_posed(&g)?.is_well_posed());
+//! assert!(check_well_posed(&g).is_well_posed());
 //! let omega = schedule(&g)?;
 //! // drive_bus starts as soon as the synchronization completes:
 //! assert_eq!(omega.offset(op, sync), Some(0));
@@ -50,6 +50,12 @@
 mod flow;
 
 pub use flow::{synthesize, FlowError, FlowOptions, Synthesis};
+
+/// Compiles the README's code blocks as doctests, so its quickstart
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 pub use rsched_binding as binding;
 pub use rsched_core as core;
