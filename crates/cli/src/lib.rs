@@ -809,7 +809,7 @@ fn explain_cmd(source: &str) -> Result<String, CliError> {
 fn fsm_cmd(source: &str) -> Result<String, CliError> {
     let g = load_graph(source)?;
     let omega = schedule(&g).map_err(named(&g))?;
-    let fsm = Fsm::from_schedule(&g, &omega).map_err(CliError::failure)?;
+    let fsm = Fsm::from_schedule(&g, &omega).map_err(|e| CliError::failure(e.render(&g)))?;
     Ok(fsm.describe(&g))
 }
 
@@ -1577,6 +1577,26 @@ process demo (req, ack)
                 "{cmd}"
             );
         }
+    }
+
+    /// `fsm` refuses a design with an unbounded operation by naming it,
+    /// and `dot` labels the weights out of anchors by operation name.
+    #[test]
+    fn fsm_and_dot_name_the_anchors() {
+        let p = write_temp(
+            "fsm_dot_names",
+            "op a 3\nop b unbounded\nop c 2\ndep a b\ndep b c\nmin a c 4\n",
+        );
+        let path = p.to_str().unwrap();
+        let err = run_args(&["fsm", path]).unwrap_err();
+        assert_eq!(
+            err.message,
+            "schedule depends on unbounded anchors [b]; FSM control requires a fixed-delay design"
+        );
+        let dot = run_args(&["dot", path]).unwrap();
+        assert!(dot.contains("  v3 -> v4 [label=\"δ(b)\"];\n"), "{dot}");
+        assert!(dot.contains("  v0 -> v2 [label=\"δ(source)\"];\n"), "{dot}");
+        assert!(!dot.contains("δ(v"), "{dot}");
     }
 
     #[test]

@@ -30,16 +30,40 @@ pub enum FsmError {
     },
 }
 
-impl fmt::Display for FsmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl FsmError {
+    /// Writes the message to `f`, naming each vertex with `name`.
+    /// [`Display`](fmt::Display) names vertices by id (`v3`),
+    /// [`FsmError::render`] by operation name.
+    pub fn write_named(
+        &self,
+        f: &mut dyn fmt::Write,
+        name: &dyn Fn(VertexId) -> String,
+    ) -> fmt::Result {
         match self {
             FsmError::UnboundedAnchors { anchors } => {
-                write!(
-                    f,
-                    "schedule depends on unbounded anchors {anchors:?}; FSM control requires a fixed-delay design"
-                )
+                write!(f, "schedule depends on unbounded anchors [")?;
+                for (i, &a) in anchors.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ", ")?;
+                    }
+                    write!(f, "{}", name(a))?;
+                }
+                write!(f, "]; FSM control requires a fixed-delay design")
             }
         }
+    }
+
+    /// The message with each vertex named as in `graph`.
+    pub fn render(&self, graph: &ConstraintGraph) -> String {
+        let mut out = String::new();
+        let _ = self.write_named(&mut out, &|v| graph.display_name(v));
+        out
+    }
+}
+
+impl fmt::Display for FsmError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_named(f, &|v| v.to_string())
     }
 }
 
@@ -250,7 +274,15 @@ mod tests {
         let omega = schedule(&g).unwrap();
         let err = Fsm::from_schedule(&g, &omega).unwrap_err();
         assert!(matches!(err, FsmError::UnboundedAnchors { ref anchors } if anchors == &[a]));
-        assert!(err.to_string().contains("unbounded anchors"));
+        let tail = "; FSM control requires a fixed-delay design";
+        assert_eq!(
+            err.to_string(),
+            format!("schedule depends on unbounded anchors [v2]{tail}")
+        );
+        assert_eq!(
+            err.render(&g),
+            format!("schedule depends on unbounded anchors [sync]{tail}")
+        );
     }
 
     #[test]

@@ -183,9 +183,8 @@ impl Session {
         mut graph: ConstraintGraph,
         seed: Option<RelativeSchedule>,
     ) -> Result<Session, GraphError> {
-        if !graph.is_polar() {
-            graph.polarize()?;
-        }
+        // A no-op on a polar graph, and cheaper than `is_polar` to find so.
+        graph.polarize()?;
         let Ok(sets) = AnchorSets::compute(&graph);
         let mut session = Session {
             graph,

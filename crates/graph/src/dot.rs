@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use crate::graph::ConstraintGraph;
+use crate::graph::{ConstraintGraph, Weight};
 
 /// Rendering options for [`ConstraintGraph::to_dot`].
 #[derive(Debug, Clone)]
@@ -66,7 +66,7 @@ impl ConstraintGraph {
                 ""
             };
             let label = if options.show_weights {
-                format!(" [label=\"{}\"{}]", e.weight(), style)
+                format!(" [label=\"{}\"{}]", self.weight_label(e.weight()), style)
             } else if e.is_backward() {
                 format!(" [{}]", &style[2..])
             } else {
@@ -117,12 +117,20 @@ impl ConstraintGraph {
                 "  {} -> {} [label=\"{}\"{}];",
                 e.from(),
                 e.to(),
-                e.weight(),
+                self.weight_label(e.weight()),
                 style
             );
         }
         let _ = writeln!(out, "}}");
         out
+    }
+
+    /// An edge label: the weight with its anchor named as an operation
+    /// (`δ(sync)`), like the vertex labels.
+    fn weight_label(&self, weight: Weight) -> String {
+        let mut label = String::new();
+        let _ = weight.write_named(&mut label, &|v| self.display_name(v));
+        label
     }
 }
 
@@ -145,6 +153,8 @@ mod tests {
         assert!(dot.contains("wait"));
         assert!(dot.contains("style=dashed"));
         assert!(dot.contains("-7")); // backward weight
+        assert!(dot.contains("label=\"δ(wait)\""), "{dot}"); // anchor named
+        assert!(!dot.contains("δ(v"), "{dot}");
         assert!(dot.trim_end().ends_with('}'));
     }
 

@@ -231,37 +231,39 @@ const IN: usize = 1;
 /// End of an adjacency list.
 const NIL: u32 = u32::MAX;
 
-/// A vertex (operation) of the constraint graph.
+/// A vertex (operation) of the constraint graph, as returned by
+/// [`ConstraintGraph::vertex`]: a view of its name and delay that borrows
+/// the graph.
+#[derive(Debug, Clone, Copy)]
+pub struct Vertex<'a> {
+    name: &'a str,
+    delay: ExecDelay,
+}
+
+impl<'a> Vertex<'a> {
+    /// Human-readable operation name.
+    pub fn name(self) -> &'a str {
+        self.name
+    }
+
+    /// Execution delay of the operation.
+    pub fn delay(self) -> ExecDelay {
+        self.delay
+    }
+}
+
+/// What the graph stores per vertex. The name is not here: it is the
+/// span of the graph's `names` arena that ends at `name_end` and starts
+/// where the previous vertex's name ends.
 #[derive(Debug, Clone)]
-pub struct Vertex {
-    pub(crate) name: String,
-    pub(crate) delay: ExecDelay,
+struct Slot {
+    name_end: usize,
+    delay: ExecDelay,
     /// Head and tail of the vertex's outgoing (`[OUT]`) and incoming
     /// (`[IN]`) edge lists, threaded through the graph's `next`; `NIL`
     /// when empty.
     first: [u32; 2],
     last: [u32; 2],
-}
-
-impl Vertex {
-    fn new(name: String, delay: ExecDelay) -> Self {
-        Vertex {
-            name,
-            delay,
-            first: [NIL; 2],
-            last: [NIL; 2],
-        }
-    }
-
-    /// Human-readable operation name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Execution delay of the operation.
-    pub fn delay(&self) -> ExecDelay {
-        self.delay
-    }
 }
 
 /// A polar weighted directed constraint graph `G(V, E)` (§III).
@@ -277,7 +279,11 @@ impl Vertex {
 /// See the [crate documentation](crate) for a usage example.
 #[derive(Debug, Clone)]
 pub struct ConstraintGraph {
-    vertices: Vec<Vertex>,
+    vertices: Vec<Slot>,
+    /// Every vertex name, concatenated in id order (see [`Slot`]): one
+    /// allocation for all names, so building, cloning and dropping a
+    /// graph cost no allocation per vertex.
+    names: String,
     edges: Vec<Edge>,
     /// Adjacency, parallel to `edges`: `next[OUT][e]` is the edge after
     /// `e` in its tail's outgoing list and `next[IN][e]` the one after it
@@ -352,6 +358,7 @@ impl ConstraintGraph {
     pub fn new() -> Self {
         let mut g = ConstraintGraph {
             vertices: Vec::new(),
+            names: String::new(),
             edges: Vec::new(),
             next: [Vec::new(), Vec::new()],
             dead: Vec::new(),
@@ -362,11 +369,20 @@ impl ConstraintGraph {
             source: VertexId(0),
             sink: VertexId(1),
         };
-        g.vertices
-            .push(Vertex::new("source".to_owned(), ExecDelay::Unbounded));
-        g.vertices
-            .push(Vertex::new("sink".to_owned(), ExecDelay::Fixed(0)));
+        g.push_vertex("source", ExecDelay::Unbounded);
+        g.push_vertex("sink", ExecDelay::Fixed(0));
         g
+    }
+
+    /// Appends a vertex slot and its name to the arena.
+    fn push_vertex(&mut self, name: &str, delay: ExecDelay) {
+        self.names.push_str(name);
+        self.vertices.push(Slot {
+            name_end: self.names.len(),
+            delay,
+            first: [NIL; 2],
+            last: [NIL; 2],
+        });
     }
 
     /// The source vertex `v0`.
@@ -409,9 +425,9 @@ impl ConstraintGraph {
     /// [`ConstraintGraph::add_dependency`] out of the operation (and so a
     /// [`ConstraintGraph::polarize`] that would link it to the sink)
     /// returns [`GraphError::WeightOverflow`].
-    pub fn add_operation(&mut self, name: impl Into<String>, delay: ExecDelay) -> VertexId {
+    pub fn add_operation(&mut self, name: impl AsRef<str>, delay: ExecDelay) -> VertexId {
         let id = VertexId(self.vertices.len() as u32);
-        self.vertices.push(Vertex::new(name.into(), delay));
+        self.push_vertex(name.as_ref(), delay);
         // Fresh and below the sink's: existing operations hold `2..id`.
         self.rank.push(id.0);
         if delay.is_unbounded() {
@@ -427,16 +443,26 @@ impl ConstraintGraph {
     /// # Panics
     ///
     /// Panics if `v` does not belong to this graph.
-    pub fn vertex(&self, v: VertexId) -> &Vertex {
-        &self.vertices[v.index()]
+    pub fn vertex(&self, v: VertexId) -> Vertex<'_> {
+        let i = v.index();
+        let start = match i {
+            0 => 0,
+            _ => self.vertices[i - 1].name_end,
+        };
+        let slot = &self.vertices[i];
+        Vertex {
+            name: &self.names[start..slot.name_end],
+            delay: slot.delay,
+        }
     }
 
     /// The name of `v` for messages: its operation name, or its id
     /// (`v7`) when `v` does not belong to this graph.
     pub fn display_name(&self, v: VertexId) -> String {
-        match self.vertices.get(v.index()) {
-            Some(vertex) => vertex.name().to_owned(),
-            None => v.to_string(),
+        if v.index() < self.vertices.len() {
+            self.vertex(v).name().to_owned()
+        } else {
+            v.to_string()
         }
     }
 

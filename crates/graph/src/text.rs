@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 
 use crate::error::GraphError;
 use crate::graph::{ConstraintGraph, ExecDelay, VertexId};
@@ -73,21 +74,17 @@ impl ConstraintGraph {
     /// numbers, and structural violations (forward cycles etc.).
     pub fn from_text(text: &str) -> Result<Self, TextFormatError> {
         let mut g = ConstraintGraph::new();
-        // Keys borrow from `text`: only the vertex names themselves are
-        // copied, once each. Sized for one declaration per
+        // Keys borrow from `text`. Sized for one declaration per
         // `BYTES_PER_OP` bytes, so a typical design never rehashes.
-        let mut names: HashMap<&str, VertexId> =
+        let mut names: HashMap<Name<'_>, VertexId> =
             HashMap::with_capacity(2 + text.len() / BYTES_PER_OP);
-        names.insert("source", g.source());
-        names.insert("sink", g.sink());
-        for (line, mut parts) in lines(text) {
+        names.insert(Name("source"), g.source());
+        names.insert(Name("sink"), g.sink());
+        let mut scan = Scanner::new(text);
+        while let Some((line, directive)) = scan.next_line() {
             let syntax = |message: String| TextFormatError::Syntax { line, message };
-            let Some(directive) = parts.next() else {
-                continue; // Blank or comment-only.
-            };
             let mut arg = |what: &str| {
-                parts
-                    .next()
+                scan.token()
                     .ok_or_else(|| syntax(format!("missing {what}")))
             };
             match directive {
@@ -102,7 +99,7 @@ impl ConstraintGraph {
                                 .ok_or_else(|| syntax(format!("invalid delay '{delay}'")))?,
                         )
                     };
-                    let Entry::Vacant(slot) = names.entry(name) else {
+                    let Entry::Vacant(slot) = names.entry(Name(name)) else {
                         return Err(syntax(format!("duplicate operation '{name}'")));
                     };
                     slot.insert(g.add_operation(name, delay));
@@ -112,7 +109,7 @@ impl ConstraintGraph {
                     let to_name = arg("head name")?;
                     let lookup = |n: &str| {
                         names
-                            .get(n)
+                            .get(&Name(n))
                             .copied()
                             .ok_or_else(|| syntax(format!("undeclared operation '{n}'")))
                     };
@@ -218,10 +215,11 @@ impl ConstraintGraph {
 /// their arguments. Returns `(operations, constraint_edges)`.
 pub fn directive_counts(text: &str) -> (usize, usize) {
     let (mut ops, mut edges) = (0, 0);
-    for (_, mut tokens) in lines(text) {
-        match tokens.next() {
-            Some("op") => ops += 1,
-            Some("dep" | "min" | "max") => edges += 1,
+    let mut scan = Scanner::new(text);
+    while let Some((_, directive)) = scan.next_line() {
+        match directive {
+            "op" => ops += 1,
+            "dep" | "min" | "max" => edges += 1,
             _ => {}
         }
     }
@@ -232,119 +230,140 @@ pub fn directive_counts(text: &str) -> (usize, usize) {
 /// map assumes: an `op` line plus its share of constraint lines.
 const BYTES_PER_OP: usize = 32;
 
-/// How the tokenizer treats an ASCII byte.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Class {
-    Word,
-    /// Separates tokens: exactly the ASCII bytes `char::is_whitespace`
-    /// accepts.
-    Space,
-    /// Starts a comment that runs to the end of the line.
-    Comment,
+/// A name-map key that hashes only the name's bytes. `Hash for str`
+/// appends a `0xff` terminator, which only matters when a key hashes
+/// several fields; on short operation names it is a large share of the
+/// hashing. The map keeps std's keyed hasher, so client-chosen names
+/// still cannot be crafted to collide.
+#[derive(PartialEq, Eq)]
+struct Name<'a>(&'a str);
+
+impl Hash for Name<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.0.as_bytes());
+    }
 }
 
-const ASCII_CLASS: [Class; 128] = {
-    let mut table = [Class::Word; 128];
+/// How the scanner treats a byte.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Class {
+    Word,
+    /// Separates tokens: exactly the ASCII bytes other than `\n` that
+    /// `char::is_whitespace` accepts.
+    Space,
+    /// Ends a line.
+    Newline,
+    /// Starts a comment that runs to the end of the line.
+    Comment,
+    /// Starts a multi-byte character, which separates tokens iff it is
+    /// Unicode whitespace.
+    NonAscii,
+}
+
+/// The class of every byte. A `static`, not a `const`: a `const` array
+/// indexed at run time may be copied out at each use, and measured
+/// slower.
+static CLASS: [Class; 256] = {
+    let mut table = [Class::Word; 256];
     let mut b = 0;
-    while b < 128 {
-        if matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ') {
-            table[b as usize] = Class::Space;
-        }
+    while b < 256 {
+        table[b] = match b as u8 {
+            b'\t' | 0x0B | 0x0C | b'\r' | b' ' => Class::Space,
+            b'\n' => Class::Newline,
+            b'#' => Class::Comment,
+            0x80.. => Class::NonAscii,
+            _ => Class::Word,
+        };
         b += 1;
     }
-    table[b'#' as usize] = Class::Comment;
     table
 };
 
-/// The lines of `text` with their 1-based numbers, each as an iterator
-/// over its whitespace-separated tokens before any `#`. Yields exactly
-/// the tokens `text.lines()`, then `split('#')`, `trim` and
-/// `split_whitespace` would, but scans a line's bytes once instead of
-/// once per stage: ASCII bytes are classified by table, and a non-ASCII
-/// character splits tokens iff it is Unicode whitespace.
-fn lines(text: &str) -> impl Iterator<Item = (usize, Tokens<'_>)> {
-    let mut rest = text;
-    (1..).map_while(move |line| {
-        if rest.is_empty() {
-            return None;
-        }
-        let (content, tail) = rest.split_once('\n').unwrap_or((rest, ""));
-        rest = tail;
-        Some((
-            line,
-            Tokens {
-                line: content,
-                pos: 0,
-            },
-        ))
-    })
-}
-
-/// The tokens of one line; see [`lines`].
-struct Tokens<'a> {
-    line: &'a str,
+/// One cursor over a whole design text that yields, line by line, the
+/// whitespace-separated tokens before any `#`. It yields exactly the
+/// tokens `text.lines()`, then `split('#')`, `trim` and
+/// `split_whitespace` would, but reads each byte once: bytes are
+/// classified by table, and only a non-ASCII character is decoded.
+struct Scanner<'a> {
+    text: &'a str,
     pos: usize,
+    /// 1-based number of the line holding `pos`; 0 before the first.
+    line: usize,
 }
 
-impl Tokens<'_> {
-    /// The class of the non-ASCII character starting at `pos` and its
-    /// length in bytes: a separator iff it is Unicode whitespace.
-    fn class_at(&self, pos: usize) -> (Class, usize) {
-        let c = self.line[pos..].chars().next().expect("in bounds");
-        let class = if c.is_whitespace() {
-            Class::Space
-        } else {
-            Class::Word
-        };
-        (class, c.len_utf8())
+impl<'a> Scanner<'a> {
+    fn new(text: &'a str) -> Self {
+        Scanner {
+            text,
+            pos: 0,
+            line: 0,
+        }
     }
-}
 
-impl<'a> Iterator for Tokens<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        let bytes = self.line.as_bytes();
-        let end = bytes.len();
-        let mut pos = self.pos;
-        // Skip separators up to the next word; a comment ends the line.
+    /// Skips the rest of the current line, however many of its tokens
+    /// were read, and moves on to the next line that holds a token.
+    /// Returns that line's number and first token, or `None` at the end
+    /// of the text.
+    fn next_line(&mut self) -> Option<(usize, &'a str)> {
+        let bytes = self.text.as_bytes();
         loop {
-            if pos == end {
-                self.pos = end;
-                return None;
+            if self.line > 0 {
+                // `\n` never occurs inside a multi-byte character.
+                let newline = bytes[self.pos..].iter().position(|&b| b == b'\n')?;
+                self.pos += newline + 1;
             }
-            let b = bytes[pos];
-            let (class, len) = if b < 0x80 {
-                (ASCII_CLASS[b as usize], 1)
-            } else {
-                self.class_at(pos)
+            self.line += 1;
+            if let Some(token) = self.token() {
+                return Some((self.line, token));
+            }
+        }
+    }
+
+    /// The next token on the current line, or `None` once only
+    /// separators and a comment are left on it.
+    fn token(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        let mut pos = self.pos;
+        // Skip separators up to the next word; a comment or the line's
+        // end stops the scan where it is.
+        loop {
+            let Some(&b) = bytes.get(pos) else {
+                self.pos = pos;
+                return None;
             };
-            match class {
-                Class::Space => pos += len,
+            match CLASS[b as usize] {
+                Class::Space => pos += 1,
                 Class::Word => break,
-                Class::Comment => {
-                    self.pos = end;
+                Class::NonAscii => match self.wide_char(pos) {
+                    (true, len) => pos += len,
+                    (false, _) => break,
+                },
+                Class::Newline | Class::Comment => {
+                    self.pos = pos;
                     return None;
                 }
             }
         }
         let start = pos;
-        while pos < end {
-            let b = bytes[pos];
-            if b < 0x80 {
-                if ASCII_CLASS[b as usize] != Class::Word {
-                    break;
-                }
-                pos += 1;
-            } else {
-                match self.class_at(pos) {
-                    (Class::Word, len) => pos += len,
-                    _ => break,
-                }
+        while let Some(&b) = bytes.get(pos) {
+            match CLASS[b as usize] {
+                Class::Word => pos += 1,
+                Class::NonAscii => match self.wide_char(pos) {
+                    (false, len) => pos += len,
+                    (true, _) => break,
+                },
+                _ => break,
             }
         }
         self.pos = pos;
-        Some(&self.line[start..pos])
+        Some(&self.text[start..pos])
+    }
+
+    /// Whether the multi-byte character at `pos` is Unicode whitespace,
+    /// and its length in bytes.
+    fn wide_char(&self, pos: usize) -> (bool, usize) {
+        let c = self.text[pos..].chars().next().expect("in bounds");
+        (c.is_whitespace(), c.len_utf8())
     }
 }
 
@@ -497,23 +516,32 @@ max alu out 4
     }
 
     #[test]
-    fn ascii_table_matches_char_whitespace() {
-        for b in 0..128u8 {
-            let class = ASCII_CLASS[b as usize];
+    fn class_table_matches_char_whitespace() {
+        for b in 0..=255u8 {
+            let class = CLASS[b as usize];
+            if b >= 0x80 {
+                assert_eq!(class, Class::NonAscii, "{b:#x}");
+                continue;
+            }
+            let c = char::from(b);
+            assert_eq!(class == Class::Newline, b == b'\n', "{b:#x}");
+            assert_eq!(class == Class::Comment, b == b'#', "{b:#x}");
             assert_eq!(
-                class == Class::Space,
-                char::from(b).is_whitespace(),
+                matches!(class, Class::Space | Class::Newline),
+                c.is_whitespace(),
                 "{b:#x}"
             );
-            assert_eq!(class == Class::Comment, b == b'#', "{b:#x}");
         }
     }
 
     /// Generated lines mix directives, names, numbers, comments (alone,
     /// trailing, and `#` inside a token), tabs, CRLF, blank lines, and
     /// Unicode whitespace (U+00A0, U+3000, U+0085) next to non-space
-    /// multi-byte characters. Since the directive code consumes only
-    /// these tokens and line numbers, equal tokenization means equal
+    /// multi-byte characters. Each text is read by consumers that take at
+    /// most `k` tokens of a line before moving on, as `from_text` does:
+    /// they must see the reference's first `k` tokens of every line that
+    /// has any, under its line number. Since the directive code consumes
+    /// only these tokens and line numbers, equal tokenization means equal
     /// graphs and equal errors.
     #[test]
     fn byte_scanner_matches_reference_tokenization() {
@@ -553,10 +581,24 @@ max alu out 4
         for _ in 0..5000 {
             let len = next(40);
             let text: String = (0..len).map(|_| PIECES[next(PIECES.len())]).collect();
-            let scanned: Vec<(usize, Vec<&str>)> = lines(&text)
-                .map(|(line, tokens)| (line, tokens.collect()))
+            let reference: Vec<(usize, Vec<&str>)> = reference_lines(&text)
+                .into_iter()
+                .filter(|(_, tokens)| !tokens.is_empty())
                 .collect();
-            assert_eq!(scanned, reference_lines(&text), "{text:?}");
+            for k in 1..=5 {
+                let mut scan = Scanner::new(&text);
+                let mut scanned = Vec::new();
+                while let Some((line, first)) = scan.next_line() {
+                    let mut tokens = vec![first];
+                    tokens.extend(std::iter::from_fn(|| scan.token()).take(k - 1));
+                    scanned.push((line, tokens));
+                }
+                let expected: Vec<(usize, Vec<&str>)> = reference
+                    .iter()
+                    .map(|(line, tokens)| (*line, tokens.iter().copied().take(k).collect()))
+                    .collect();
+                assert_eq!(scanned, expected, "k = {k}, {text:?}");
+            }
         }
     }
 

@@ -38,7 +38,7 @@ pub fn lower_graph(
     let mut op_vertices = Vec::with_capacity(seq.n_ops());
     for op in seq.ops() {
         let delay = op_delay(op.kind(), child_latencies)?;
-        op_vertices.push(graph.add_operation(op.name().to_owned(), delay));
+        op_vertices.push(graph.add_operation(op.name(), delay));
     }
     let wrap = |source: rsched_graph::GraphError| SgraphError::Lowering {
         graph: seq.name().to_owned(),

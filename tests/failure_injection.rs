@@ -71,7 +71,7 @@ fn tamper_first_nonzero_term(
             map.push(v);
             continue;
         }
-        map.push(stripped.add_operation(g.vertex(v).name().to_owned(), g.vertex(v).delay()));
+        map.push(stripped.add_operation(g.vertex(v).name(), g.vertex(v).delay()));
     }
     for (_, e) in g.edges() {
         match e.kind() {
