@@ -265,48 +265,6 @@ impl AnchorSetFamily {
             n_vertices: self.n_vertices,
         }
     }
-
-    /// Builds a family from explicit per-vertex anchor lists, as when
-    /// reconstructing cached analyses from a journal snapshot.
-    ///
-    /// `anchors` must be strictly ascending (the id-order roster) and
-    /// every listed set member must appear in it; returns `None` when the
-    /// input violates either invariant so callers can fall back to
-    /// recomputing from the graph.
-    pub fn from_sets(
-        n_vertices: usize,
-        anchors: &[VertexId],
-        sets: &[(VertexId, Vec<VertexId>)],
-    ) -> Option<AnchorSetFamily> {
-        if !anchors.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        if anchors.iter().any(|a| a.index() >= n_vertices) {
-            return None;
-        }
-        let mut anchor_index = vec![None; n_vertices];
-        for (i, &a) in anchors.iter().enumerate() {
-            anchor_index[a.index()] = Some(i as u32);
-        }
-        let words_per_row = anchors.len().div_ceil(64).max(1);
-        let mut family = AnchorSetFamily {
-            anchors: anchors.to_vec(),
-            anchor_index,
-            words_per_row,
-            bits: vec![0; words_per_row * n_vertices],
-            n_vertices,
-        };
-        for (v, members) in sets {
-            if v.index() >= n_vertices {
-                return None;
-            }
-            for a in members {
-                family.anchor_index(*a)?;
-                family.insert(*v, *a);
-            }
-        }
-        Some(family)
-    }
 }
 
 /// The full anchor sets `A(v)` of a constraint graph (Definition 4),

@@ -178,6 +178,13 @@ impl RelativeSchedule {
         self.iterations
     }
 
+    /// Sets the count [`RelativeSchedule::iterations`] reports, for a
+    /// schedule that stands for a run other than its own (a session
+    /// reopened from a journal snapshot reports the live run's count).
+    pub fn set_iterations(&mut self, iterations: usize) {
+        self.iterations = iterations;
+    }
+
     /// `σ_a^max`: the maximum offset any vertex holds with respect to
     /// anchor `a` (0 if no vertex tracks `a`). Drives control cost (§VI).
     pub fn max_offset(&self, a: VertexId) -> i64 {
@@ -279,42 +286,6 @@ impl RelativeSchedule {
             offsets,
             iterations: self.iterations,
         }
-    }
-
-    /// Reconstructs a schedule from a tracked family plus its explicit
-    /// `(vertex, anchor, offset)` triples — the journal-snapshot path
-    /// that lets `recover` skip the re-schedule.
-    ///
-    /// Every triple must name a tracked pair and every tracked pair must
-    /// be covered exactly once, over a family of `n_vertices` rows;
-    /// returns `None` otherwise (callers fall back to scheduling from
-    /// scratch). The result is bit-identical to the schedule that was
-    /// serialized.
-    pub fn from_offsets(
-        sets: AnchorSetFamily,
-        n_vertices: usize,
-        offsets: &[(VertexId, VertexId, i64)],
-        iterations: usize,
-    ) -> Option<RelativeSchedule> {
-        if sets.n_vertices() != n_vertices || offsets.len() != sets.total_bits() {
-            return None;
-        }
-        let mut omega = RelativeSchedule::zeroed(sets);
-        omega.iterations = iterations;
-        let mut seen = vec![false; omega.offsets.len()];
-        for &(v, a, offset) in offsets {
-            if v.index() >= n_vertices || !omega.sets.contains(v, a) {
-                return None;
-            }
-            let ai = omega.sets.anchor_index(a)?;
-            let slot = omega.slot(v.index(), ai);
-            if seen[slot] {
-                return None;
-            }
-            seen[slot] = true;
-            omega.offsets[slot] = offset;
-        }
-        Some(omega)
     }
 
     /// Restricts the schedule to a smaller anchor-set family (typically
@@ -1389,7 +1360,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_layout_after_schedule_restrict_and_from_offsets() {
+    fn packed_layout_after_schedule_and_restrict() {
         for g in designs() {
             let omega = schedule(&g).unwrap();
             let full = dense_reference(&g, omega.tracked_sets());
@@ -1400,45 +1371,6 @@ mod tests {
                 .irredundant;
             let restricted = omega.restrict(ir.family());
             assert_packed(&restricted, &dense_reference(&g, ir.family()));
-
-            let triples: Vec<_> = g
-                .vertex_ids()
-                .flat_map(|v| omega.offsets_of(v).map(move |(a, o)| (v, a, o)))
-                .collect();
-            let rebuilt = RelativeSchedule::from_offsets(
-                omega.tracked_sets().clone(),
-                g.n_vertices(),
-                &triples,
-                omega.iterations(),
-            )
-            .unwrap();
-            assert_packed(&rebuilt, &full);
-            assert_eq!(rebuilt, omega);
-        }
-    }
-
-    /// A restricted schedule equals the one rebuilt from its own tracked
-    /// triples: the dropped pairs leave nothing behind.
-    #[test]
-    fn restrict_equals_rebuild_from_its_own_offsets() {
-        for g in designs() {
-            let omega = schedule(&g).unwrap();
-            let ir = crate::anchors::IrredundantAnchors::analyze(&g)
-                .unwrap()
-                .irredundant;
-            let restricted = omega.restrict(ir.family());
-            let triples: Vec<_> = g
-                .vertex_ids()
-                .flat_map(|v| restricted.offsets_of(v).map(move |(a, o)| (v, a, o)))
-                .collect();
-            let rebuilt = RelativeSchedule::from_offsets(
-                ir.family().clone(),
-                g.n_vertices(),
-                &triples,
-                restricted.iterations(),
-            )
-            .unwrap();
-            assert_eq!(restricted, rebuilt);
         }
     }
 

@@ -24,9 +24,19 @@
 //! (`ConstraintGraph::to_text`) into a [`JournalOp::Snapshot`] base
 //! record, the in-memory delta is dropped, and the WAL mirror is
 //! atomically rewritten (temp file + rename) to just the snapshot line.
-//! Replay then costs O(`snapshot_every`) regardless of lifetime history —
-//! the Temporal `ContinueAsNew` pattern applied to constraint-graph
-//! sessions.
+//! Replay then costs one open plus O(`snapshot_every`) edits regardless
+//! of lifetime history — the Temporal `ContinueAsNew` pattern applied to
+//! constraint-graph sessions.
+//!
+//! A snapshot holds the design, not the schedule. The minimum relative
+//! schedule is a function of the constraint graph, which the iterative
+//! incremental scheduler reaches in at most |E_b| + 1 iterations
+//! (Theorem 8, Corollary 2), so [`Journal::replay`] opens a snapshot with
+//! [`Session::open`] exactly like the opening design: recovery has one
+//! path. The one number of the live run that the graph does not fix, its
+//! `iterations()`, rides along on the line, and the reopened schedule
+//! reports it. Snapshot lines written while they also carried the
+//! schedule (an `"analysis"` field) still parse; only its count is read.
 //!
 //! Snapshot safety: the engine's differential guarantees make a live
 //! well-posed session's observable state (graph, verdict, anchors,
@@ -62,165 +72,16 @@
 //! a [`Session`] for live edits and replay, and [`Journal::recover`] reads
 //! a WAL file back at boot.
 
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rsched_core::{AnchorSetFamily, RelativeSchedule};
-use rsched_graph::{ConstraintGraph, ExecDelay, VertexId};
+use rsched_graph::{ConstraintGraph, ExecDelay};
 
 use crate::json::{object, Json};
 use crate::session::{EditOutcome, Session};
-
-/// A name-keyed serialization of a session's minimum schedule, stored
-/// inside snapshot records so recovery can skip the opening fixpoint run.
-///
-/// Everything is keyed by operation **name** (like every other journal
-/// record), so the seed survives re-parsing the design text regardless of
-/// internal id assignment. [`ScheduleSeed::instantiate`] rebuilds the
-/// exact [`RelativeSchedule`] against a freshly parsed graph; any
-/// mismatch (renamed ops, missing anchors, wrong coverage) yields `None`
-/// and the recovery path falls back to a full re-schedule — a stale or
-/// hand-edited seed can cost a warm start, never correctness, because
-/// [`Session::open_with_seed`] re-verifies the seed before installing it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduleSeed {
-    /// Fixpoint iterations the original run needed (part of the schedule
-    /// value, so replayed state stays bit-identical).
-    pub iterations: usize,
-    /// Anchor roster by operation name, in anchor id order.
-    pub anchors: Vec<String>,
-    /// Per-vertex tracked offsets: `(vertex, [(anchor, offset)])`. The
-    /// key set of each row is exactly the vertex's tracked anchor set.
-    pub offsets: Vec<(String, Vec<(String, i64)>)>,
-}
-
-impl ScheduleSeed {
-    /// Captures the seed of `schedule` using `graph`'s operation names.
-    pub fn capture(graph: &ConstraintGraph, schedule: &RelativeSchedule) -> ScheduleSeed {
-        let name = |v: VertexId| graph.vertex(v).name().to_owned();
-        ScheduleSeed {
-            iterations: schedule.iterations(),
-            anchors: schedule.anchors().iter().map(|&a| name(a)).collect(),
-            offsets: graph
-                .vertex_ids()
-                .filter_map(|v| {
-                    let row: Vec<(String, i64)> =
-                        schedule.offsets_of(v).map(|(a, o)| (name(a), o)).collect();
-                    if row.is_empty() {
-                        None
-                    } else {
-                        Some((name(v), row))
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuilds the schedule against `graph` (freshly parsed from the
-    /// snapshot design). Returns `None` whenever any name fails to
-    /// resolve or the reconstructed family/offsets are inconsistent —
-    /// callers then fall back to a cold schedule run.
-    pub fn instantiate(&self, graph: &ConstraintGraph) -> Option<RelativeSchedule> {
-        let by_name: HashMap<&str, VertexId> = graph
-            .vertex_ids()
-            .map(|v| (graph.vertex(v).name(), v))
-            .collect();
-        // Duplicate names make resolution ambiguous (snapshots only ever
-        // record uniquely named graphs).
-        if by_name.len() != graph.n_vertices() {
-            return None;
-        }
-        let resolve = |n: &str| by_name.get(n).copied();
-        let anchors: Vec<VertexId> = self
-            .anchors
-            .iter()
-            .map(|n| resolve(n))
-            .collect::<Option<_>>()?;
-        let mut sets: Vec<(VertexId, Vec<VertexId>)> = Vec::with_capacity(self.offsets.len());
-        let mut triples: Vec<(VertexId, VertexId, i64)> = Vec::new();
-        for (vn, row) in &self.offsets {
-            let v = resolve(vn)?;
-            let mut members = Vec::with_capacity(row.len());
-            for (an, off) in row {
-                let a = resolve(an)?;
-                members.push(a);
-                triples.push((v, a, *off));
-            }
-            sets.push((v, members));
-        }
-        let family = AnchorSetFamily::from_sets(graph.n_vertices(), &anchors, &sets)?;
-        RelativeSchedule::from_offsets(family, graph.n_vertices(), &triples, self.iterations)
-    }
-
-    /// Renders the seed as the `"analysis"` value of a snapshot line.
-    fn to_json(&self) -> Json {
-        object([
-            ("iterations", Json::from(self.iterations)),
-            (
-                "anchors",
-                Json::Array(
-                    self.anchors
-                        .iter()
-                        .map(|a| Json::from(a.as_str()))
-                        .collect(),
-                ),
-            ),
-            (
-                "offsets",
-                Json::Object(
-                    self.offsets
-                        .iter()
-                        .map(|(v, row)| {
-                            (
-                                v.clone(),
-                                Json::Object(
-                                    row.iter()
-                                        .map(|(a, o)| (a.clone(), Json::Int(*o)))
-                                        .collect(),
-                                ),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses an `"analysis"` value; `None` for anything malformed (the
-    /// snapshot then replays with a cold schedule run).
-    fn from_json(json: &Json) -> Option<ScheduleSeed> {
-        let iterations = usize::try_from(json.get("iterations")?.as_i64()?).ok()?;
-        let anchors = json
-            .get("anchors")?
-            .as_array()?
-            .iter()
-            .map(|a| a.as_str().map(str::to_owned))
-            .collect::<Option<Vec<_>>>()?;
-        let Json::Object(rows) = json.get("offsets")? else {
-            return None;
-        };
-        let mut offsets = Vec::with_capacity(rows.len());
-        for (v, row) in rows {
-            let Json::Object(cells) = row else {
-                return None;
-            };
-            let mut out = Vec::with_capacity(cells.len());
-            for (a, o) in cells {
-                out.push((a.clone(), o.as_i64()?));
-            }
-            offsets.push((v.clone(), out));
-        }
-        Some(ScheduleSeed {
-            iterations,
-            anchors,
-            offsets,
-        })
-    }
-}
 
 /// One replayable session record, keyed by operation names.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,19 +95,19 @@ pub enum JournalOp {
         /// journal directory alone. Empty for pre-naming WAL files.
         session: String,
     },
-    /// A compaction base: the session's full graph re-serialized. Replay
-    /// treats it exactly like [`JournalOp::Open`]; the distinct variant
-    /// keeps the WAL audit trail honest about where history was folded.
+    /// A compaction base: the session's full graph re-serialized, not its
+    /// schedule — the minimum schedule is a function of the graph, so
+    /// replay opens it exactly like [`JournalOp::Open`]. The distinct
+    /// variant keeps the WAL audit trail honest about where history was
+    /// folded.
     Snapshot {
         /// The serialized graph at the compaction point.
         design: String,
         /// The serve-layer session name (see [`JournalOp::Open`]).
         session: String,
-        /// The session's schedule at the compaction point, when it was
-        /// available, so recovery replays without re-running the opening
-        /// fixpoint. `None` (or a seed that fails verification) falls
-        /// back to a cold run.
-        analysis: Option<ScheduleSeed>,
+        /// The live schedule's `iterations()`, which the reopened one
+        /// reports; `None` keeps the cold run's count.
+        iterations: Option<usize>,
     },
     /// `add_dependency(from, to)`.
     AddDep {
@@ -303,18 +164,13 @@ impl JournalOp {
             JournalOp::Snapshot {
                 design,
                 session,
-                analysis,
-            } => {
-                let mut pairs = vec![
-                    ("op", Json::from("snapshot")),
-                    ("session", Json::from(session.as_str())),
-                    ("design", Json::from(design.as_str())),
-                ];
-                if let Some(seed) = analysis {
-                    pairs.push(("analysis", seed.to_json()));
-                }
-                object(pairs)
-            }
+                iterations,
+            } => object([
+                ("op", Json::from("snapshot")),
+                ("session", Json::from(session.as_str())),
+                ("design", Json::from(design.as_str())),
+                ("iterations", iterations.map_or(Json::Null, Json::from)),
+            ]),
             JournalOp::AddDep { from, to } => object([
                 ("op", Json::from("add_dep")),
                 ("from", Json::from(from.as_str())),
@@ -354,8 +210,9 @@ impl JournalOp {
     /// Parses one WAL line back into a journal record — the inverse of
     /// [`JournalOp::to_json`]. Tolerant of older line formats: a missing
     /// `"session"` parses as an empty name (such files cannot be
-    /// auto-recovered, but still parse), and a malformed `"analysis"`
-    /// degrades to `None`. `None` for any other structural problem.
+    /// auto-recovered, but still parse), and of the `"analysis"` that
+    /// older snapshot lines carry only the iteration count is read.
+    /// `None` for any other structural problem.
     fn from_json(json: &Json) -> Option<JournalOp> {
         let design = || json.get("design")?.as_str().map(str::to_owned);
         let session = || {
@@ -372,7 +229,11 @@ impl JournalOp {
             "snapshot" => Some(JournalOp::Snapshot {
                 design: design()?,
                 session: session(),
-                analysis: json.get("analysis").and_then(ScheduleSeed::from_json),
+                // Older lines keep the count inside their saved schedule.
+                iterations: (json.get("iterations"))
+                    .or_else(|| json.get("analysis")?.get("iterations"))
+                    .and_then(Json::as_i64)
+                    .and_then(|n| usize::try_from(n).ok()),
             }),
             kind => JournalOp::decode_edit(kind, json).ok(),
         }
@@ -723,16 +584,10 @@ impl Journal {
         if rsched_graph::failpoint!("journal::snapshot").is_some() {
             return false;
         }
-        let design = session.graph().to_text();
         let snapshot = JournalOp::Snapshot {
-            design,
+            design: session.graph().to_text(),
             session: self.name.clone(),
-            // Snapshot-safe implies well-posed, so the session holds a
-            // fresh schedule; journaling it lets recovery skip the
-            // fixpoint kernel entirely.
-            analysis: session
-                .schedule()
-                .map(|s| ScheduleSeed::capture(session.graph(), s)),
+            iterations: session.schedule().map(|s| s.iterations()),
         };
         self.rewrite_wal(&snapshot);
         self.compacted_edits += self.edits();
@@ -765,9 +620,10 @@ impl Journal {
     /// Deterministic: the recorded edits were all accepted against the
     /// same prefix states, so replay reproduces the exact graph, verdict,
     /// and offsets of the live session after its last accepted edit.
-    /// After a compaction the base is the snapshot and only the delta
-    /// replays — recovery cost is bounded by `snapshot_every`, not by
-    /// the session's lifetime history.
+    /// After a compaction the base is the snapshot, opened with
+    /// [`Session::open`] like a design, and only the delta replays —
+    /// recovery cost is bounded by `snapshot_every`, not by the session's
+    /// lifetime history.
     ///
     /// # Errors
     ///
@@ -775,20 +631,21 @@ impl Journal {
     /// if the journal was corrupted (it records accepted edits only).
     pub fn replay(&self) -> Result<Session, String> {
         let mut ops = self.ops.iter();
-        let (design, analysis) = match ops.next() {
-            Some(JournalOp::Open { design, .. }) => (design, None),
-            Some(JournalOp::Snapshot {
-                design, analysis, ..
-            }) => (design, analysis.as_ref()),
+        let design = match ops.next() {
+            Some(JournalOp::Open { design, .. } | JournalOp::Snapshot { design, .. }) => design,
             _ => return Err("journal does not start with an open or snapshot".to_owned()),
         };
         let graph = ConstraintGraph::from_text(design)
             .map_err(|e| format!("journal replay: bad design: {e}"))?;
-        // A journaled analysis that fails to instantiate (e.g. a WAL from
-        // an older format) degrades to a cold open — never an error.
-        let seed = analysis.and_then(|a| a.instantiate(&graph));
-        let mut session = Session::open_with_seed(graph, seed)
-            .map_err(|e| format!("journal replay: cannot open: {e}"))?;
+        let mut session =
+            Session::open(graph).map_err(|e| format!("journal replay: cannot open: {e}"))?;
+        if let Some(JournalOp::Snapshot {
+            iterations: Some(n),
+            ..
+        }) = self.ops.first()
+        {
+            session.restore_iterations(*n);
+        }
         for (i, op) in ops.enumerate() {
             match op.apply(&mut session) {
                 Ok(EditOutcome::Rejected { error }) => {
@@ -1064,38 +921,8 @@ mod tests {
     }
 
     #[test]
-    fn schedule_seed_round_trips_bit_identically() {
-        let graph = ConstraintGraph::from_text(DESIGN).unwrap();
-        let live = Session::open(graph).unwrap();
-        let omega = live.schedule().expect("well-posed design");
-        let seed = ScheduleSeed::capture(live.graph(), omega);
-        // Against the same graph re-parsed from its own text — exactly
-        // what snapshot recovery does.
-        let reparsed = ConstraintGraph::from_text(&live.graph().to_text()).unwrap();
-        let rebuilt = seed
-            .instantiate(&reparsed)
-            .expect("seed instantiates against its own design text");
-        assert_eq!(&rebuilt, omega, "seeded schedule must be bit-identical");
-        // And the seeded open is indistinguishable from a cold open.
-        let seeded = Session::open_with_seed(reparsed, Some(rebuilt)).unwrap();
-        assert_eq!(seeded.schedule(), live.schedule());
-        assert_eq!(seeded.posedness(), live.posedness());
-        assert_eq!(seeded.stats(), live.stats());
-    }
-
-    #[test]
-    fn seed_that_no_longer_matches_falls_back_to_cold_open() {
-        let graph = ConstraintGraph::from_text(DESIGN).unwrap();
-        let live = Session::open(graph).unwrap();
-        let seed = ScheduleSeed::capture(live.graph(), live.schedule().unwrap());
-        // A different design: names resolve nowhere.
-        let other = ConstraintGraph::from_text("op a 1\nop b 2\ndep a b\n").unwrap();
-        assert_eq!(seed.instantiate(&other), None);
-    }
-
-    #[test]
-    fn snapshot_lines_carry_the_analysis_and_legacy_lines_still_parse() {
-        let dir = std::env::temp_dir().join(format!("rsched_wal_seed_{}", std::process::id()));
+    fn snapshot_lines_hold_the_design_and_legacy_lines_still_parse() {
+        let dir = std::env::temp_dir().join(format!("rsched_wal_design_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("a.wal");
         let graph = ConstraintGraph::from_text(DESIGN).unwrap();
@@ -1112,28 +939,43 @@ mod tests {
         journal.sync();
         let text = std::fs::read_to_string(&path).unwrap();
         let snapshot = Json::parse(text.lines().next().unwrap()).unwrap();
-        assert_eq!(snapshot.get("session").and_then(Json::as_str), Some("sess"));
-        let parsed = JournalOp::from_json(&snapshot).unwrap();
+        let Json::Object(fields) = &snapshot else {
+            panic!("snapshot line is not an object: {text}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["op", "session", "design", "iterations"], "{text}");
         let JournalOp::Snapshot {
-            design, analysis, ..
-        } = parsed
+            design,
+            session,
+            iterations,
+        } = JournalOp::from_json(&snapshot).unwrap()
         else {
             panic!("first line is not a snapshot: {text}");
         };
-        let seed = analysis.expect("well-posed snapshot embeds its analysis");
-        let reparsed = ConstraintGraph::from_text(&design).unwrap();
-        assert_eq!(
-            seed.instantiate(&reparsed).as_ref(),
-            live.schedule(),
-            "journaled analysis rebuilds the live schedule"
-        );
-        // Lines from before session names / analyses were journaled must
-        // still parse (empty name, no seed).
+        assert_eq!(session, "sess");
+        assert_eq!(design, live.graph().to_text());
+        assert_eq!(iterations, live.schedule().map(|s| s.iterations()));
+        // Lines from before session names were journaled still parse,
+        // with an empty name.
         let legacy = Json::parse(r#"{"op":"open","design":"op a 1\n"}"#).unwrap();
         match JournalOp::from_json(&legacy).unwrap() {
             JournalOp::Open { session, .. } => assert_eq!(session, ""),
             other => panic!("legacy open parsed as {other:?}"),
         }
+        // So do snapshot lines that still carry a saved schedule under
+        // "analysis": only its iteration count is read.
+        let analysed = Json::parse(
+            r#"{"op":"snapshot","session":"sess","design":"op a 1\n","analysis":{"iterations":3,"anchors":["source"],"offsets":{"a":{"source":0}}}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            JournalOp::from_json(&analysed),
+            Some(JournalOp::Snapshot {
+                design: "op a 1\n".into(),
+                session: "sess".into(),
+                iterations: Some(3),
+            })
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

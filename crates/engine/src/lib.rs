@@ -40,7 +40,7 @@ pub mod runtime;
 pub mod service;
 pub mod session;
 
-pub use journal::{Journal, JournalOp, ScheduleSeed};
+pub use journal::{Journal, JournalOp};
 pub use optimize::{
     Objective, OptimizeConfig, OptimizeError, OptimizeReport, Optimizer, RoundReport,
 };

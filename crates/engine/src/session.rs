@@ -167,8 +167,8 @@ impl Session {
     }
 
     /// [`Session::open`] with an optional schedule seed: a minimum
-    /// schedule previously computed for this exact graph (a canonical-form
-    /// cache hit, or a journal snapshot's saved analysis).
+    /// schedule previously computed for this exact graph, as a
+    /// canonical-form cache hit supplies.
     ///
     /// The seed is **verified before installation** — its tracked family
     /// must equal the freshly computed anchor sets and its zero-profile
@@ -236,6 +236,15 @@ impl Session {
         true
     }
 
+    /// Makes the schedule and stats report `iterations` fixpoint rounds
+    /// for the last run: the live run's count, which a snapshot records.
+    pub(crate) fn restore_iterations(&mut self, iterations: usize) {
+        if let Some((schedule, _)) = &mut self.current {
+            self.stats.iterations = self.stats.iterations - schedule.iterations() + iterations;
+            schedule.set_iterations(iterations);
+        }
+    }
+
     /// The graph in its current (edited) state.
     pub fn graph(&self) -> &ConstraintGraph {
         &self.graph
@@ -270,11 +279,16 @@ impl Session {
             .find(|&v| self.graph.vertex(v).name() == name)
     }
 
-    /// Finds a live edge by endpoints (first match in edge order).
+    /// Finds a live edge by endpoints (first match in edge order), in
+    /// O(out-degree of `from`): out-lists hold live edges in `EdgeId`
+    /// order, as the graph appends each new edge at the tail.
     pub fn edge_between(&self, from: VertexId, to: VertexId) -> Option<EdgeId> {
+        if from.index() >= self.graph.n_vertices() {
+            return None;
+        }
         self.graph
-            .edges()
-            .find(|(_, e)| e.from() == from && e.to() == to)
+            .out_edges(from)
+            .find(|(_, e)| e.to() == to)
             .map(|(id, _)| id)
     }
 
@@ -799,6 +813,49 @@ mod tests {
         assert_eq!(session.schedule().cloned(), before);
         assert_eq!(session.stats().rejected, 2);
         assert_eq!(session.stats().edits, 0);
+    }
+
+    /// A reopened snapshot reports the live run's count in its schedule
+    /// and in the stats, in place of its own cold run's.
+    #[test]
+    fn restored_iterations_replace_the_open_run_count() {
+        let (g, ..) = demo();
+        let mut session = Session::open(g).unwrap();
+        let cold = session.schedule().unwrap().iterations();
+        assert_eq!(session.stats().iterations, cold);
+        session.restore_iterations(cold + 5);
+        assert_eq!(session.schedule().unwrap().iterations(), cold + 5);
+        assert_eq!(session.stats().iterations, cold + 5);
+        assert_eq!(session.stats().reschedules, 1);
+    }
+
+    /// With parallel edges between one pair, the first live one in edge
+    /// order is found — also after an earlier one was removed.
+    #[test]
+    fn edge_between_finds_the_first_live_parallel_edge() {
+        let (g, sync, alu, out) = demo();
+        let mut session = Session::open(g).unwrap();
+        let dep = session.edge_between(alu, out).unwrap();
+        assert!(session.add_min_constraint(alu, out, 3).is_scheduled());
+        assert!(session.add_min_constraint(alu, out, 1).is_scheduled());
+        let parallel: Vec<EdgeId> = session
+            .graph()
+            .edges()
+            .filter(|(_, e)| e.from() == alu && e.to() == out)
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(parallel.len(), 3);
+        assert_eq!(parallel[0], dep);
+        session.remove_edge(dep);
+        assert_eq!(session.edge_between(alu, out), Some(parallel[1]));
+        session.remove_edge(parallel[1]);
+        assert_eq!(session.edge_between(alu, out), Some(parallel[2]));
+        session.remove_edge(parallel[2]);
+        assert_eq!(session.edge_between(alu, out), None);
+        // The backward max edge runs out -> alu, not alu -> out.
+        assert!(session.edge_between(out, alu).is_some());
+        assert_eq!(session.edge_between(sync, out), None);
+        assert_eq!(session.edge_between(VertexId::from_index(999), out), None);
     }
 
     #[test]

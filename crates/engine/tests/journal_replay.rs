@@ -183,6 +183,58 @@ fn case_token() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+/// The design behind `tests/data/legacy-snapshot-with-analysis.wal`.
+const LEGACY_DESIGN: &str = "op sync unbounded\nop alu 2\nop mul 3\nop out 1\n\
+    dep sync alu\ndep sync mul\ndep alu out\ndep mul out\nmin sync mul 1\nmax alu out 4\n";
+
+/// A WAL from before snapshots dropped the schedule: `rsched serve
+/// --journal-dir D --snapshot-every 1` opened session `legacy` on
+/// [`LEGACY_DESIGN`] and applied `add_min alu out 3`, so its one line is
+/// a snapshot that still carries the saved schedule under `"analysis"`.
+/// Recovery reads only that field's iteration count and rebuilds the
+/// design plus the edit: the same schedule as the live session's.
+#[test]
+fn legacy_snapshot_with_analysis_recovers_the_design_plus_its_edit() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/legacy-snapshot-with-analysis.wal");
+    let text = std::fs::read_to_string(&fixture).expect("fixture is checked in");
+    assert_eq!(text.lines().count(), 1, "{text}");
+    assert!(
+        text.starts_with(r#"{"op":"snapshot","session":"legacy","#),
+        "{text}"
+    );
+    assert!(text.contains(r#""analysis":{"#), "{text}");
+    // `recover` may rewrite or append to the file: work on a copy.
+    let wal = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("legacy-{}.wal", case_token()));
+    std::fs::copy(&fixture, &wal).unwrap();
+    let (journal, recovered) = Journal::recover(&wal).expect("the legacy WAL recovers");
+    assert_eq!(journal.session_name(), "legacy");
+    assert!(journal.snapshotted());
+    assert_eq!(journal.edits(), 0);
+
+    let graph = ConstraintGraph::from_text(LEGACY_DESIGN).unwrap();
+    let mut live = Session::open(graph).unwrap();
+    let (alu, out) = (
+        live.vertex_named("alu").unwrap(),
+        live.vertex_named("out").unwrap(),
+    );
+    assert!(live.add_min_constraint(alu, out, 3).is_scheduled());
+    assert_eq!(recovered.graph().to_text(), live.graph().to_text());
+    assert_eq!(recovered.posedness(), live.posedness());
+    let (rebuilt, original) = (recovered.schedule().unwrap(), live.schedule().unwrap());
+    assert_eq!(rebuilt.anchors(), original.anchors());
+    for v in live.graph().vertex_ids() {
+        for &a in original.anchors() {
+            assert_eq!(rebuilt.offset(v, a), original.offset(v, a), "σ_{a}({v})");
+        }
+    }
+    assert_eq!(rebuilt, original);
+    assert_replay_matches(&journal, &live, 1);
+    drop(journal);
+    let _ = std::fs::remove_file(&wal);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -271,8 +323,8 @@ proptest! {
             prop_assert_eq!(base_op, Some("open"));
         }
         // Boot recovery reads that file back to the live session: every
-        // edit kind, unbounded delays and snapshot analyses go through
-        // the WAL line decoder.
+        // edit kind, unbounded delays and snapshot lines (design and
+        // iteration count) go through the WAL line decoder.
         let (recovered, session) = Journal::recover(&wal).expect("the wal mirror recovers");
         prop_assert_eq!(recovered.edits(), compacted.edits());
         prop_assert_eq!(recovered.snapshotted(), compacted.snapshotted());

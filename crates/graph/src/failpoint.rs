@@ -182,14 +182,6 @@ pub fn hit(site: &str) -> Option<String> {
     }
 }
 
-/// Disarms every failpoint in the process. Individual guards become
-/// no-ops; intended for harness teardown.
-pub fn disarm_all() {
-    let mut reg = registry();
-    ARMED_COUNT.fetch_sub(reg.len(), Ordering::Relaxed);
-    reg.clear();
-}
-
 /// A panic inside [`hit`] (the whole point of [`FailAction::Panic`])
 /// happens with the registry lock *released*, so poisoning can only come
 /// from a panic within this module's own bookkeeping — recover the data

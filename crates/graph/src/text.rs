@@ -12,15 +12,16 @@
 //! max  sync   alu 4        # ill-posed, but parses
 //! ```
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 
 use crate::error::GraphError;
-use crate::graph::{ConstraintGraph, ExecDelay, VertexId};
+use crate::graph::{ConstraintGraph, EdgeKind, ExecDelay, VertexId};
 
 /// Errors produced while parsing the text format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,28 +143,13 @@ impl ConstraintGraph {
         Ok(g)
     }
 
-    /// Renders the graph in the text format. Vertex names are
-    /// disambiguated with `@<id>` suffixes when duplicated; edges added by
-    /// polarization are included (re-parsing is idempotent).
+    /// Renders the graph in the text format. A repeated name, or an
+    /// operation named `source` or `sink`, is written `name@<id>`, or
+    /// `name@<id>@<k>` when another vertex is already written so; edges
+    /// added by polarization are included (re-parsing is idempotent).
     pub fn to_text(&self) -> String {
-        let mut seen: HashMap<&str, usize> = HashMap::new();
-        for v in self.vertex_ids() {
-            *seen.entry(self.vertex(v).name()).or_default() += 1;
-        }
-        let name_of = |v: VertexId| -> String {
-            if v == self.source() {
-                return "source".to_owned();
-            }
-            if v == self.sink() {
-                return "sink".to_owned();
-            }
-            let name = self.vertex(v).name();
-            if seen[name] > 1 || name == "source" || name == "sink" {
-                format!("{name}@{}", v.index())
-            } else {
-                name.to_owned()
-            }
-        };
+        let names = self.text_names();
+        let name_of = |v: VertexId| &*names[v.index()];
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -179,33 +165,53 @@ impl ConstraintGraph {
             let _ = writeln!(out, "op {} {}", name_of(v), delay);
         }
         for (_, e) in self.edges() {
-            match e.kind() {
-                crate::graph::EdgeKind::Sequencing => {
-                    let _ = writeln!(out, "dep {} {}", name_of(e.from()), name_of(e.to()));
-                }
-                crate::graph::EdgeKind::MinConstraint => {
-                    let _ = writeln!(
-                        out,
-                        "min {} {} {}",
-                        name_of(e.from()),
-                        name_of(e.to()),
-                        e.weight().zeroed()
-                    );
-                }
-                crate::graph::EdgeKind::MaxConstraint => {
-                    // Stored backward: reconstruct the user-facing
-                    // direction (from = head, to = tail, weight -u).
-                    let _ = writeln!(
-                        out,
-                        "max {} {} {}",
-                        name_of(e.to()),
-                        name_of(e.from()),
-                        -e.weight().zeroed()
-                    );
-                }
-            }
+            let (from, to, w) = (name_of(e.from()), name_of(e.to()), e.weight().zeroed());
+            let _ = match e.kind() {
+                EdgeKind::Sequencing => writeln!(out, "dep {from} {to}"),
+                EdgeKind::MinConstraint => writeln!(out, "min {from} {to} {w}"),
+                // Stored backward: reconstruct the user-facing direction
+                // (from = head, to = tail, weight -u).
+                EdgeKind::MaxConstraint => writeln!(out, "max {to} {from} {}", -w),
+            };
         }
         out
+    }
+
+    /// The name each vertex is written under, by id. An operation keeps
+    /// its own name unless another operation shares it or it is `source`
+    /// or `sink`; then it is written `name@id`, or `name@id@k` with the
+    /// least `k` that no other vertex is written under.
+    fn text_names(&self) -> Vec<Cow<'_, str>> {
+        let mut uses: HashMap<&str, usize> = HashMap::new();
+        for v in self.operation_ids() {
+            *uses.entry(self.vertex(v).name()).or_default() += 1;
+        }
+        let verbatim = |name: &str| uses[name] == 1 && name != "source" && name != "sink";
+        let mut taken: HashSet<Cow<'_, str>> = (uses.keys().copied().filter(|&n| verbatim(n)))
+            .chain(["source", "sink"])
+            .map(Cow::Borrowed)
+            .collect();
+        self.vertex_ids()
+            .map(|v| {
+                let name = self.vertex(v).name();
+                if v == self.source() {
+                    Cow::Borrowed("source")
+                } else if v == self.sink() {
+                    Cow::Borrowed("sink")
+                } else if verbatim(name) {
+                    Cow::Borrowed(name)
+                } else {
+                    let mut unique = format!("{name}@{}", v.index());
+                    let mut k = 0;
+                    while taken.contains(unique.as_str()) {
+                        k += 1;
+                        unique = format!("{name}@{}@{k}", v.index());
+                    }
+                    taken.insert(Cow::Owned(unique.clone()));
+                    Cow::Owned(unique)
+                }
+            })
+            .collect()
     }
 }
 

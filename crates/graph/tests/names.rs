@@ -110,3 +110,30 @@ proptest! {
         assert_names(&parsed, &renamed);
     }
 }
+
+/// A suffix `to_text` picks is never a name another operation already
+/// has: `a`, `a`, `a@3` cannot render the second `a` as `a@3`.
+#[test]
+fn suffixed_names_avoid_names_in_use() {
+    let mut g = ConstraintGraph::new();
+    let ops = ["a", "a", "a@3", "a@3@1", "source", "source@6"]
+        .map(|name| g.add_operation(name, ExecDelay::Fixed(1)));
+    g.add_dependency(ops[0], ops[1]).unwrap();
+    g.add_max_constraint(ops[1], ops[2], 4).unwrap();
+    g.polarize().unwrap();
+    let text = g.to_text();
+    let parsed = ConstraintGraph::from_text(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    let expected = [
+        "source",
+        "sink",
+        "a@2",
+        "a@3@2",
+        "a@3",
+        "a@3@1",
+        "source@6@1",
+        "source@6",
+    ]
+    .map(str::to_owned);
+    assert_names(&parsed, &expected);
+    assert_eq!(parsed.to_text(), text);
+}
