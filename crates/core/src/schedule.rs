@@ -109,9 +109,26 @@ impl RelativeSchedule {
         Self::pack(sets, iterations, |v, i| data[v * k + i])
     }
 
-    /// A schedule with every tracked offset at zero.
+    /// A schedule with every tracked offset at zero: the row bounds come
+    /// from each row's popcount, without visiting a member bit.
     pub(crate) fn zeroed(sets: AnchorSetFamily) -> Self {
-        Self::pack(sets, 0, |_, _| 0)
+        let mut row_start = Vec::with_capacity(sets.n_vertices() + 1);
+        let mut total = 0u32;
+        row_start.push(0);
+        for vi in 0..sets.n_vertices() {
+            let row = sets.row_words(VertexId::from_index(vi));
+            let members: u32 = row.iter().map(|w| w.count_ones()).sum();
+            total = total
+                .checked_add(members)
+                .expect("fewer than 2^32 tracked pairs");
+            row_start.push(total);
+        }
+        RelativeSchedule {
+            sets,
+            row_start,
+            offsets: vec![0; total as usize],
+            iterations: 0,
+        }
     }
 
     /// Raw offset write by anchor index (baselines only); the pair must
@@ -597,10 +614,24 @@ pub fn schedule_traced(graph: &ConstraintGraph) -> Result<ScheduleTrace, Schedul
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError::Inconsistent`] when relaxation fails to
-/// settle within a Bellman–Ford-style per-vertex pop budget. On a graph
-/// whose backward edges pass the Theorem 2 containment check this
-/// indicates a positive cycle; callers classify authoritatively via
+/// Returns [`ScheduleError::Inconsistent`] when relaxation provably
+/// diverges, that is when some column holds a closed walk of positive
+/// weight, so no finite schedule satisfies the constraints:
+///
+/// - When `changed_sets` is empty, at the moment the new edge's head is
+///   raised a second time. `prev` satisfied every other constraint, so
+///   each raise descends, column by column, from the head's first raise
+///   along edges left tight; raising the head again closes a walk from
+///   the head back to itself whose weight is positive, and the walk uses
+///   the new edge, since the old constraints alone admitted `prev`
+///   (the argument behind incremental positive-cycle detection,
+///   Gonczarowski, arXiv:1304.5643). The verdict comes as soon as that
+///   walk closes, not after one vertex has been popped `|V| · |A|` times.
+/// - Otherwise (fresh zero columns are raised from several roots) when
+///   a vertex exceeds a Bellman–Ford-style per-vertex pop budget.
+///
+/// On a graph whose backward edges pass the Theorem 2 containment check
+/// this indicates a positive cycle; callers classify authoritatively via
 /// [`check_well_posed_with`], exactly as for a [`schedule_with_sets`]
 /// budget exhaustion. **On error `prev` is damaged** — offsets have been
 /// raised along the divergent cycle past any meaningful minimum — and
@@ -655,8 +686,8 @@ pub fn relax_additive(
             raised_list.push(v);
         }
     }
+    let h = graph.edge(new_edge).to();
     if relax_edge(omega, graph.edge(new_edge)) {
-        let h = graph.edge(new_edge).to();
         if !is_raised[h.index()] {
             raised_list.push(h);
             is_raised[h.index()] = true;
@@ -666,17 +697,23 @@ pub fn relax_additive(
             queue.push_back(h);
         }
     }
+    let inconsistent = || ScheduleError::Inconsistent {
+        iterations: graph.n_backward_edges() + 1,
+    };
+    // Every raise descends from the head's first one (see "Errors").
+    let single_root = changed_sets.is_empty();
     while let Some(v) = queue.pop_front() {
         in_queue[v.index()] = false;
         pops[v.index()] += 1;
         if pops[v.index()] > cap {
-            return Err(ScheduleError::Inconsistent {
-                iterations: graph.n_backward_edges() + 1,
-            });
+            return Err(inconsistent());
         }
         for (_, e) in graph.out_edges(v) {
             if relax_edge(omega, e) {
                 let u = e.to();
+                if single_root && u == h {
+                    return Err(inconsistent());
+                }
                 if !is_raised[u.index()] {
                     is_raised[u.index()] = true;
                     raised_list.push(u);
@@ -1399,6 +1436,108 @@ mod tests {
             assert_packed(&back, &dense);
             assert_eq!(back, omega);
         }
+    }
+
+    /// Chain `a → b → c` of fixed delays 1, 2 and 1 (polarized once
+    /// `extra` has added its constraints) with its minimum schedule.
+    fn chain(
+        extra: impl FnOnce(&mut ConstraintGraph, [VertexId; 3]),
+    ) -> (ConstraintGraph, [VertexId; 3], RelativeSchedule) {
+        let mut g = ConstraintGraph::new();
+        let a = g.add_operation("a", ExecDelay::Fixed(1));
+        let b = g.add_operation("b", ExecDelay::Fixed(2));
+        let c = g.add_operation("c", ExecDelay::Fixed(1));
+        g.add_dependency(a, b).unwrap();
+        g.add_dependency(b, c).unwrap();
+        extra(&mut g, [a, b, c]);
+        g.polarize().unwrap();
+        let omega = schedule(&g).unwrap();
+        (g, [a, b, c], omega)
+    }
+
+    /// Adds an edge through `add` and relaxes `omega` over the result.
+    fn relax_added(
+        g: &mut ConstraintGraph,
+        omega: &mut RelativeSchedule,
+        add: impl FnOnce(&mut ConstraintGraph) -> EdgeId,
+    ) -> Result<Vec<VertexId>, ScheduleError> {
+        let Ok(mut sets) = AnchorSets::compute(g);
+        let id = add(g);
+        let changed = sets.notify_add_edge(g, id);
+        relax_additive(g, sets.family(), omega, id, &changed)
+    }
+
+    /// Every offset of `omega` equals the cold schedule's.
+    fn assert_cold(g: &ConstraintGraph, omega: &RelativeSchedule) {
+        let cold = schedule(g).unwrap();
+        assert_eq!(omega.tracked_sets(), cold.tracked_sets());
+        for v in g.vertex_ids() {
+            assert!(omega.offsets_of(v).eq(cold.offsets_of(v)), "{v}");
+        }
+    }
+
+    /// A maximum constraint that closes a positive cycle through the new
+    /// edge is refused the moment the head is raised a second time, not
+    /// after the pop budget: the head `a` rose by the cycle's weight
+    /// twice and no more.
+    #[test]
+    fn relax_additive_refuses_a_positive_cycle_through_the_new_edge() {
+        let (mut g, [a, b, c], mut omega) = chain(|_, _| {});
+        let s = g.source();
+        // c → a of weight −2 against a → b → c of weight 3.
+        let err = relax_added(&mut g, &mut omega, |g| {
+            g.add_max_constraint(a, c, 2).unwrap()
+        });
+        assert!(
+            matches!(err, Err(ScheduleError::Inconsistent { .. })),
+            "{err:?}"
+        );
+        assert_eq!(omega.offset(a, s), Some(2));
+        assert_eq!(omega.offset(b, s), Some(2));
+        assert!(schedule(&g).is_err(), "the cold path agrees");
+    }
+
+    /// A new edge that raises a cone and closes a zero-weight cycle
+    /// converges to the cold schedule.
+    #[test]
+    fn relax_additive_settles_a_zero_weight_cycle() {
+        let (mut g, [a, b, c], mut omega) = chain(|g, [a, _, c]| {
+            g.add_max_constraint(a, c, 6).unwrap();
+        });
+        let s = g.source();
+        // min(a, b, 4) closes a → b → c → a of weight 4 + 2 − 6 = 0.
+        let raised = relax_added(&mut g, &mut omega, |g| {
+            g.add_min_constraint(a, b, 4).unwrap()
+        })
+        .expect("a zero-weight cycle converges");
+        assert_eq!(raised, vec![b, c, g.sink()]);
+        assert_eq!(omega.offset(c, s), Some(6));
+        assert_cold(&g, &omega);
+    }
+
+    /// A forward edge from an unbounded operation grows the anchor sets
+    /// of its head and what follows; relaxation from several roots (the
+    /// fresh zero columns) still lands on the cold schedule.
+    #[test]
+    fn relax_additive_converges_when_the_edge_grows_sets() {
+        let mut g = ConstraintGraph::new();
+        let x = g.add_operation("x", ExecDelay::Unbounded);
+        let a = g.add_operation("a", ExecDelay::Fixed(3));
+        let b = g.add_operation("b", ExecDelay::Fixed(2));
+        let c = g.add_operation("c", ExecDelay::Fixed(1));
+        g.add_dependency(a, b).unwrap();
+        g.add_dependency(b, c).unwrap();
+        g.add_min_constraint(a, c, 6).unwrap();
+        g.add_max_constraint(b, c, 4).unwrap();
+        g.polarize().unwrap();
+        let mut omega = schedule(&g).unwrap();
+        let raised = relax_added(&mut g, &mut omega, |g| {
+            g.add_min_constraint(x, b, 2).unwrap()
+        })
+        .expect("no positive cycle");
+        assert!(omega.tracked_sets().contains(c, x), "the edge grew c's set");
+        assert!(raised.contains(&b) && raised.contains(&c), "{raised:?}");
+        assert_cold(&g, &omega);
     }
 
     /// An additive edit that grows anchor sets re-packs the rows once;

@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use crate::scan::ByteClass;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -329,13 +331,9 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             let start = self.pos;
-            // Copy unescaped runs wholesale.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
+            // Copy unescaped runs wholesale, found a word at a time.
+            let run = &self.bytes[start..];
+            self.pos += ByteClass::JSON_STRING_STOP.find(run).unwrap_or(run.len());
             // Both ends sit on ASCII bytes (or the end of input), so the
             // run is already a valid `str` slice.
             out.push_str(&self.text[start..self.pos]);

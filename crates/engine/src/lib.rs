@@ -29,6 +29,8 @@
 //!   its stdio transport and the `rsched-net` crate its socket
 //!   transport, so socket and stdio responses are bit-identical for the
 //!   same op stream.
+//! - [`scan`] — the word-at-a-time byte finder that the socket
+//!   transport's frame splitting and the JSON string parser share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +39,7 @@ pub mod journal;
 pub mod json;
 pub mod optimize;
 pub mod runtime;
+pub mod scan;
 pub mod service;
 pub mod session;
 

@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 use rsched_engine::error_response;
 use rsched_engine::json::{object, Json};
 use rsched_engine::runtime::{lock_recover, Frame, Intake, Reply, Runtime, Sink};
+use rsched_engine::scan::ByteClass;
 use rsched_graph::failpoint;
 
 use crate::poll::{self, Event, Interest, Poller, WakePipe};
@@ -673,69 +674,60 @@ impl<'a> EventLoop<'a> {
     }
 
     /// Splits an incoming chunk into frames against the connection's
-    /// partial-frame buffer, enforcing the frame-size cap.
+    /// partial-frame buffer, enforcing the frame-size cap. Each byte is
+    /// searched for `\n` once. A frame that arrives whole is handed to
+    /// intake straight out of `bytes`; the pieces of one that spans reads
+    /// are appended to the connection's buffer once each.
     fn ingest(&mut self, idx: usize, mut bytes: &[u8]) {
-        loop {
-            if bytes.is_empty() {
+        let max = self.config.max_frame_bytes;
+        while !bytes.is_empty() {
+            let Some(conn) = self.conns[idx].as_mut() else {
                 return;
-            }
-            {
-                let Some(conn) = self.conns[idx].as_ref() else {
-                    return;
+            };
+            let newline = ByteClass::NEWLINE.find(bytes);
+            if conn.discarding {
+                let Some(pos) = newline else {
+                    return; // Still inside the oversize tail.
                 };
-                if conn.discarding {
-                    match bytes.iter().position(|&b| b == b'\n') {
-                        Some(pos) => {
-                            bytes = &bytes[pos + 1..];
-                            let conn = self.conns[idx].as_mut().expect("checked above");
-                            conn.discarding = false;
-                            conn.partial_since = None;
-                            continue;
-                        }
-                        None => return, // Still inside the oversize tail.
-                    }
-                }
+                bytes = &bytes[pos + 1..];
+                conn.discarding = false;
+                conn.partial_since = None;
+                continue;
             }
-            match bytes.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    let (frame, oversize) = {
-                        let Some(conn) = self.conns[idx].as_mut() else {
-                            return;
-                        };
-                        let oversize = conn.read_buf.len() + pos > self.config.max_frame_bytes;
-                        let mut frame = std::mem::take(&mut conn.read_buf);
-                        conn.partial_since = None;
-                        if oversize {
-                            frame.clear();
-                        } else {
-                            frame.extend_from_slice(&bytes[..pos]);
-                        }
-                        (frame, oversize)
-                    };
-                    bytes = &bytes[pos + 1..];
-                    if oversize {
-                        self.reject_oversize(idx);
-                    } else {
-                        self.intake_frame(idx, &frame);
-                    }
+            let Some(pos) = newline else {
+                if conn.read_buf.is_empty() {
+                    conn.partial_since = Some(Instant::now());
                 }
-                None => {
-                    let Some(conn) = self.conns[idx].as_mut() else {
-                        return;
-                    };
+                if conn.read_buf.len() + bytes.len() > max {
+                    conn.read_buf = Vec::new();
+                    // The discard tail keeps `partial_since`: the
+                    // unfinished line is still read-deadline-bound.
+                    conn.discarding = true;
+                    self.reject_oversize(idx);
+                } else {
                     if conn.read_buf.is_empty() {
-                        conn.partial_since = Some(Instant::now());
+                        // Room for a second read's worth, so a frame of up
+                        // to twice this read is never moved by a regrowth.
+                        conn.read_buf.reserve_exact(2 * bytes.len());
                     }
                     conn.read_buf.extend_from_slice(bytes);
-                    if conn.read_buf.len() > self.config.max_frame_bytes {
-                        conn.read_buf = Vec::new();
-                        // The discard tail keeps `partial_since`: the
-                        // unfinished line is still read-deadline-bound.
-                        conn.discarding = true;
-                        self.reject_oversize(idx);
-                    }
-                    return;
                 }
+                return;
+            };
+            let line = &bytes[..pos];
+            bytes = &bytes[pos + 1..];
+            conn.partial_since = None;
+            if conn.read_buf.len() + pos > max {
+                conn.read_buf = Vec::new();
+                self.reject_oversize(idx);
+            } else if conn.read_buf.is_empty() {
+                self.intake_frame(idx, line);
+            } else {
+                // The buffer leaves with the frame: no connection keeps a
+                // large allocation between frames.
+                let mut frame = std::mem::take(&mut conn.read_buf);
+                frame.extend_from_slice(line);
+                self.intake_frame(idx, &frame);
             }
         }
     }
